@@ -11,12 +11,9 @@ from .linalg import (
     Verdict,
     cholesky_hpd_test,
     condition_number_p1,
-    dense_lu_solve,
     norm1,
     quick_pd_screen,
     sparse_triple_product,
-    spectral_norm,
-    spmv,
 )
 from .problem import (
     ProblemSpec,

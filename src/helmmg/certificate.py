@@ -35,8 +35,10 @@ from .linalg import (
     DENSE_LIMIT,
     DenseLimitError,
     Verdict,
+    _hermiticity_residual,
     cholesky_hpd_test,
     condition_number_p1,
+    lu_factor_checked,
     norm1,
     norm2,
     quick_pd_screen,
@@ -75,7 +77,7 @@ class CertificateReport:
     hpd_gamma: Verdict
     hpd_gamma_tilde: Verdict
     quick_screen: Verdict
-    spectral_norm_T0: float
+    norm_T0: float
     sigma_max_DA: float
     lambda_min_gamma: float
     bound_value: float  # sqrt(|1 - ||Gt||_1 / kappa_1(Gt)|)
@@ -91,7 +93,7 @@ class CertificateReport:
             f"quick PD screen            : {self.quick_screen.ok} "
             f"({self.quick_screen.reason})",
             f"lambda_min(Gamma)          : {self.lambda_min_gamma:.6g}",
-            f"||T0||_2                   : {self.spectral_norm_T0:.6g}",
+            f"||T0||_2                   : {self.norm_T0:.6g}",
             f"sigma_max(DA)              : {self.sigma_max_DA:.6g}",
             f"||Gt||_1 / kappa_1(Gt)     : {self.ratio_table_value:.6g}",
             f"bound sqrt|1 - ratio|      : {self.bound_value:.6g}",
@@ -104,7 +106,7 @@ class CertificateReport:
         return (
             f"{self.hermiticity_residual_gamma:.6e},{int(self.hpd_gamma.ok)},"
             f"{int(self.hpd_gamma_tilde.ok)},{int(self.quick_screen.ok)},"
-            f"{self.lambda_min_gamma:.6e},{self.spectral_norm_T0:.6e},"
+            f"{self.lambda_min_gamma:.6e},{self.norm_T0:.6e},"
             f"{self.sigma_max_DA:.6e},{self.ratio_table_value:.6e},"
             f"{self.bound_value:.6e}"
         )
@@ -142,10 +144,7 @@ def _coarse_correction(cfg):
     P = _dense(cfg.pair.P)
     R = _dense(cfg.pair.R)
     Ac = R @ _dense(cfg.coarse_build_op) @ P
-    lu, piv = sla.lu_factor(Ac)
-    if np.abs(np.diag(lu)).min(initial=np.inf) < 1e-14 * max(np.abs(Ac).max(), 1e-300):
-        raise np.linalg.LinAlgError("coarse operator A_c singular to tolerance")
-    return P @ sla.lu_solve((lu, piv), R)
+    return P @ sla.lu_solve(lu_factor_checked(Ac, "coarse operator A_c"), R)
 
 
 def _parts(cfg, CC=None):
@@ -222,7 +221,7 @@ def certify(cfg, log=None):
     G = _gamma(DA)
     Gt = _gamma(_times_A(Dt, cfg))
 
-    herm = sla.norm(G - G.conj().T, "fro") / max(sla.norm(G, "fro"), 1e-300)
+    herm = _hermiticity_residual(G)
     hpd_g = cholesky_hpd_test(G)
     hpd_gt = cholesky_hpd_test(Gt)
     screen = quick_pd_screen(0.5 * (Gt + Gt.conj().T))
@@ -258,7 +257,7 @@ def certify(cfg, log=None):
         hpd_gamma=hpd_g,
         hpd_gamma_tilde=hpd_gt,
         quick_screen=screen,
-        spectral_norm_T0=float(norm_T0),
+        norm_T0=float(norm_T0),
         sigma_max_DA=float(sigma_DA),
         lambda_min_gamma=float(lam_min),
         bound_value=bound,
@@ -291,22 +290,19 @@ def gamma_tilde_ratio(cfg, _cc=None):
 def omega_sweep(make_cfg, omegas, nus):
     """Grid of ratio values over (omega, nu) combinations.
 
-    ``make_cfg(omega, nu)`` must return a TwoGridConfig.  nu = 0 rows are
-    computed from the degenerate D-tilde = P A_c^{-1} R and flagged.
+    ``make_cfg(omega, nu)`` must return a TwoGridConfig that varies only
+    omega and nu: P A_c^{-1} R is computed once, from
+    ``make_cfg(omegas[0], nus[0])``, and shared by every cell.  nu = 0
+    rows are computed from the degenerate D-tilde = P A_c^{-1} R and
+    flagged.
     """
+    CC = _coarse_correction(make_cfg(omegas[0], nus[0]))
     rows = []
-    # keyed by object ids; the cached cfg keeps those objects alive, so an
-    # id cannot be reused by a different operator during the sweep
-    cc_cache = {}
     for omega in omegas:
         for nu in nus:
-            cfg = make_cfg(omega, nu)
-            key = (id(cfg.A), id(cfg.coarse_build_op), id(cfg.pair))
-            if key not in cc_cache:
-                cc_cache[key] = (cfg, _coarse_correction(cfg))
             flag = "degenerate-no-smoothing" if nu == 0 else ""
             try:
-                val = gamma_tilde_ratio(cfg, _cc=cc_cache[key][1])
+                val = gamma_tilde_ratio(make_cfg(omega, nu), _cc=CC)
             except np.linalg.LinAlgError:
                 # nu = 0 leaves Gamma-tilde rank-deficient (kappa infinite)
                 val = 0.0

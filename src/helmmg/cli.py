@@ -5,6 +5,7 @@ or non-convergence, 4 dense-size limit exceeded.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -61,7 +62,6 @@ def _add_smoother_args(p):
     p.add_argument("--omega", type=float, default=4.5,
                    help="Jacobi damping: X = omega * diag(A)")
     p.add_argument("--nu", type=int, default=1, help="post-smoothing steps")
-    p.add_argument("--nu-pre", type=int, default=0, help="pre-smoothing steps")
 
 
 def _shift_spec(text):
@@ -104,8 +104,7 @@ def _problem_spec(args):
 def _smoother_config(args):
     kind = "gmres" if args.smoother == "gmres3" else "jacobi"
     try:
-        return SmootherConfig(kind=kind, omega=args.omega, m=3,
-                              nu=args.nu, nu_pre=args.nu_pre)
+        return SmootherConfig(kind=kind, omega=args.omega, m=3, nu=args.nu)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -139,7 +138,7 @@ def cmd_solve(args):
                          f"coarsen_on = {args.coarsen_on}\n"
                          f"smoother = {args.smoother}\n"
                          f"omega = {args.omega!r}\nnu = {args.nu}\n"
-                         f"nu_pre = {args.nu_pre}\ncycle = {args.cycle}\n"
+                         f"cycle = {args.cycle}\n"
                          f"tol = {args.tol!r}\nmax_cycles = {args.max_cycles}\n")
         return EXIT_OK
     h = build_hierarchy(spec, scheme=args.transfer, coarsen_on=args.coarsen_on)
@@ -161,12 +160,23 @@ def cmd_solve(args):
 # certify
 # ---------------------------------------------------------------------------
 
-def _two_grid_config(spec, scheme, coarsen_on, omega, nu):
+#: Jacobi damping of a single certified configuration when --omega is not given
+CERTIFY_OMEGA = 4.5
+
+
+def _operators(spec):
+    """(A, C): the unshifted operator and the CSL of one problem."""
     fieldvals = build_wavenumber_field(spec)
-    A = assemble_helmholtz(spec, fieldvals, shift_on=False)
-    B = assemble_helmholtz(spec, fieldvals, shift_on=True) if coarsen_on == "csl" else A
-    pair = build_transfer_2d(spec.nodes_per_dim, scheme)
-    return TwoGridConfig(A=A, coarse_build_op=B, pair=pair, omega=omega, nu=nu)
+    return (assemble_helmholtz(spec, fieldvals, shift_on=False),
+            assemble_helmholtz(spec, fieldvals, shift_on=True))
+
+
+def _table_operators(k):
+    """(n, A, C) for one row of the published certificate tables."""
+    spec = ProblemSpec(kind="constant-k", k=float(k),
+                       nodes_per_dim=nodes_for_wavenumber(k),
+                       shift=ShiftSpec(kind="fixed", beta2=0.7))
+    return (spec.nodes_per_dim, *_operators(spec))
 
 
 def cmd_certify(args):
@@ -175,8 +185,11 @@ def cmd_certify(args):
     if args.table == "opt1":
         return _certify_opt1(args)
     spec = _problem_spec(args)
-    cfg = _two_grid_config(spec, args.transfer, args.coarsen_on,
-                           args.omega, args.nu)
+    A, C = _operators(spec)
+    cfg = TwoGridConfig(
+        A=A, coarse_build_op=C if args.coarsen_on == "csl" else A,
+        pair=build_transfer_2d(spec.nodes_per_dim, args.transfer),
+        omega=CERTIFY_OMEGA if args.omega is None else args.omega, nu=args.nu)
     report = certify(cfg)
     print(report.to_text())
     if args.out:
@@ -189,15 +202,10 @@ def cmd_certify(args):
 def _conv1_rows(omega):
     rows = []
     for k in presets.CONV1_KS:
-        spec = ProblemSpec(kind="constant-k", k=float(k),
-                           nodes_per_dim=nodes_for_wavenumber(k),
-                           shift=ShiftSpec(kind="fixed", beta2=0.7))
-        fieldvals = build_wavenumber_field(spec)
-        A = assemble_helmholtz(spec, fieldvals, shift_on=False)
-        C = assemble_helmholtz(spec, fieldvals, shift_on=True)
+        n, A, C = _table_operators(k)
         row = {"k": k}
         for scheme in ("linear", "bezier"):
-            pair = build_transfer_2d(spec.nodes_per_dim, scheme)
+            pair = build_transfer_2d(n, scheme)
             for coarsen in ("original", "csl"):
                 cfg = TwoGridConfig(A=A, coarse_build_op=C if coarsen == "csl"
                                     else A, pair=pair, omega=omega, nu=1)
@@ -208,7 +216,7 @@ def _conv1_rows(omega):
 
 
 def _certify_conv1(args):
-    omega = presets.CONV1_OMEGA if args.omega == 4.5 else args.omega
+    omega = presets.CONV1_OMEGA if args.omega is None else args.omega
     rows = _conv1_rows(omega)
     cols = [("linear", "original"), ("linear", "csl"),
             ("bezier", "original"), ("bezier", "csl")]
@@ -239,13 +247,8 @@ def _certify_opt1(args):
     print(header)
     failures = 0
     for k in ks:
-        spec = ProblemSpec(kind="constant-k", k=float(k),
-                           nodes_per_dim=nodes_for_wavenumber(k),
-                           shift=ShiftSpec(kind="fixed", beta2=0.7))
-        fieldvals = build_wavenumber_field(spec)
-        A = assemble_helmholtz(spec, fieldvals, shift_on=False)
-        C = assemble_helmholtz(spec, fieldvals, shift_on=True)
-        pair = build_transfer_2d(spec.nodes_per_dim, "bezier")
+        n, A, C = _table_operators(k)
+        pair = build_transfer_2d(n, "bezier")
 
         def make_cfg(omega, nu, A=A, C=C, pair=pair):
             return TwoGridConfig(A=A, coarse_build_op=C, pair=pair,
@@ -292,8 +295,7 @@ def cmd_bench(args):
     for case in cases:
         cfg = case["cfg"]
         if args.max_cycles:
-            cfg = CycleConfig(gamma=cfg.gamma, smoother=cfg.smoother,
-                              tol=cfg.tol, max_cycles=args.max_cycles)
+            cfg = dataclasses.replace(cfg, max_cycles=args.max_cycles)
         h = build_hierarchy(case["spec"], scheme=case["scheme"],
                             coarsen_on=case["coarsen_on"])
         b = assemble_rhs(case["spec"])
@@ -338,14 +340,17 @@ def build_parser():
     ps.add_argument("--tol", type=float, default=1e-5)
     ps.add_argument("--max-cycles", type=int, default=1000)
     ps.add_argument("--out", help="write the residual history CSV here")
-    ps.add_argument("--field-dump", help="write the wavenumber field CSV here")
+    ps.add_argument("--field-dump",
+                    help="write the solution as CSV 'x,y,re,im' rows here")
     ps.add_argument("--dump-config", action="store_true",
                     help="print the resolved configuration and exit")
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("certify", help="two-grid convergence certificates")
     _add_problem_args(pc)
-    pc.add_argument("--omega", type=float, default=4.5)
+    pc.add_argument("--omega", type=float, default=None,
+                    help=f"Jacobi damping: X = omega * diag(A) (default "
+                         f"{CERTIFY_OMEGA}; {presets.CONV1_OMEGA} with --table conv1)")
     pc.add_argument("--nu", type=int, default=1)
     pc.add_argument("--table", choices=["conv1", "opt1"],
                     help="reproduce a published certificate table instead of "
@@ -363,8 +368,6 @@ def build_parser():
                     help="override the per-case cycle cap")
     pb.add_argument("--regress", action="store_true",
                     help="fail (exit 3) when any case leaves its band")
-    pb.add_argument("--jobs", type=int, default=1,
-                    help="accepted for interface compatibility; runs serially")
     pb.add_argument("--out", help="write per-case results CSV here")
     pb.set_defaults(func=cmd_bench)
     return ap

@@ -8,7 +8,6 @@ them.  Sparse matrices are ``scipy.sparse`` CSR, dense matrices are
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 
@@ -32,17 +31,6 @@ class Verdict:
         return self.ok
 
 
-def spmv(M, x):
-    """Sparse matrix-vector product M @ x with an explicit dimension check."""
-    x = np.asarray(x)
-    if M.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch in spmv: matrix is {M.shape[0]}x{M.shape[1]}, "
-            f"vector has length {x.shape[0]}"
-        )
-    return M @ x
-
-
 def sparse_triple_product(R, A, P):
     """Galerkin-style triple product R @ A @ P in sparse arithmetic.
 
@@ -59,24 +47,20 @@ def sparse_triple_product(R, A, P):
     return out
 
 
-def dense_lu_solve(M, b):
-    """Solve the dense square system M x = b by partially pivoted LU.
+def lu_factor_checked(M, what):
+    """Partially pivoted LU factors ``(lu, piv)`` of the dense square M.
 
-    Raises ``np.linalg.LinAlgError`` naming the offending pivot when a
-    pivot falls below 1e-14 times the largest entry of M.
+    Raises ``np.linalg.LinAlgError`` naming ``what`` and the first pivot
+    below 1e-14 times the largest entry of M.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"dense_lu_solve requires a square matrix, got {M.shape}")
     lu, piv = sla.lu_factor(M)
-    pivots = np.abs(np.diag(lu))
     tol = 1e-14 * max(np.abs(M).max(), 1e-300)
-    bad = np.nonzero(pivots < tol)[0]
+    bad = np.nonzero(np.abs(np.diag(lu)) < tol)[0]
     if bad.size:
         raise np.linalg.LinAlgError(
-            f"matrix singular to tolerance at pivot index {bad[0]}"
+            f"{what} singular to tolerance at pivot index {bad[0]}"
         )
-    return sla.lu_solve((lu, piv), np.asarray(b, dtype=complex))
+    return lu, piv
 
 
 def _hermiticity_residual(M):
@@ -147,36 +131,6 @@ def quick_pd_screen(M):
     return Verdict(True, "pass")
 
 
-def spectral_norm(M, tol=1e-10, max_iter=5000):
-    """2-norm of M via power iteration on M^H M.
-
-    Uses a fixed, reproducible start vector (ones plus a small index
-    perturbation).  Returns ``(value, converged)``; on non-convergence
-    the best estimate is returned with ``converged=False``.
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[1]
-    x = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    converged = False
-    for _ in range(max_iter):
-        y = M.conj().T @ (M @ x)
-        lam_new = float(np.real(np.vdot(x, y)))
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0, True
-        x = y / nrm
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            converged = True
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0))), converged
-
-
 def norm2(M):
     """Exact 2-norm of M: the root of the largest eigenvalue of M^H M.
 
@@ -201,19 +155,7 @@ def condition_number_p1(M):
     M = np.asarray(M, dtype=complex)
     if M.shape[0] != M.shape[1]:
         raise ValueError("condition_number_p1 requires a square matrix")
-    lu, piv = sla.lu_factor(M)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min(initial=np.inf) < 1e-14 * max(np.abs(M).max(), 1e-300):
-        raise np.linalg.LinAlgError("matrix singular to tolerance in condition_number_p1")
-    inv = sla.lu_solve((lu, piv), np.eye(M.shape[0], dtype=complex))
+    inv = sla.lu_solve(lu_factor_checked(M, "condition_number_p1 input"),
+                       np.eye(M.shape[0], dtype=complex))
     return norm1(M) * norm1(inv)
 
-
-def save_matrix_market(path, M):
-    """Write a sparse or dense complex matrix in Matrix Market format."""
-    scipy.io.mmwrite(str(path), sp.csr_matrix(M))
-
-
-def load_matrix_market(path):
-    """Read a Matrix Market file back as CSR."""
-    return sp.csr_matrix(scipy.io.mmread(str(path)))

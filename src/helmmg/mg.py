@@ -7,9 +7,10 @@ from the CSL C (or from A when ``coarsen_on='original'``):
     L_1 = R C P,   L_{j+1} = R L_j P,
 
 halving nodes-per-dimension (n -> (n+1)/2) until n < 10; the coarsest
-operator is LU-factorized densely.  One cycle at a level is: optional
-pre-smoothing, restrict the residual, recurse gamma times starting from
-the zero coarse correction, prolongate-and-add, post-smooth.
+operator is LU-factorized densely.  One cycle at a level is: restrict
+the residual, recurse gamma times starting from the zero coarse
+correction, prolongate-and-add, post-smooth.  Smoothing is post-smoothing
+only, the order the two-grid certificate models (T0 = S^nu * CGC).
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .linalg import lu_factor_checked
 from .problem import assemble_helmholtz, build_wavenumber_field
 from .smoothing import SmootherConfig, apply_smoother
 from .transfer import build_transfer_2d, galerkin_coarse
@@ -108,19 +110,9 @@ def build_hierarchy(spec, scheme="bezier", coarsen_on="csl"):
         n = (n + 1) // 2
         levels[-1].pair = pair
         levels.append(Level(op=op, n=n, diag=op.diagonal()))
-    coarse_dense = levels[-1].op.toarray()
-    try:
-        lu, piv = sla.lu_factor(coarse_dense)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise np.linalg.LinAlgError(
-            f"coarsest operator not factorizable ({exc}); try a different shift"
-        ) from exc
-    pivots = np.abs(np.diag(lu))
-    if pivots.min(initial=np.inf) < 1e-14 * max(np.abs(coarse_dense).max(), 1e-300):
-        raise np.linalg.LinAlgError(
-            "coarsest operator singular to LU tolerance; try a different shift"
-        )
-    return Hierarchy(levels=levels, coarse_lu=(lu, piv), spec=spec)
+    coarse_lu = lu_factor_checked(levels[-1].op.toarray(),
+                                  "coarsest operator (try a different shift)")
+    return Hierarchy(levels=levels, coarse_lu=coarse_lu, spec=spec)
 
 
 def cycle(h, level, u, b, cfg):
@@ -129,8 +121,6 @@ def cycle(h, level, u, b, cfg):
     if level == h.nlevels - 1:
         return sla.lu_solve(h.coarse_lu, b)
     sm = cfg.smoother
-    if sm.nu_pre:
-        u = apply_smoother(L.op, u, b, sm, sm.nu_pre, diag=L.diag)
     r = b - L.op @ u
     rc = L.pair.R @ r
     ec = np.zeros(rc.shape[0], dtype=complex)

@@ -201,7 +201,7 @@ def assemble_rhs(spec):
 
 
 # ---------------------------------------------------------------------------
-# Plain-text config round trip and field dump
+# Plain-text config dump and spec helpers
 # ---------------------------------------------------------------------------
 
 def spec_to_config(spec):
@@ -218,49 +218,6 @@ def spec_to_config(spec):
         f"shift_beta2 = {spec.shift.beta2!r}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def spec_from_config(text):
-    """Parse the output of spec_to_config back into a ProblemSpec."""
-    kv = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
-    shift = ShiftSpec(kind=kv.get("shift_kind", "fixed"),
-                      beta2=float(kv.get("shift_beta2", 0.7)))
-    return ProblemSpec(
-        kind=kv.get("kind", "constant-k"),
-        k=float(kv.get("k", 0.0)),
-        k_min=float(kv.get("k_min", 0.0)),
-        k_max=float(kv.get("k_max", 0.0)),
-        profile=kv.get("profile", "smooth"),
-        seed=int(kv.get("seed", 1)),
-        nodes_per_dim=int(kv.get("nodes_per_dim", 0)),
-        shift=shift,
-    )
-
-
-def dump_field_csv(f, spec, fieldvals):
-    """Write the wavenumber field as CSV 'x,y,k' rows (header included)."""
-    n = spec.nodes_per_dim
-    xs = np.linspace(0.0, 1.0, n)
-    f.write("x,y,k\n")
-    for j in range(n):
-        for i in range(n):
-            f.write(f"{xs[i]:.10g},{xs[j]:.10g},{fieldvals[j * n + i]:.10g}\n")
-
-
-def default_spec_for_k(k, shift=None, ppw_rule=PPW_RULE):
-    """Convenience: constant-k spec on the kh<=ppw_rule grid."""
-    return ProblemSpec(
-        kind="constant-k",
-        k=float(k),
-        nodes_per_dim=nodes_for_wavenumber(k, ppw_rule),
-        shift=shift or ShiftSpec(),
-    )
 
 
 def variable_spec(k_min, k_max, profile, seed=1, shift=None, ppw_rule=PPW_RULE):

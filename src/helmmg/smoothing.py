@@ -25,7 +25,6 @@ class SmootherConfig:
     omega: float = 4.5
     m: int = 3
     nu: int = 1
-    nu_pre: int = 0
 
     def __post_init__(self):
         if self.kind not in ("jacobi", "gmres"):
@@ -34,8 +33,8 @@ class SmootherConfig:
             raise ValueError("jacobi requires omega > 0")
         if self.kind == "gmres" and self.m < 1:
             raise ValueError("gmres requires m >= 1")
-        if self.nu < 0 or self.nu_pre < 0:
-            raise ValueError("smoothing step counts must be >= 0")
+        if self.nu < 0:
+            raise ValueError("smoothing step count nu must be >= 0")
 
 
 def jacobi_sweep(A, u, b, omega, diag=None):

@@ -134,9 +134,9 @@ def test_criterion_02_theory_invariants():
         if rep.hermiticity_residual_gamma > 1e-12:
             violations.append("Gamma not Hermitian to 1e-12")
         if rep.hpd_gamma.ok:
-            if not rep.spectral_norm_T0 < 1.0:
+            if not rep.norm_T0 < 1.0:
                 violations.append("HPD but ||T0|| >= 1")
-            if rep.spectral_norm_T0 > np.sqrt(abs(1 - rep.lambda_min_gamma)) + 1e-8:
+            if rep.norm_T0 > np.sqrt(abs(1 - rep.lambda_min_gamma)) + 1e-8:
                 violations.append("||T0|| above the lambda_min bound")
             if not rep.sigma_max_DA < 2.0 + 1e-8:
                 violations.append("sigma_max(DA) >= 2")

@@ -123,10 +123,10 @@ def test_certify_known_good_configuration():
     rep = certify(make_cfg(k=5.0, n=9, omega=3.5), log=io.StringIO())
     assert rep.hpd_gamma.ok
     assert rep.hpd_gamma_tilde.ok
-    assert rep.spectral_norm_T0 < 1.0
+    assert rep.norm_T0 < 1.0
     assert rep.hermiticity_residual_gamma <= 1e-12
     # norm bound ||T0|| <= sqrt(1 - lambda_min(Gamma))
-    assert rep.spectral_norm_T0 <= np.sqrt(1 - rep.lambda_min_gamma) + 1e-8
+    assert rep.norm_T0 <= np.sqrt(1 - rep.lambda_min_gamma) + 1e-8
     assert rep.sigma_max_DA < 2.0
     assert rep.consistency_warnings == []
 
@@ -136,7 +136,7 @@ def test_certify_known_bad_configuration():
     rep = certify(make_cfg(k=5.0, n=9, coarsen="original", scheme="linear",
                            omega=3.5), log=io.StringIO())
     assert not rep.hpd_gamma_tilde.ok
-    assert rep.spectral_norm_T0 > 1.0
+    assert rep.norm_T0 > 1.0
 
 
 def test_certify_report_text_and_csv():
@@ -168,6 +168,19 @@ def test_omega_sweep_grid_and_flags():
     assert flags[(2.0, 0)] == "degenerate-no-smoothing"
     assert flags[(2.0, 1)] == ""
     assert all(np.isfinite(r["ratio"]) for r in rows)
+
+
+def test_omega_sweep_matches_cell_by_cell_ratio():
+    # the sweep shares one P A_c^{-1} R across its cells; each cell must
+    # equal the ratio computed on its own from a fresh configuration
+    omegas, nus = (1.5, 4.5, 7.0), (1, 2)
+    rows = omega_sweep(lambda w, nu: make_cfg(omega=w, nu=nu), omegas, nus)
+    assert [(r["omega"], r["nu"]) for r in rows] == [(w, nu) for w in omegas
+                                                    for nu in nus]
+    for r in rows:
+        want = gamma_tilde_ratio(make_cfg(omega=r["omega"], nu=r["nu"]))
+        assert np.isclose(r["ratio"], want, rtol=1e-12, atol=0.0)
+        assert r["flag"] == ""
 
 
 def test_dense_limit_enforced():

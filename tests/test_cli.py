@@ -1,7 +1,10 @@
+import argparse
+import pathlib
+
 import numpy as np
 import pytest
 
-from helmmg import presets
+from helmmg import cli, presets
 from helmmg.cli import (
     EXIT_DENSE_LIMIT,
     EXIT_DIVERGED,
@@ -73,6 +76,31 @@ def test_certify_single(capsys, tmp_path):
     header, row = out.read_text().strip().splitlines()
     assert header.startswith("herm_residual")
     assert len(row.split(",")) == len(header.split(","))
+
+
+@pytest.mark.parametrize("omega_args, header", [
+    ([], f"omega = {presets.CONV1_OMEGA}"),
+    (["--omega", "4.5"], "omega = 4.5"),
+])
+def test_certify_conv1_omega(capsys, monkeypatch, omega_args, header):
+    monkeypatch.setattr(presets, "CONV1_KS", (5,))
+    rc = main(["certify", "--table", "conv1"] + omega_args)
+    assert rc == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"two-grid certificate table ({header}, nu = 1)"
+    assert lines[2].startswith("5 ")
+
+
+def test_every_option_is_read():
+    # an option that cmd_* never reads is a flag that silently does nothing
+    source = pathlib.Path(cli.__file__).read_text()
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, \
+                    f"{name} {action.option_strings or action.dest} is never read"
 
 
 def test_certify_dense_limit(capsys):

@@ -6,15 +6,11 @@ from helmmg.linalg import (
     Verdict,
     cholesky_hpd_test,
     condition_number_p1,
-    dense_lu_solve,
-    load_matrix_market,
+    lu_factor_checked,
     norm1,
     norm2,
     quick_pd_screen,
-    save_matrix_market,
     sparse_triple_product,
-    spectral_norm,
-    spmv,
 )
 
 
@@ -61,33 +57,19 @@ def test_triple_product_dimension_mismatch():
         sparse_triple_product(P.T.tocsr(), A, P)
 
 
-def test_spmv_matches_dense(rng):
-    for _ in range(10):
-        n, m = rng.integers(2, 30, size=2)
-        M = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        Ms = sp.csr_matrix(M)
-        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        assert np.allclose(spmv(Ms, x), M @ x, rtol=1e-13)
-
-
-def test_spmv_dimension_check():
-    M = sp.eye(3, format="csr")
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        spmv(M, np.ones(4))
-
-
-def test_dense_lu_solve_roundtrip(rng):
-    M = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    got = dense_lu_solve(M, M @ x)
-    assert np.allclose(got, x, rtol=1e-10)
-
-
-def test_dense_lu_solve_singular_names_pivot():
+def test_lu_factor_checked_singular_names_pivot():
     M = np.eye(4, dtype=complex)
     M[2, 2] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="pivot index"):
-        dense_lu_solve(M, np.ones(4))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="test matrix singular to tolerance at pivot index 2"):
+        lu_factor_checked(M, "test matrix")
+    # a pivot below 1e-14 * max|M| counts as singular, one above it does not
+    M[2, 2] = 1e-15
+    with pytest.raises(np.linalg.LinAlgError, match="pivot index 2"):
+        lu_factor_checked(M, "test matrix")
+    M[2, 2] = 1e-13
+    lu, piv = lu_factor_checked(M, "test matrix")
+    assert np.array_equal(lu, M) and np.array_equal(piv, np.arange(4))
 
 
 def test_cholesky_hpd_positive(small_spd):
@@ -139,19 +121,6 @@ def test_quick_screen_detects_negative_determinant():
     assert not v.ok and "condition 4" in v.reason
 
 
-def test_spectral_norm_matches_svd(rng):
-    for _ in range(5):
-        M = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
-        val, conv = spectral_norm(M, tol=1e-12, max_iter=20000)
-        assert conv
-        assert np.isclose(val, np.linalg.norm(M, 2), rtol=1e-6)
-
-
-def test_spectral_norm_zero_matrix():
-    val, conv = spectral_norm(np.zeros((4, 4)))
-    assert val == 0.0 and conv
-
-
 def test_norm2_exact(rng):
     for shape in ((15, 15), (12, 7)):
         M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -168,16 +137,6 @@ def test_norm1_and_condition(rng):
     assert np.isclose(kappa, want, rtol=1e-10)
 
 
-def test_matrix_market_roundtrip(tmp_path, rng):
-    M = sp.random(12, 12, density=0.3, random_state=np.random.default_rng(1),
-                  format="csr").astype(complex)
-    M = M + 1j * M.T
-    path = tmp_path / "m.mtx"
-    save_matrix_market(path, M)
-    back = load_matrix_market(path)
-    assert np.allclose(back.toarray(), M.toarray(), rtol=1e-12)
-
-
 def test_verdict_truthiness():
     assert bool(Verdict(True, "x"))
     assert not bool(Verdict(False, "y"))
@@ -186,15 +145,6 @@ def test_verdict_truthiness():
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
-
-    @given(st.integers(2, 25), st.integers(2, 25), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_spmv_property(n, m, seed):
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        got = spmv(sp.csr_matrix(M), x)
-        assert np.linalg.norm(got - M @ x) <= 1e-13 * max(np.linalg.norm(M @ x), 1)
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 512))
     @settings(max_examples=30, deadline=None)

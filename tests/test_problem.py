@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,8 @@ from helmmg.problem import (
     assemble_helmholtz,
     assemble_rhs,
     build_wavenumber_field,
-    dump_field_csv,
     nodes_for_wavenumber,
     resolve_beta2,
-    spec_from_config,
-    spec_to_config,
     splitmix64_uniform,
     variable_spec,
 )
@@ -175,21 +170,3 @@ def test_rhs_point_source():
     nz = np.nonzero(b)[0]
     assert nz.tolist() == [5 * 11 + 5]
     assert b[nz[0]] == 1.0 / spec.h**2
-
-
-def test_config_roundtrip():
-    spec = variable_spec(3.0, 9.0, "sharp", seed=17,
-                         shift=ShiftSpec(kind="inverse-k"))
-    text = spec_to_config(spec)
-    back = spec_from_config(text)
-    assert back == spec
-
-
-def test_field_dump_csv():
-    spec = ProblemSpec(kind="constant-k", k=1.0, nodes_per_dim=3)
-    buf = io.StringIO()
-    dump_field_csv(buf, spec, build_wavenumber_field(spec))
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "x,y,k"
-    assert len(lines) == 1 + 9
-    assert lines[1].split(",") == ["0", "0", "1"]
