@@ -179,11 +179,22 @@ def _table_operators(k):
     return (spec.nodes_per_dim, *_operators(spec))
 
 
+def _check_table_options(args):
+    """Refuse certify options, set away from their defaults, that --table ignores."""
+    reads = {"conv1": ("omega", "regress"), "opt1": ("regress",)}[args.table]
+    defaults = vars(build_parser().parse_args(["certify", "--table", args.table]))
+    unread = ["--" + dest.replace("_", "-") for dest, value in vars(args).items()
+              if dest not in reads and value != defaults[dest]]
+    if unread:
+        raise CliError(f"--table {args.table} reads only "
+                       f"{', '.join('--' + dest for dest in reads)}; "
+                       f"it does not read {', '.join(unread)}")
+
+
 def cmd_certify(args):
-    if args.table == "conv1":
-        return _certify_conv1(args)
-    if args.table == "opt1":
-        return _certify_opt1(args)
+    if args.table:
+        _check_table_options(args)
+        return _certify_conv1(args) if args.table == "conv1" else _certify_opt1(args)
     spec = _problem_spec(args)
     A, C = _operators(spec)
     cfg = TwoGridConfig(
@@ -287,20 +298,23 @@ def cmd_bench(args):
         cases = [c for c in cases if args.case in c["name"]]
         if not cases:
             raise CliError(f"no case in preset {args.preset!r} matches {args.case!r}")
+    if args.max_cycles is not None:
+        try:
+            cases = [{**c, "cfg": dataclasses.replace(c["cfg"], max_cycles=args.max_cycles)}
+                     for c in cases]
+        except ValueError as exc:
+            raise CliError(str(exc))
     out = open(args.out, "w") if args.out else None
     if out:
         out.write("case,expected,measured,status,within_band\n")
     failures = 0
     diverged = 0
     for case in cases:
-        cfg = case["cfg"]
-        if args.max_cycles:
-            cfg = dataclasses.replace(cfg, max_cycles=args.max_cycles)
         h = build_hierarchy(case["spec"], scheme=case["scheme"],
                             coarsen_on=case["coarsen_on"])
         b = assemble_rhs(case["spec"])
         # the start the reference counts are compared from
-        res = solve(h, b, cfg, u0=presets.reference_start(b.shape[0]))
+        res = solve(h, b, case["cfg"], u0=presets.reference_start(b.shape[0]))
         ok = res.converged and presets.band_allows(case["expected"], res.cycles,
                                                    case["band"])
         if not res.converged:
@@ -354,7 +368,8 @@ def build_parser():
     pc.add_argument("--nu", type=int, default=1)
     pc.add_argument("--table", choices=["conv1", "opt1"],
                     help="reproduce a published certificate table instead of "
-                         "certifying a single configuration")
+                         "certifying a single configuration (conv1 reads only "
+                         "--omega and --regress, opt1 only --regress)")
     pc.add_argument("--regress", action="store_true",
                     help="compare table values against bundled references")
     pc.add_argument("--out", help="write the report CSV here")

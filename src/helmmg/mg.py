@@ -67,6 +67,8 @@ class CycleConfig:
             raise ValueError("gamma must be 1 (V-cycle) or 2 (W-cycle)")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles}")
 
 
 @dataclass
@@ -120,14 +122,13 @@ def cycle(h, level, u, b, cfg):
     L = h.levels[level]
     if level == h.nlevels - 1:
         return sla.lu_solve(h.coarse_lu, b)
-    sm = cfg.smoother
     r = b - L.op @ u
     rc = L.pair.R @ r
     ec = np.zeros(rc.shape[0], dtype=complex)
     for _ in range(cfg.gamma):
         ec = cycle(h, level + 1, ec, rc, cfg)
     u = u + L.pair.P @ ec
-    return apply_smoother(L.op, u, b, sm, sm.nu, diag=L.diag)
+    return apply_smoother(L.op, u, b, cfg.smoother, diag=L.diag)
 
 
 DIVERGENCE_GUARD = 1e8

@@ -6,10 +6,11 @@ The Jacobi convention follows X = omega * Lambda_A: one sweep is
 
 so ``omega = 4.5`` means a damping factor of 1/4.5 ~ 0.222.
 
-The GMRES smoother runs ``m`` Arnoldi steps (modified Gram-Schmidt with
-one reorthogonalization pass when orthogonality degrades) on the current
-residual equation A c = r and adds the Givens-least-squares optimal
-correction; it acts as a degree-(m-1) polynomial smoother.
+The GMRES smoother runs ``m`` Arnoldi steps on the current residual
+equation A c = r, keeping the Krylov basis as one array orthogonalized
+through BLAS products, and adds the correction that minimizes ||r - A c||
+(one LAPACK least-squares solve on the small Hessenberg matrix); it acts
+as a degree-(m-1) polynomial smoother.
 """
 
 from dataclasses import dataclass
@@ -60,62 +61,37 @@ def gmres_smooth(A, u, b, m=3):
     rn = np.linalg.norm(r)
     if rn == 0.0:
         return u
-    Q = [r / rn]
-    # Givens-rotation QR of the Hessenberg matrix, updated column by column
+    V = np.empty((m + 1, r.shape[0]), dtype=complex)  # basis, one row each
     H = np.zeros((m + 1, m), dtype=complex)
-    cs = np.zeros(m, dtype=complex)
-    sn = np.zeros(m, dtype=complex)
-    g = np.zeros(m + 1, dtype=complex)
-    g[0] = rn
-    k_eff = 0
+    V[0] = r / rn
     for j in range(m):
-        w = A @ Q[j]
+        w = A @ V[j]
         wn0 = np.linalg.norm(w)
-        for i in range(j + 1):
-            H[i, j] = np.vdot(Q[i], w)
-            w = w - H[i, j] * Q[i]
-        # one reorthogonalization pass if orthogonality has degraded
-        if np.linalg.norm(w) < 1e-8 * max(wn0, 1e-300):
-            for i in range(j + 1):
-                corr = np.vdot(Q[i], w)
-                H[i, j] += corr
-                w = w - corr * Q[i]
+        # classical Gram-Schmidt; (w^H V^T)^* = V^* w without copying V^*
+        h = (w.conj() @ V[:j + 1].T).conj()
+        w = w - h @ V[:j + 1]
         hb = np.linalg.norm(w)
+        if hb < 1e-8 * wn0:
+            # second pass only when cancellation has cost orthogonality
+            h2 = (w.conj() @ V[:j + 1].T).conj()
+            w = w - h2 @ V[:j + 1]
+            h = h + h2
+            hb = np.linalg.norm(w)
+        H[:j + 1, j] = h
         H[j + 1, j] = hb
-        # apply previous Givens rotations to the new column
-        for i in range(j):
-            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -np.conj(sn[i]) * H[i, j] + np.conj(cs[i]) * H[i + 1, j]
-            H[i, j] = t
-        # new rotation annihilating H[j+1, j]
-        a, bb = H[j, j], H[j + 1, j]
-        rho = np.sqrt(abs(a) ** 2 + abs(bb) ** 2)
-        if rho == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
-        else:
-            cs[j] = np.conj(a) / rho
-            sn[j] = np.conj(bb) / rho
-        H[j, j] = cs[j] * a + sn[j] * bb
-        H[j + 1, j] = 0.0
-        g[j + 1] = -np.conj(sn[j]) * g[j]
-        g[j] = cs[j] * g[j]
-        k_eff = j + 1
         if hb < 1e-14 * rn:
             break  # breakdown: Krylov space invariant, correction exact
-        Q.append(w / hb)
-    # back substitution on the k_eff x k_eff triangular system
-    y = np.zeros(k_eff, dtype=complex)
-    for j in range(k_eff - 1, -1, -1):
-        y[j] = (g[j] - H[j, j + 1:k_eff] @ y[j + 1:k_eff]) / H[j, j]
-    c = np.zeros_like(u)
-    for j in range(k_eff):
-        c = c + y[j] * Q[j]
-    return u + c
+        V[j + 1] = w / hb
+    k = j + 1
+    g = np.zeros(k + 1, dtype=complex)
+    g[0] = rn
+    y = np.linalg.lstsq(H[:k + 1, :k], g, rcond=None)[0]
+    return u + y @ V[:k]
 
 
-def apply_smoother(A, u, b, cfg, steps, diag=None):
-    """Apply ``steps`` smoothing applications of the configured smoother."""
-    for _ in range(steps):
+def apply_smoother(A, u, b, cfg, diag=None):
+    """Apply ``cfg.nu`` steps of the configured smoother."""
+    for _ in range(cfg.nu):
         if cfg.kind == "jacobi":
             u = jacobi_sweep(A, u, b, cfg.omega, diag=diag)
         else:

@@ -49,13 +49,31 @@ def test_solve_dump_config(capsys):
     assert "smoother = jacobi" in text
 
 
-def test_usage_errors():
+def test_usage_errors(capsys, tmp_path):
     assert main(["solve"]) == EXIT_USAGE  # no wavenumber at all
     assert main(["solve", "--k", "10", "--k-min", "1", "--k-max", "2"]) == EXIT_USAGE
     assert main(["solve", "--k", "10", "--shift", "junk"]) == EXIT_USAGE
     assert main(["solve", "--k", "50", "--n", "11"]) == EXIT_USAGE  # under-resolved
     assert main(["bench", "no-such-preset"]) == EXIT_USAGE
     assert main(["not-a-command"]) == EXIT_USAGE
+    capsys.readouterr()
+    # a cycle cap below one, and certify options a --table does not read,
+    # are refused by name instead of being ignored
+    out = tmp_path / "out.csv"
+    for argv, named in [
+        (["solve", "--k", "10", "--max-cycles", "0"], "max_cycles"),
+        (["solve", "--k", "10", "--max-cycles", "-3"], "max_cycles"),
+        (["bench", "h-independence", "--max-cycles", "0", "--out", str(out)],
+         "max_cycles"),
+        (["certify", "--table", "conv1", "--nu", "4"], "--nu"),
+        (["certify", "--table", "conv1", "--nu", "4", "--k", "50"], "--k, --nu"),
+        (["certify", "--table", "opt1", "--omega", "9"], "--omega"),
+        (["certify", "--table", "conv1", "--out", str(out)], "--out"),
+    ]:
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == "", argv
+    assert not out.exists()
 
 
 def test_divergence_exit_code(capsys):

@@ -9,6 +9,7 @@ from helmmg.problem import (
     ProblemSpec,
     ShiftSpec,
     assemble_rhs,
+    nodes_for_wavenumber,
     variable_spec,
 )
 from helmmg.smoothing import SmootherConfig
@@ -209,11 +210,30 @@ def test_gmres_smoothed_solve():
     assert res.converged
 
 
+@pytest.mark.parametrize("shift, nu, gamma, cycles", [
+    (ShiftSpec(kind="fixed", beta2=0.7), 5, 1, 25),
+    (ShiftSpec(kind="fixed", beta2=0.7), 5, 2, 25),
+    (ShiftSpec(kind="inverse-k"), 3, 2, 5),
+], ids=["beta0.7-nu5-V", "beta0.7-nu5-W", "invk-nu3-W"])
+def test_gmres_reference_counts(shift, nu, gamma, cycles):
+    # the k = 50 column of the README's reference-start table: a smoother
+    # change that moves a GMRES count shows here, not only in acceptance
+    spec = ProblemSpec(kind="constant-k", k=50.0,
+                       nodes_per_dim=nodes_for_wavenumber(50.0), shift=shift)
+    h = build_hierarchy(spec, "bezier", "csl")
+    b = assemble_rhs(spec)
+    cfg = CycleConfig(gamma=gamma, smoother=SmootherConfig(kind="gmres", m=3, nu=nu))
+    res = solve(h, b, cfg, u0=reference_start(b.shape[0]))
+    assert res.converged and res.cycles == cycles
+
+
 def test_cycle_config_validation():
     with pytest.raises(ValueError, match="gamma"):
         CycleConfig(gamma=3)
     with pytest.raises(ValueError, match="tol"):
         CycleConfig(tol=0.0)
+    with pytest.raises(ValueError, match="max_cycles"):
+        CycleConfig(max_cycles=0)
 
 
 def test_history_csv_format():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from helmmg.problem import ProblemSpec, assemble_helmholtz, build_wavenumber_field
 from helmmg.smoothing import SmootherConfig, apply_smoother, gmres_smooth, jacobi_sweep
 
 
@@ -79,10 +81,12 @@ def test_gmres_optimality_over_krylov_space():
 
 
 def test_gmres_exact_when_m_covers_space():
+    # m = 5 exceeds the 3-dimensional Krylov space: Arnoldi breaks down
     A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex))
     b = np.array([1.0, 1.0, 1.0], dtype=complex)
-    u = gmres_smooth(A, np.zeros(3, dtype=complex), b, m=3)
-    assert np.allclose(u, b / np.array([1.0, 2.0, 3.0]), rtol=1e-12)
+    for m in (3, 5):
+        u = gmres_smooth(A, np.zeros(3, dtype=complex), b, m=m)
+        assert np.allclose(u, b / np.array([1.0, 2.0, 3.0]), rtol=1e-12)
 
 
 def test_gmres_breakdown_is_exact():
@@ -100,10 +104,24 @@ def test_gmres_converged_input_returned():
     assert np.array_equal(gmres_smooth(A, x.copy(), b, m=3), x)
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_gmres_matches_scipy_restart_cycle(m):
+    # one restart cycle of SciPy's GMRES(m) is an independent implementation
+    spec = ProblemSpec(kind="constant-k", k=20.0, nodes_per_dim=33)
+    A = assemble_helmholtz(spec, build_wavenumber_field(spec), shift_on=False)
+    rng = np.random.default_rng(8)
+    N = A.shape[0]
+    u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    b = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    want, _ = spla.gmres(A, b, x0=u, rtol=0, atol=0, restart=m, maxiter=1)
+    got = gmres_smooth(A, u, b, m)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want - u)
+
+
 def test_apply_smoother_steps():
     A, b = random_system(10, 7)
-    cfg = SmootherConfig(kind="jacobi", omega=4.5)
-    u2 = apply_smoother(A, np.zeros(10, dtype=complex), b, cfg, steps=2)
+    cfg = SmootherConfig(kind="jacobi", omega=4.5, nu=2)
+    u2 = apply_smoother(A, np.zeros(10, dtype=complex), b, cfg)
     u_manual = jacobi_sweep(A, np.zeros(10, dtype=complex), b, 4.5)
     u_manual = jacobi_sweep(A, u_manual, b, 4.5)
     assert np.allclose(u2, u_manual, rtol=1e-13)
