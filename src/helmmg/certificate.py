@@ -60,6 +60,12 @@ class TwoGridConfig:
     omega: float = 4.5
     nu: int = 1
 
+    def __post_init__(self):
+        if self.omega <= 0:
+            raise ValueError("jacobi requires omega > 0")
+        if self.nu < 0:
+            raise ValueError("smoothing step count nu must be >= 0")
+
     def check_dense_limit(self):
         N = self.A.shape[0]
         if N * N > DENSE_LIMIT:

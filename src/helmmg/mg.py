@@ -131,7 +131,9 @@ def cycle(h, level, u, b, cfg):
     return apply_smoother(L.op, u, b, cfg.smoother, diag=L.diag)
 
 
-DIVERGENCE_GUARD = 1e8
+#: a run stops as diverged once its relative residual exceeds this multiple
+#: of the smallest one so far (the start's own 1.0 included)
+DIVERGENCE_GROWTH = 100.0
 
 
 def solve(h, b, cfg, u0=None):
@@ -139,8 +141,9 @@ def solve(h, b, cfg, u0=None):
 
     ``u0`` defaults to zero.  The residual is recomputed from scratch
     every cycle; iteration stops at ||b - A u|| / ||b - A u0|| <= tol, at
-    max_cycles, or on divergence (relative residual above 1e8).  From the
-    default zero start the denominator is ||b||.
+    max_cycles, or on divergence (relative residual above DIVERGENCE_GROWTH
+    times the smallest so far, 1.0 at the start).  From the default zero
+    start the denominator is ||b||.
 
     Multigrid convergence is usually measured from a random initial
     error; ``presets.reference_start`` gives the seeded start the
@@ -161,6 +164,7 @@ def solve(h, b, cfg, u0=None):
     history = []
     if r0 == 0.0:
         return SolveResult(u=u, cycles=0, residual_history=history, status="converged")
+    best = 1.0
     for it in range(1, cfg.max_cycles + 1):
         u = cycle(h, 0, u, b, cfg)
         rel = float(np.linalg.norm(b - A @ u) / r0)
@@ -168,7 +172,8 @@ def solve(h, b, cfg, u0=None):
         if rel <= cfg.tol:
             return SolveResult(u=u, cycles=it, residual_history=history,
                                status="converged")
-        if rel > DIVERGENCE_GUARD or not np.isfinite(rel):
+        best = min(best, rel)
+        if rel > DIVERGENCE_GROWTH * best or not np.isfinite(rel):
             return SolveResult(u=u, cycles=it, residual_history=history,
                                status="diverged")
     return SolveResult(u=u, cycles=cfg.max_cycles, residual_history=history,

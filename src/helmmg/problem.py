@@ -220,7 +220,7 @@ def spec_to_config(spec):
     return "\n".join(lines) + "\n"
 
 
-def variable_spec(k_min, k_max, profile, seed=1, shift=None, ppw_rule=PPW_RULE):
+def variable_spec(k_min, k_max, profile, seed=1, shift=None):
     """Convenience: variable-k spec resolved against k_max."""
     return ProblemSpec(
         kind="variable-k",
@@ -228,6 +228,6 @@ def variable_spec(k_min, k_max, profile, seed=1, shift=None, ppw_rule=PPW_RULE):
         k_max=float(k_max),
         profile=profile,
         seed=seed,
-        nodes_per_dim=nodes_for_wavenumber(k_max, ppw_rule),
+        nodes_per_dim=nodes_for_wavenumber(k_max),
         shift=shift or ShiftSpec(),
     )

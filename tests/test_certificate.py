@@ -183,6 +183,17 @@ def test_omega_sweep_matches_cell_by_cell_ratio():
         assert r["flag"] == ""
 
 
+def test_two_grid_config_validation():
+    # the same rules as SmootherConfig; nu = 0 stays allowed (omega_sweep
+    # flags it)
+    for omega in (0.0, -2.0):
+        with pytest.raises(ValueError, match="omega"):
+            make_cfg(omega=omega)
+    with pytest.raises(ValueError, match="nu"):
+        make_cfg(nu=-1)
+    assert make_cfg(nu=0).nu == 0
+
+
 def test_dense_limit_enforced():
     cfg = make_cfg()
     big = TwoGridConfig(A=FakeBig(), coarse_build_op=cfg.coarse_build_op,

@@ -57,8 +57,8 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["bench", "no-such-preset"]) == EXIT_USAGE
     assert main(["not-a-command"]) == EXIT_USAGE
     capsys.readouterr()
-    # a cycle cap below one, and certify options a --table does not read,
-    # are refused by name instead of being ignored
+    # out-of-range values, and options the run does not read, are refused
+    # by name instead of being ignored
     out = tmp_path / "out.csv"
     for argv, named in [
         (["solve", "--k", "10", "--max-cycles", "0"], "max_cycles"),
@@ -69,6 +69,20 @@ def test_usage_errors(capsys, tmp_path):
         (["certify", "--table", "conv1", "--nu", "4", "--k", "50"], "--k, --nu"),
         (["certify", "--table", "opt1", "--omega", "9"], "--omega"),
         (["certify", "--table", "conv1", "--out", str(out)], "--out"),
+        (["certify", "--table", "conv1", "--omega", "0"], "omega"),
+        (["solve", "--k", "10", "--profile", "sharp", "--seed", "7"],
+         "--profile, --seed"),
+        (["certify", "--k", "5", "--n", "9", "--seed", "7", "--out", str(out)],
+         "--seed"),
+        (["solve", "--k", "10", "--n", "33", "--ppw", "0.3"], "--ppw"),
+        (["solve", "--k", "10", "--n", "0"], "nodes_per_dim"),
+        (["solve", "--k", "10", "--smoother", "gmres3", "--omega", "2"], "--omega"),
+        (["solve", "--k", "10", "--profile", "constant"], "--profile"),
+        (["certify", "--k", "5", "--n", "9", "--nu", "-1", "--out", str(out)], "nu"),
+        (["certify", "--k", "5", "--n", "9", "--omega", "0", "--out", str(out)],
+         "omega"),
+        (["certify", "--k", "5", "--n", "9", "--omega", "-2", "--out", str(out)],
+         "omega"),
     ]:
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
@@ -144,8 +158,26 @@ def test_bench_unknown_case(capsys):
 
 
 def test_presets_all_have_provenance():
+    # (case count, first and last (name, expected)) pin each bundled table
+    pinned = {
+        "h-independence": (27, ("k15-h2e-5-nu1", 45), ("k30-h2e-9-nu4", 27)),
+        "constant-jacobi": (50, ("k50-nu4-g1", 58), ("k250-nu8-g2", 277)),
+        "constant-gmres-07": (50, ("k50-nu1-g1", 37), ("k250-nu5-g2", 88)),
+        "constant-gmres-invk": (50, ("k50-nu1-g1", 14), ("k250-nu5-g2", 9)),
+        "hetero-medium-jacobi": (20, ("k10-50-nu4-g1", 65), ("k10-75-nu8-g2", 83)),
+        "hetero-sharp-jacobi": (20, ("k10-50-nu4-g1", 102), ("k10-75-nu8-g2", 104)),
+        "hetero-sharp-gmres": (20, ("k10-50-nu1-g1", 28), ("k10-75-nu5-g2", 6)),
+    }
+    assert set(presets.PRESETS) == set(pinned)
     for name, factory in presets.PRESETS.items():
-        for case in factory():
+        cases = factory()
+        count, first, last = pinned[name]
+        assert len(cases) == count, name
+        assert [(c["name"], c["expected"]) for c in (cases[0], cases[-1])] \
+            == [first, last], name
+        # --case filters by substring, so names must be unique
+        assert len({c["name"] for c in cases}) == count, name
+        for case in cases:
             assert case["source"], f"{name}:{case['name']} lacks a source tag"
             assert case["expected"] > 0
             assert case["band"][0] > 0

@@ -192,6 +192,22 @@ def test_solve_max_cycles_status():
     assert res.status == "max-cycles" and res.cycles == 2
 
 
+def test_solve_stops_diverging_run():
+    # k = 50 nu = 4 Jacobi V-cycles reach their smallest residual and then
+    # grow; the run stops once it is 100x above that minimum instead of
+    # climbing to an absolute guard hundreds of cycles later
+    spec = ProblemSpec(kind="constant-k", k=50.0,
+                       nodes_per_dim=nodes_for_wavenumber(50.0),
+                       shift=ShiftSpec(kind="fixed", beta2=0.7))
+    h = build_hierarchy(spec)
+    b = assemble_rhs(spec)
+    cfg = CycleConfig(gamma=1, smoother=SmootherConfig(kind="jacobi", nu=4),
+                      max_cycles=1000)
+    res = solve(h, b, cfg, u0=reference_start(b.shape[0]))
+    assert res.status == "diverged" and res.cycles < 200
+    assert res.residual_history[-1] > 100 * min(res.residual_history)
+
+
 def test_solve_rejects_nonfinite_rhs():
     h = two_level()
     b = np.zeros(121, dtype=complex)
