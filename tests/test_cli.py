@@ -123,6 +123,32 @@ def test_certify_conv1_omega(capsys, monkeypatch, omega_args, header):
     assert lines[2].startswith("5 ")
 
 
+TABLE_TEXT = {
+    "conv1": [
+        "two-grid certificate table (omega = 3.5, nu = 1)",
+        "k    lin/A            lin/C            bez/A            bez/C",
+        "5    x ||T0||=  1.614  x ||T0||=  1.178  + ||T0||=  0.983  + ||T0||=  0.891",
+        "10   x ||T0||=  2.846  x ||T0||=  1.437  x ||T0||=  1.112  + ||T0||=  0.918",
+        "regression: 2 cell(s) outside the verdict/15% band",
+    ],
+    "opt1": [
+        "||Gamma-tilde||_1 / kappa_1(Gamma-tilde) (nu = 1, 2 per cell)",
+        "k    omega=1.5   omega=2.0   omega=2.5   omega=4.5   omega=7.0 ",
+        "5    0.237/0.136  0.197/0.214  0.157/0.239  0.070/0.161  0.025/0.096",
+        "10   0.092/0.070  0.090/0.086  0.081/0.091  0.049/0.083  0.014/0.060",
+        "regression: 20 cell(s) outside the 15% band",
+    ],
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_TEXT))
+def test_certify_table_regress_text(capsys, monkeypatch, table):
+    # the printed table and its regression count, pinned for k = 5, 10
+    monkeypatch.setattr(presets, "CONV1_KS", (5, 10))
+    assert main(["certify", "--table", table, "--regress"]) == EXIT_DIVERGED
+    assert capsys.readouterr().out.splitlines() == TABLE_TEXT[table]
+
+
 def test_every_option_is_read():
     # an option that cmd_* never reads is a flag that silently does nothing
     source = pathlib.Path(cli.__file__).read_text()
