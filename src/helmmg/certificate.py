@@ -1,5 +1,8 @@
 """Two-grid convergence certificates: D, Gamma, Gamma-tilde, T0 and bounds.
 
+Also builds the rows of the two published certificate tables (conv1_row,
+opt1_row).
+
 For a two-grid configuration (fine operator A, coarse-build operator B,
 transfer pair (P, R), nu-step omega-Jacobi smoother X = omega*Lambda_A)
 the error-propagation operator is the one ``mg.cycle`` applies on two
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from . import presets
 from .linalg import (
     DENSE_LIMIT,
     DenseLimitError,
@@ -43,6 +47,14 @@ from .linalg import (
     norm2,
     quick_pd_screen,
 )
+from .problem import (
+    ProblemSpec,
+    ShiftSpec,
+    assemble_helmholtz,
+    build_wavenumber_field,
+    nodes_for_wavenumber,
+)
+from .transfer import build_transfer_2d
 
 
 @dataclass(frozen=True)
@@ -186,23 +198,6 @@ def assemble_D(cfg):
     return M + CC - _coupling(cfg, M, CC)
 
 
-def assemble_D_tilde(cfg):
-    """Simplified D-tilde = M_nu + P A_c^{-1} R (no coupling term)."""
-    M, CC = _parts(cfg)
-    return M + CC
-
-
-def assemble_gamma(cfg, simplified=False, _cc=None):
-    """Gamma (or Gamma-tilde) = A^H D^H + D A - A^H D^H D A.
-
-    ``_cc`` optionally carries a precomputed P A_c^{-1} R so sweeps over
-    (omega, nu) can share the coarse correction.
-    """
-    M, CC = _parts(cfg, _cc)
-    D = M + CC if simplified else M + CC - _coupling(cfg, M, CC)
-    return _gamma(_times_A(D, cfg))
-
-
 def lambda_min_hermitian(G):
     """Smallest eigenvalue of the Hermitian matrix G (one LAPACK call).
 
@@ -287,14 +282,8 @@ def table_entry(cfg):
     return hpd, norm2(T0)
 
 
-def gamma_tilde_ratio(cfg, _cc=None):
-    """||Gamma-tilde||_1 / kappa_1(Gamma-tilde) (optimality-table value)."""
-    Gt = assemble_gamma(cfg, simplified=True, _cc=_cc)
-    return norm1(Gt) / condition_number_p1(Gt)
-
-
 def omega_sweep(make_cfg, omegas, nus):
-    """Grid of ratio values over (omega, nu) combinations.
+    """Grid of ||Gamma-tilde||_1 / kappa_1(Gamma-tilde) over (omega, nu).
 
     ``make_cfg(omega, nu)`` must return a TwoGridConfig that varies only
     omega and nu: P A_c^{-1} R is computed once, from
@@ -306,12 +295,59 @@ def omega_sweep(make_cfg, omegas, nus):
     rows = []
     for omega in omegas:
         for nu in nus:
+            cfg = make_cfg(omega, nu)
+            # one expression, so M_nu and D-tilde are freed before kappa_1
+            Gt = _gamma(_times_A(_parts(cfg, CC)[0] + CC, cfg))
             flag = "degenerate-no-smoothing" if nu == 0 else ""
             try:
-                val = gamma_tilde_ratio(make_cfg(omega, nu), _cc=CC)
+                val = norm1(Gt) / condition_number_p1(Gt)
             except np.linalg.LinAlgError:
                 # nu = 0 leaves Gamma-tilde rank-deficient (kappa infinite)
                 val = 0.0
                 flag = flag or "singular-gamma-tilde"
+            del Gt  # free this cell's dense matrix before the next is formed
             rows.append({"omega": omega, "nu": nu, "ratio": val, "flag": flag})
     return rows
+
+
+# --- rows of the published certificate tables --------------------------------
+
+def _table_inputs(k):
+    """(n, A, C) of one table row: MP 2-A at k*h <= 0.625, beta2 = 0.7 CSL."""
+    spec = ProblemSpec(kind="constant-k", k=float(k),
+                       nodes_per_dim=nodes_for_wavenumber(k),
+                       shift=ShiftSpec(kind="fixed", beta2=0.7))
+    fieldvals = build_wavenumber_field(spec)
+    return (spec.nodes_per_dim, assemble_helmholtz(spec, fieldvals, shift_on=False),
+            assemble_helmholtz(spec, fieldvals, shift_on=True))
+
+
+def conv1_row(k, omega):
+    """One row of the verdict table, nu = 1.
+
+    Returns {(scheme, coarsen): (Gamma-tilde HPD, ||T0||_2)} with scheme in
+    (linear, bezier) and coarsen in (original, csl), in that order.
+    """
+    n, A, C = _table_inputs(k)
+    row = {}
+    for scheme in ("linear", "bezier"):
+        pair = build_transfer_2d(n, scheme)
+        for coarsen, B in (("original", A), ("csl", C)):
+            hpd, t0 = table_entry(TwoGridConfig(A=A, coarse_build_op=B, pair=pair,
+                                                omega=omega, nu=1))
+            row[(scheme, coarsen)] = (hpd.ok, t0)
+    return row
+
+
+def opt1_row(k):
+    """One row of the optimality table, Bezier transfer coarsened on the CSL.
+
+    Returns {(omega, nu): ||Gamma-tilde||_1 / kappa_1(Gamma-tilde)} over
+    ``presets.OPT1_OMEGAS`` x ``presets.OPT1_NUS``.
+    """
+    n, A, C = _table_inputs(k)
+    pair = build_transfer_2d(n, "bezier")
+    cells = omega_sweep(lambda omega, nu: TwoGridConfig(A=A, coarse_build_op=C,
+                                                        pair=pair, omega=omega, nu=nu),
+                        presets.OPT1_OMEGAS, presets.OPT1_NUS)
+    return {(c["omega"], c["nu"]): c["ratio"] for c in cells}

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import presets
-from .certificate import TwoGridConfig, certify, omega_sweep, table_entry
+from .certificate import TwoGridConfig, certify, conv1_row, opt1_row
 from .linalg import DenseLimitError
 from .mg import CycleConfig, build_hierarchy, history_csv, solve
 from .problem import (
@@ -50,11 +50,11 @@ def _add_problem_args(p):
     p.add_argument("--n", type=int, default=None,
                    help="nodes per dimension (odd); overrides the ppw rule")
     p.add_argument("--shift", default="0.7",
-                   help="CSL shift beta2: a number, 'inv-k', or 'zero'")
+                   help="CSL shift beta2: a number, 'inv-k', or 'zero' "
+                        "(the coarse chain is built from the CSL; 'zero' "
+                        "builds it from the unshifted operator)")
     p.add_argument("--transfer", choices=["linear", "bezier"], default="bezier",
                    help="interpolation scheme for P")
-    p.add_argument("--coarsen-on", choices=["csl", "original"], default="csl",
-                   help="operator used to build the Galerkin coarse chain")
 
 
 def _add_smoother_args(p):
@@ -146,15 +146,15 @@ def cmd_solve(args):
     except ValueError as exc:
         raise CliError(str(exc))
     if args.dump_config:
+        _refuse_set(args, ("out", "field_dump"), "--dump-config")
         sys.stdout.write(spec_to_config(spec))
         sys.stdout.write(f"transfer = {args.transfer}\n"
-                         f"coarsen_on = {args.coarsen_on}\n"
                          f"smoother = {args.smoother}\n"
                          f"omega = {args.omega!r}\nnu = {args.nu}\n"
                          f"cycle = {args.cycle}\n"
                          f"tol = {args.tol!r}\nmax_cycles = {args.max_cycles}\n")
         return EXIT_OK
-    h = build_hierarchy(spec, scheme=args.transfer, coarsen_on=args.coarsen_on)
+    h = build_hierarchy(spec, scheme=args.transfer)
     b = assemble_rhs(spec)
     res = solve(h, b, cfg)
     if args.field_dump:
@@ -177,21 +177,6 @@ def cmd_solve(args):
 CERTIFY_OMEGA = 4.5
 
 
-def _operators(spec):
-    """(A, C): the unshifted operator and the CSL of one problem."""
-    fieldvals = build_wavenumber_field(spec)
-    return (assemble_helmholtz(spec, fieldvals, shift_on=False),
-            assemble_helmholtz(spec, fieldvals, shift_on=True))
-
-
-def _table_operators(k):
-    """(n, A, C) for one row of the published certificate tables."""
-    spec = ProblemSpec(kind="constant-k", k=float(k),
-                       nodes_per_dim=nodes_for_wavenumber(k),
-                       shift=ShiftSpec(kind="fixed", beta2=0.7))
-    return (spec.nodes_per_dim, *_operators(spec))
-
-
 def cmd_certify(args):
     if args.table:
         reads = {"conv1": ("omega", "regress"), "opt1": ("regress",)}[args.table]
@@ -199,11 +184,13 @@ def cmd_certify(args):
                     f"--table {args.table} reads only "
                     f"{', '.join('--' + dest for dest in reads)}; it")
         return _certify_conv1(args) if args.table == "conv1" else _certify_opt1(args)
+    _refuse_set(args, ("regress",), "certify without --table")
     spec = _problem_spec(args)
-    A, C = _operators(spec)
+    fieldvals = build_wavenumber_field(spec)
     try:
         cfg = TwoGridConfig(
-            A=A, coarse_build_op=C if args.coarsen_on == "csl" else A,
+            A=assemble_helmholtz(spec, fieldvals, shift_on=False),
+            coarse_build_op=assemble_helmholtz(spec, fieldvals, shift_on=True),
             pair=build_transfer_2d(spec.nodes_per_dim, args.transfer),
             omega=CERTIFY_OMEGA if args.omega is None else args.omega, nu=args.nu)
     except ValueError as exc:
@@ -217,81 +204,47 @@ def cmd_certify(args):
     return EXIT_OK
 
 
-def _conv1_rows(omega):
-    rows = []
-    for k in presets.CONV1_KS:
-        n, A, C = _table_operators(k)
-        row = {"k": k}
-        for scheme in ("linear", "bezier"):
-            pair = build_transfer_2d(n, scheme)
-            for coarsen in ("original", "csl"):
-                cfg = TwoGridConfig(A=A, coarse_build_op=C if coarsen == "csl"
-                                    else A, pair=pair, omega=omega, nu=1)
-                hpd, t0 = table_entry(cfg)
-                row[(scheme, coarsen)] = (hpd.ok, t0)
-        rows.append(row)
-    return rows
+def _regress(cells, band):
+    """Print the --regress summary of (verdict agrees, value, reference)
+    cells and return the exit code."""
+    misses = sum(not (agrees and presets.band_allows(ref, got, presets.TABLE_BAND))
+                 for agrees, got, ref in cells)
+    print(f"regression: {misses} cell(s) outside the {band} band")
+    return EXIT_OK if misses == 0 else EXIT_DIVERGED
 
 
 def _certify_conv1(args):
     omega = presets.CONV1_OMEGA if args.omega is None else args.omega
     try:
-        rows = _conv1_rows(omega)
+        rows = {k: conv1_row(k, omega) for k in presets.CONV1_KS}
     except ValueError as exc:  # an omega TwoGridConfig refuses
         raise CliError(str(exc))
-    cols = [("linear", "original"), ("linear", "csl"),
-            ("bezier", "original"), ("bezier", "csl")]
     print(f"two-grid certificate table (omega = {omega}, nu = 1)")
     print("k    lin/A            lin/C            bez/A            bez/C")
-    failures = 0
-    for i, row in enumerate(rows):
-        cells = []
-        for col in cols:
-            ok, t0 = row[col]
-            mark = "+" if ok else "x"
-            cells.append(f"{mark} ||T0||={t0:7.3f}")
-            if args.regress:
-                ref_ok, ref_t0 = presets.CONV1_REFERENCE[col][i]
-                if ok != ref_ok or not presets.band_allows(ref_t0, t0,
-                                                           presets.TABLE_BAND):
-                    failures += 1
-        print(f"{row['k']:<4} " + "  ".join(cells))
-    if args.regress:
-        print(f"regression: {failures} cell(s) outside the verdict/15% band")
-        return EXIT_OK if failures == 0 else EXIT_DIVERGED
-    return EXIT_OK
+    for k, row in rows.items():
+        print(f"{k:<4} " + "  ".join(f"{'+' if ok else 'x'} ||T0||={t0:7.3f}"
+                                     for ok, t0 in row.values()))
+    if not args.regress:
+        return EXIT_OK
+    refs = presets.CONV1_REFERENCE
+    return _regress([(ok == refs[k][col][0], t0, refs[k][col][1])
+                     for k, row in rows.items() for col, (ok, t0) in row.items()],
+                    "verdict/15%")
 
 
 def _certify_opt1(args):
-    ks = presets.CONV1_KS
     print("||Gamma-tilde||_1 / kappa_1(Gamma-tilde) (nu = 1, 2 per cell)")
-    header = "k    " + "  ".join(f"omega={w:<4}" for w in presets.OPT1_OMEGAS)
-    print(header)
-    failures = 0
-    for k in ks:
-        n, A, C = _table_operators(k)
-        pair = build_transfer_2d(n, "bezier")
-
-        def make_cfg(omega, nu, A=A, C=C, pair=pair):
-            return TwoGridConfig(A=A, coarse_build_op=C, pair=pair,
-                                 omega=omega, nu=nu)
-
-        rows = omega_sweep(make_cfg, presets.OPT1_OMEGAS, presets.OPT1_NUS)
-        vals = {(r["omega"], r["nu"]): r["ratio"] for r in rows}
-        cells = []
-        for w in presets.OPT1_OMEGAS:
-            v1, v2 = vals[(w, 1)], vals[(w, 2)]
-            cells.append(f"{v1:.3f}/{v2:.3f}")
-            if args.regress:
-                r1, r2 = presets.OPT1_REFERENCE[k][w]
-                for got, ref in ((v1, r1), (v2, r2)):
-                    if not presets.band_allows(ref, got, presets.TABLE_BAND):
-                        failures += 1
-        print(f"{k:<4} " + "  ".join(cells))
-    if args.regress:
-        print(f"regression: {failures} cell(s) outside the 15% band")
-        return EXIT_OK if failures == 0 else EXIT_DIVERGED
-    return EXIT_OK
+    print("k    " + "  ".join(f"omega={w:<4}" for w in presets.OPT1_OMEGAS))
+    rows = {}
+    for k in presets.CONV1_KS:
+        row = rows[k] = opt1_row(k)
+        print(f"{k:<4} " + "  ".join(f"{row[(w, 1)]:.3f}/{row[(w, 2)]:.3f}"
+                                     for w in presets.OPT1_OMEGAS))
+    if not args.regress:
+        return EXIT_OK
+    return _regress([(True, rows[k][(w, nu)], ref) for k in rows
+                     for w, refs in presets.OPT1_REFERENCE[k].items()
+                     for nu, ref in zip(presets.OPT1_NUS, refs)], "15%")
 
 
 # ---------------------------------------------------------------------------

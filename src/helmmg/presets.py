@@ -173,16 +173,16 @@ CAP_OPT1 = ("We report the value of ||Gamma-tilde|| kappa(Gamma-tilde)^-1 in "
             "the p = 1 norm. nu denotes the number of omega-Jacobi smoothing "
             "steps.")
 
-# (hpd-verdict, ||T0||) per (scheme, coarsen) column, rows k = 5, 10, 20, 30
+# {k: {(scheme, coarsen): (hpd-verdict, ||T0||)}}
 CONV1_REFERENCE = {
-    ("linear", "original"): [(False, 2.284), (False, 5.888),
-                             (False, 8.786), (False, 10.660)],
-    ("linear", "csl"): [(False, 1.304), (False, 1.351),
-                        (False, 1.328), (False, 1.325)],
-    ("bezier", "original"): [(True, 0.991), (False, 1.105),
-                             (False, 1.306), (False, 1.504)],
-    ("bezier", "csl"): [(True, 0.911), (True, 0.913),
-                        (True, 0.951), (True, 0.984)],
+    5: {("linear", "original"): (False, 2.284), ("linear", "csl"): (False, 1.304),
+        ("bezier", "original"): (True, 0.991), ("bezier", "csl"): (True, 0.911)},
+    10: {("linear", "original"): (False, 5.888), ("linear", "csl"): (False, 1.351),
+         ("bezier", "original"): (False, 1.105), ("bezier", "csl"): (True, 0.913)},
+    20: {("linear", "original"): (False, 8.786), ("linear", "csl"): (False, 1.328),
+         ("bezier", "original"): (False, 1.306), ("bezier", "csl"): (True, 0.951)},
+    30: {("linear", "original"): (False, 10.660), ("linear", "csl"): (False, 1.325),
+         ("bezier", "original"): (False, 1.504), ("bezier", "csl"): (True, 0.984)},
 }
 CONV1_KS = (5, 10, 20, 30)
 # omega that reproduces the published verdict pattern exactly (the source

@@ -29,10 +29,17 @@ import io
 import numpy as np
 import pytest
 
-from helmmg.certificate import TwoGridConfig, certify, omega_sweep, table_entry
-from helmmg.cli import _conv1_rows
+from helmmg.certificate import TwoGridConfig, certify, conv1_row, opt1_row
 from helmmg.mg import CycleConfig, build_hierarchy, cycle, solve
-from helmmg.presets import CONV1_REFERENCE, OPT1_REFERENCE, reference_start
+from helmmg.presets import (
+    CONV1_KS,
+    CONV1_OMEGA,
+    CONV1_REFERENCE,
+    OPT1_NUS,
+    OPT1_OMEGAS,
+    OPT1_REFERENCE,
+    reference_start,
+)
 from helmmg.problem import (
     ProblemSpec,
     ShiftSpec,
@@ -45,8 +52,6 @@ from helmmg.problem import (
 )
 from helmmg.smoothing import SmootherConfig, gmres_smooth, jacobi_sweep
 from helmmg.transfer import build_prolongation_1d, build_transfer_2d, galerkin_coarse
-
-TABLE_OMEGA = 3.5  # omega reproducing the published verdict pattern
 
 
 def report(name, ok, detail):
@@ -89,26 +94,24 @@ def two_grid_cfg(k, n, scheme, coarsen, omega, nu):
 # --------------------------------------------------------------------------
 
 def test_criterion_01_certificate_pattern():
-    rows = _conv1_rows(TABLE_OMEGA)
-    cols = [("linear", "original"), ("linear", "csl"),
-            ("bezier", "original"), ("bezier", "csl")]
+    rows = {k: conv1_row(k, CONV1_OMEGA) for k in CONV1_KS}
     pattern_ok = True
     norm_misses = []
-    for i, row in enumerate(rows):
-        for col in cols:
-            ok, t0 = row[col]
-            ref_ok, ref_t0 = CONV1_REFERENCE[col][i]
+    for k, row in rows.items():
+        for col, (ok, t0) in row.items():
+            ref_ok, ref_t0 = CONV1_REFERENCE[k][col]
             if ok != ref_ok:
                 pattern_ok = False
             if abs(t0 - ref_t0) > 0.15 * ref_t0:
                 norm_misses.append(
-                    f"{col[0]}/{col[1]} k={row['k']}: {t0:.3f} vs {ref_t0:.3f}")
+                    f"{col[0]}/{col[1]} k={k}: {t0:.3f} vs {ref_t0:.3f}")
     # sub-criteria: (a) bezier+CSL HPD for all k; (b) linear+A not-HPD with
     # ||T0|| > 1 for all k; (c) bezier+A HPD only at k = 5
-    a = all(row[("bezier", "csl")][0] for row in rows)
+    a = all(row[("bezier", "csl")][0] for row in rows.values())
     b = all((not row[("linear", "original")][0])
-            and row[("linear", "original")][1] > 1.0 for row in rows)
-    c = [row[("bezier", "original")][0] for row in rows] == [True, False, False, False]
+            and row[("linear", "original")][1] > 1.0 for row in rows.values())
+    c = ([row[("bezier", "original")][0] for row in rows.values()]
+         == [True, False, False, False])
     ok = pattern_ok and a and b and c and not norm_misses
     report("1 certificate pattern", ok,
            f"verdicts exact={pattern_ok and a and b and c}; "
@@ -186,38 +189,24 @@ def test_criterion_03_two_grid_bridge():
 # --------------------------------------------------------------------------
 
 def test_criterion_04_omega_sweep():
-    omegas = (1.5, 2.0, 2.5, 4.5, 7.0)
-    got = {}
-    for k in (5, 10, 20, 30):
-        spec = const_spec(float(k))
-        f = build_wavenumber_field(spec)
-        A = assemble_helmholtz(spec, f, shift_on=False)
-        C = assemble_helmholtz(spec, f, shift_on=True)
-        pair = build_transfer_2d(spec.nodes_per_dim, "bezier")
-
-        def make_cfg(w, nu, A=A, C=C, pair=pair):
-            return TwoGridConfig(A=A, coarse_build_op=C, pair=pair,
-                                 omega=w, nu=nu)
-
-        for row in omega_sweep(make_cfg, omegas, (1, 2)):
-            got[(k, row["omega"], row["nu"])] = row["ratio"]
+    got = {k: opt1_row(k) for k in CONV1_KS}
     cell_misses = []
     for k, by_omega in OPT1_REFERENCE.items():
-        for w, (r1, r2) in by_omega.items():
-            for nu, ref in ((1, r1), (2, r2)):
-                v = got[(k, w, nu)]
+        for w, refs in by_omega.items():
+            for nu, ref in zip(OPT1_NUS, refs):
+                v = got[k][(w, nu)]
                 if abs(v - ref) > 0.20 * max(abs(ref), 1e-3):
                     cell_misses.append(f"k={k} w={w} nu={nu}: {v:.3f} vs {ref:.3f}")
     # monotone trends: decreasing in k at fixed (omega, nu); decreasing in
     # omega from 2.5 to 7 at nu = 1
     trend_ok = True
-    for w in omegas:
-        for nu in (1, 2):
-            vals = [got[(k, w, nu)] for k in (5, 10, 20, 30)]
+    for w in OPT1_OMEGAS:
+        for nu in OPT1_NUS:
+            vals = [got[k][(w, nu)] for k in CONV1_KS]
             if not all(np.diff(vals) < 0):
                 trend_ok = False
-    for k in (5, 10, 20, 30):
-        vals = [got[(k, w, 1)] for w in (2.5, 4.5, 7.0)]
+    for k in CONV1_KS:
+        vals = [got[k][(w, 1)] for w in (2.5, 4.5, 7.0)]
         if not all(np.diff(vals) < 0):
             trend_ok = False
     ok = trend_ok and not cell_misses

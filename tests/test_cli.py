@@ -60,6 +60,7 @@ def test_usage_errors(capsys, tmp_path):
     # out-of-range values, and options the run does not read, are refused
     # by name instead of being ignored
     out = tmp_path / "out.csv"
+    dump = tmp_path / "field.csv"
     for argv, named in [
         (["solve", "--k", "10", "--max-cycles", "0"], "max_cycles"),
         (["solve", "--k", "10", "--max-cycles", "-3"], "max_cycles"),
@@ -83,11 +84,15 @@ def test_usage_errors(capsys, tmp_path):
          "omega"),
         (["certify", "--k", "5", "--n", "9", "--omega", "-2", "--out", str(out)],
          "omega"),
+        (["certify", "--k", "5", "--n", "9", "--regress", "--out", str(out)],
+         "--regress"),
+        (["solve", "--k", "10", "--dump-config", "--out", str(out),
+          "--field-dump", str(dump)], "--out, --field-dump"),
     ]:
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
         assert named in captured.err and captured.out == "", argv
-    assert not out.exists()
+    assert not out.exists() and not dump.exists()
 
 
 def test_divergence_exit_code(capsys):

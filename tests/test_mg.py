@@ -8,7 +8,9 @@ from helmmg.presets import reference_start
 from helmmg.problem import (
     ProblemSpec,
     ShiftSpec,
+    assemble_helmholtz,
     assemble_rhs,
+    build_wavenumber_field,
     nodes_for_wavenumber,
     variable_spec,
 )
@@ -50,6 +52,25 @@ def test_coarsen_on_choices_differ():
     a = two_level(coarsen_on="csl").levels[1].op.toarray()
     b = two_level(coarsen_on="original").levels[1].op.toarray()
     assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(kind="constant-k", k=10.0, nodes_per_dim=33,
+                shift=ShiftSpec(kind="zero")),
+    variable_spec(10.0, 20.0, "sharp", seed=1, shift=ShiftSpec(kind="zero")),
+], ids=["constant-k", "sharp"])
+def test_zero_shift_csl_is_original(spec):
+    # with beta2 = 0 the CSL is A to the bit, so coarsening on it is
+    # coarsening on A: the CLI spells that case --shift zero
+    f = build_wavenumber_field(spec)
+    pairs = [(assemble_helmholtz(spec, f, shift_on=True),
+              assemble_helmholtz(spec, f, shift_on=False))]
+    csl, orig = (build_hierarchy(spec, coarsen_on=c) for c in ("csl", "original"))
+    assert csl.nlevels == orig.nlevels > 2
+    pairs += [(a.op, b.op) for a, b in zip(csl.levels, orig.levels)]
+    for a, b in pairs:
+        for part in ("indptr", "indices", "data"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
 
 
 def test_hierarchy_rejects_small_grid():
