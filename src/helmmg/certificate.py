@@ -12,7 +12,8 @@ levels: the coarse-grid correction followed by nu post-smoothing steps,
     A_c = R B P.
 
 Writing M_nu for the equivalent correction operator of nu smoothing
-steps (I - M_nu A = (I - X^{-1}A)^nu) gives T0 = I - D A with
+steps (I - M_nu A = (I - X^{-1}A)^nu; a sparse degree-(nu-1) polynomial
+in the 5-point A) gives T0 = I - D A with
 
     D = M_nu + P A_c^{-1} R - M_nu A P A_c^{-1} R,
 
@@ -24,8 +25,9 @@ and the Hermitian certificate matrices
 Gamma-tilde does not depend on the order of smoothing and coarse
 correction.  Gamma HPD implies ||T0||_2 = sqrt(1 - lambda_min(Gamma)) < 1;
 Gamma-tilde HPD is the cheaper sufficient test, and ||Gamma-tilde||_1 /
-kappa_1 is the optimality-bound table value.  Reported 2-norms are exact
-(LAPACK eigenvalues of X^H X), not iterative estimates.
+kappa_1 is the optimality-bound table value.  D-tilde, D and everything
+built from them are dense.  Reported 2-norms are exact (LAPACK
+eigenvalues of X^H X), not iterative estimates.
 """
 
 import sys
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import presets
 from .linalg import (
@@ -54,7 +57,7 @@ from .problem import (
     build_wavenumber_field,
     nodes_for_wavenumber,
 )
-from .transfer import build_transfer_2d
+from .transfer import build_transfer_2d, galerkin_coarse
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,8 @@ class TwoGridConfig:
     nu: int = 1
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("jacobi requires omega > 0")
+        if not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"jacobi requires finite omega > 0, got {self.omega}")
         if self.nu < 0:
             raise ValueError("smoothing step count nu must be >= 0")
 
@@ -135,56 +138,35 @@ class CertificateReport:
     )
 
 
-def _dense(M):
-    return M.toarray() if hasattr(M, "toarray") else np.asarray(M, dtype=complex)
-
-
-def smoother_correction(A_dense, omega, nu):
-    """M_nu with I - M_nu A = (I - X^{-1} A)^nu, X = omega * Lambda_A."""
-    N = A_dense.shape[0]
-    xinv = 1.0 / (omega * np.diag(A_dense))
-    if nu == 0:
-        return np.zeros_like(A_dense)
-    M = np.diag(xinv)
-    if nu == 1:
-        return M
-    S = -(xinv[:, None] * A_dense)
-    S[np.arange(N), np.arange(N)] += 1.0
-    Sj = np.eye(N, dtype=complex)
-    for _ in range(1, nu):
-        Sj = Sj @ S
-        M = M + Sj * xinv[None, :]
+def smoother_correction(A, omega, nu):
+    """Sparse M_nu with I - M_nu A = (I - X^{-1} A)^nu, X = omega * Lambda_A:
+    nu Horner steps M <- M + X^{-1} (I - A M) from M = 0."""
+    Xinv = sp.diags(1.0 / (omega * A.diagonal()), format="csr")
+    M = sp.csr_matrix(A.shape, dtype=complex)
+    for _ in range(nu):
+        M = M + Xinv @ (sp.identity(A.shape[0], format="csr") - A @ M)
     return M
 
 
 def _coarse_correction(cfg):
-    """P A_c^{-1} R as a dense matrix."""
-    P = _dense(cfg.pair.P)
-    R = _dense(cfg.pair.R)
-    Ac = R @ _dense(cfg.coarse_build_op) @ P
-    return P @ sla.lu_solve(lu_factor_checked(Ac, "coarse operator A_c"), R)
-
-
-def _parts(cfg, CC=None):
-    """(M_nu, P A_c^{-1} R) for one config; ``CC`` may be precomputed."""
+    """Dense P A_c^{-1} R, A_c = R B P: the first dense matrix of every path."""
     cfg.check_dense_limit()
-    M = smoother_correction(_dense(cfg.A), cfg.omega, cfg.nu)
-    return M, _coarse_correction(cfg) if CC is None else CC
+    Ac = galerkin_coarse(cfg.coarse_build_op, cfg.pair).toarray()
+    lu = lu_factor_checked(Ac, "coarse operator A_c")
+    return cfg.pair.P @ sla.lu_solve(lu, cfg.pair.R.toarray())
 
 
-def _coupling(cfg, M, CC):
-    """M_nu A CC, the post-smoothing coupling term of D.
-
-    A CC is formed from the sparse A; for nu = 1, M_nu is diagonal and
-    the product with it is a row scaling.
-    """
-    ACC = cfg.A @ CC
-    return np.diag(M)[:, None] * ACC if cfg.nu == 1 else M @ ACC
+def _D_tilde(cfg, CC):
+    """(sparse M_nu, dense D-tilde = M_nu + CC) for CC = P A_c^{-1} R."""
+    M = smoother_correction(cfg.A, cfg.omega, cfg.nu)
+    return M, np.asarray(M + CC)
 
 
-def _times_A(X, cfg):
-    """X @ A for dense X, formed as (A^T X^T)^T from the sparse A."""
-    return np.asarray((cfg.A.T @ X.T).T)
+def _D_tilde_and_D(cfg):
+    """Dense (D-tilde, D) with D = D-tilde - M_nu A P A_c^{-1} R."""
+    CC = _coarse_correction(cfg)
+    M, Dt = _D_tilde(cfg, CC)
+    return Dt, Dt - M @ (cfg.A @ CC)
 
 
 def _gamma(DA):
@@ -194,8 +176,7 @@ def _gamma(DA):
 
 def assemble_D(cfg):
     """Dense D with T0 = I - D A (includes the trailing coupling term)."""
-    M, CC = _parts(cfg)
-    return M + CC - _coupling(cfg, M, CC)
+    return _D_tilde_and_D(cfg)[1]
 
 
 def lambda_min_hermitian(G):
@@ -216,11 +197,10 @@ def certify(cfg, log=None):
     violations are reportable findings recorded in the report, never
     silent and never fatal.
     """
-    M, CC = _parts(cfg)
-    Dt = M + CC
-    DA = _times_A(Dt - _coupling(cfg, M, CC), cfg)
+    Dt, D = _D_tilde_and_D(cfg)
+    DA = D @ cfg.A
     G = _gamma(DA)
-    Gt = _gamma(_times_A(Dt, cfg))
+    Gt = _gamma(Dt @ cfg.A)
 
     herm = _hermiticity_residual(G)
     hpd_g = cholesky_hpd_test(G)
@@ -274,10 +254,9 @@ def table_entry(cfg):
     lambda_min, sigma_max(DA) and optimality-ratio machinery so large
     (k = 30) configurations stay tractable.
     """
-    M, CC = _parts(cfg)
-    Dt = M + CC
-    hpd = cholesky_hpd_test(_gamma(_times_A(Dt, cfg)))
-    T0 = -_times_A(Dt - _coupling(cfg, M, CC), cfg)
+    Dt, D = _D_tilde_and_D(cfg)
+    hpd = cholesky_hpd_test(_gamma(Dt @ cfg.A))
+    T0 = -(D @ cfg.A)
     T0[np.arange(T0.shape[0]), np.arange(T0.shape[0])] += 1.0
     return hpd, norm2(T0)
 
@@ -297,7 +276,7 @@ def omega_sweep(make_cfg, omegas, nus):
         for nu in nus:
             cfg = make_cfg(omega, nu)
             # one expression, so M_nu and D-tilde are freed before kappa_1
-            Gt = _gamma(_times_A(_parts(cfg, CC)[0] + CC, cfg))
+            Gt = _gamma(_D_tilde(cfg, CC)[1] @ cfg.A)
             flag = "degenerate-no-smoothing" if nu == 0 else ""
             try:
                 val = norm1(Gt) / condition_number_p1(Gt)
@@ -343,11 +322,12 @@ def opt1_row(k):
     """One row of the optimality table, Bezier transfer coarsened on the CSL.
 
     Returns {(omega, nu): ||Gamma-tilde||_1 / kappa_1(Gamma-tilde)} over
-    ``presets.OPT1_OMEGAS`` x ``presets.OPT1_NUS``.
+    ``presets.OPT1_OMEGAS`` x ``presets.OPT1_NUS``; a cell the sweep flags
+    reads NaN, never a ratio.
     """
     n, A, C = _table_inputs(k)
     pair = build_transfer_2d(n, "bezier")
     cells = omega_sweep(lambda omega, nu: TwoGridConfig(A=A, coarse_build_op=C,
                                                         pair=pair, omega=omega, nu=nu),
                         presets.OPT1_OMEGAS, presets.OPT1_NUS)
-    return {(c["omega"], c["nu"]): c["ratio"] for c in cells}
+    return {(c["omega"], c["nu"]): np.nan if c["flag"] else c["ratio"] for c in cells}

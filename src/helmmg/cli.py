@@ -76,7 +76,10 @@ def _shift_spec(text):
         raise CliError(f"--shift must be a number, 'inv-k' or 'zero', got {text!r}")
     if beta2 == 0.0:
         return ShiftSpec(kind="zero")
-    return ShiftSpec(kind="fixed", beta2=beta2)
+    try:
+        return ShiftSpec(kind="fixed", beta2=beta2)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _refuse_set(args, dests, reader):
@@ -98,15 +101,15 @@ def _problem_spec(args):
         if args.k_min is not None or args.k_max is not None:
             raise CliError("give either --k or --k-min/--k-max, not both")
         _refuse_set(args, ("profile", "seed"), "a constant-k problem (--k)")
-        n = nodes_for_wavenumber(args.k, ppw) if args.n is None else args.n
         kwargs = dict(kind="constant-k", k=args.k)
     elif args.k_min is not None and args.k_max is not None:
-        n = nodes_for_wavenumber(args.k_max, ppw) if args.n is None else args.n
         kwargs = dict(kind="variable-k", k_min=args.k_min, k_max=args.k_max,
                       profile=args.profile, seed=args.seed)
     else:
         raise CliError("a problem needs --k or both --k-min and --k-max")
     try:
+        k_top = args.k if args.k is not None else args.k_max
+        n = nodes_for_wavenumber(k_top, ppw) if args.n is None else args.n
         return ProblemSpec(nodes_per_dim=n, shift=shift, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc))

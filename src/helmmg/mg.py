@@ -65,8 +65,8 @@ class CycleConfig:
     def __post_init__(self):
         if self.gamma not in (1, 2):
             raise ValueError("gamma must be 1 (V-cycle) or 2 (W-cycle)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_cycles < 1:
             raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles}")
 

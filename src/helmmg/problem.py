@@ -37,8 +37,8 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in ("fixed", "inverse-k", "zero"):
             raise ValueError(f"unknown shift kind {self.kind!r}")
-        if self.kind == "fixed" and self.beta2 < 0:
-            raise ValueError("shift resolves to negative beta2")
+        if self.kind == "fixed" and not (np.isfinite(self.beta2) and self.beta2 >= 0):
+            raise ValueError(f"shift beta2 must be finite and >= 0, got {self.beta2}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class ProblemSpec:
             raise ValueError(f"nodes_per_dim must be odd and >= 3, got {n}")
         h = 1.0 / (n - 1)
         if self.kind == "constant-k":
-            if self.k <= 0:
-                raise ValueError("constant-k problem requires k > 0")
+            if not (np.isfinite(self.k) and self.k > 0):
+                raise ValueError(f"k must be finite and > 0, got {self.k}")
             if self.k * h > PPW_RULE + 1e-12:
                 raise ValueError(
                     f"under-resolved grid: k*h = {self.k * h:.4f} > {PPW_RULE}"
@@ -85,8 +85,10 @@ class ProblemSpec:
 
 def nodes_for_wavenumber(k, ppw_rule=PPW_RULE):
     """Smallest odd node count n with k/(n-1) <= ppw_rule."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not (np.isfinite(k) and k > 0):
+        raise ValueError(f"k must be finite and > 0, got {k}")
+    if not (np.isfinite(ppw_rule) and ppw_rule > 0):
+        raise ValueError(f"ppw rule (max k*h) must be finite and > 0, got {ppw_rule}")
     n = int(np.ceil(k / ppw_rule)) + 1
     if k / (n - 1) > ppw_rule:  # guard against ceil landing exactly short
         n += 1

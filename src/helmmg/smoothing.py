@@ -30,8 +30,8 @@ class SmootherConfig:
     def __post_init__(self):
         if self.kind not in ("jacobi", "gmres"):
             raise ValueError(f"unknown smoother kind {self.kind!r}")
-        if self.kind == "jacobi" and self.omega <= 0:
-            raise ValueError("jacobi requires omega > 0")
+        if self.kind == "jacobi" and not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"jacobi requires finite omega > 0, got {self.omega}")
         if self.kind == "gmres" and self.m < 1:
             raise ValueError("gmres requires m >= 1")
         if self.nu < 0:

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helmmg.certificate import (
     TwoGridConfig,
@@ -10,6 +11,7 @@ from helmmg.certificate import (
     lambda_min_hermitian,
     omega_sweep,
     smoother_correction,
+    table_entry,
 )
 from helmmg.linalg import DenseLimitError
 from helmmg.mg import CycleConfig, build_hierarchy, cycle
@@ -35,19 +37,21 @@ def make_cfg(k=5.0, n=9, scheme="bezier", coarsen="csl", omega=4.5, nu=1,
 
 
 def test_smoother_correction_identity():
-    # I - M_nu A == (I - X^-1 A)^nu for several nu
+    # I - M_nu A == (I - X^-1 A)^nu for several nu, M_nu sparse from the
+    # sparse A
     cfg = make_cfg()
     A = cfg.A.toarray()
     N = A.shape[0]
     S = np.eye(N) - (1.0 / cfg.omega) * (A / np.diag(A)[:, None])
-    for nu in (0, 1, 2, 3):
-        M = smoother_correction(A, cfg.omega, nu)
+    for nu in (0, 1, 2, 3, 4):
+        M = smoother_correction(cfg.A, cfg.omega, nu)
+        assert sp.issparse(M)
         want = np.linalg.matrix_power(S, nu)
-        got = np.eye(N) - M @ A
+        got = np.eye(N) - M.toarray() @ A
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1) <= 1e-11
 
 
-@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("nu", [1, 2, 3])
 def test_I_minus_DA_equals_dense_T0(nu):
     # the Lemma's claim T0 = I - D A against the explicit product and
     # against the operator cycle() applies: coarse correction, then nu
@@ -88,7 +92,7 @@ def test_D_tilde_drops_coupling_term():
     R = cfg.pair.R.toarray()
     Ac = R @ cfg.coarse_build_op.toarray() @ P
     CC = P @ np.linalg.solve(Ac, R)
-    M = smoother_correction(A, cfg.omega, cfg.nu)
+    M = smoother_correction(cfg.A, cfg.omega, cfg.nu).toarray()
     assert np.allclose(assemble_D(cfg), M + CC - M @ A @ CC, rtol=1e-12)
 
 
@@ -181,7 +185,7 @@ def test_omega_sweep_matches_cell_by_cell_ratio():
 def test_two_grid_config_validation():
     # the same rules as SmootherConfig; nu = 0 stays allowed (omega_sweep
     # flags it)
-    for omega in (0.0, -2.0):
+    for omega in (0.0, -2.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="omega"):
             make_cfg(omega=omega)
     with pytest.raises(ValueError, match="nu"):
@@ -190,11 +194,15 @@ def test_two_grid_config_validation():
 
 
 def test_dense_limit_enforced():
-    cfg = make_cfg()
-    big = TwoGridConfig(A=FakeBig(), coarse_build_op=cfg.coarse_build_op,
-                        pair=cfg.pair, omega=4.5, nu=1)
+    # every certificate path checks the limit before it touches an operator
+    big = TwoGridConfig(A=FakeBig(), coarse_build_op=None, pair=None,
+                        omega=4.5, nu=1)
     with pytest.raises(DenseLimitError):
         big.check_dense_limit()
+    for run in (certify, table_entry, assemble_D,
+                lambda cfg: omega_sweep(lambda w, nu: cfg, (4.5,), (1,))):
+        with pytest.raises(DenseLimitError):
+            run(big)
 
 
 class FakeBig:

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from helmmg import cli, presets
+from helmmg import certificate, cli, presets
 from helmmg.cli import (
     EXIT_DENSE_LIMIT,
     EXIT_DIVERGED,
@@ -88,6 +88,18 @@ def test_usage_errors(capsys, tmp_path):
          "--regress"),
         (["solve", "--k", "10", "--dump-config", "--out", str(out),
           "--field-dump", str(dump)], "--out, --field-dump"),
+        (["solve", "--k", "10", "--shift", "-0.5"], "shift beta2"),
+        (["solve", "--k", "10", "--shift", "nan"], "shift beta2"),
+        (["solve", "--k", "nan"], "k must be finite"),
+        (["solve", "--k", "inf"], "k must be finite"),
+        (["solve", "--k", "nan", "--n", "33"], "k must be finite"),
+        (["solve", "--k", "10", "--ppw", "nan"], "ppw"),
+        (["solve", "--k", "10", "--ppw", "0"], "ppw"),
+        (["solve", "--k", "10", "--tol", "inf"], "tol"),
+        (["solve", "--k", "10", "--tol", "nan"], "tol"),
+        (["solve", "--k", "10", "--omega", "nan"], "omega"),
+        (["certify", "--k", "5", "--n", "9", "--omega", "nan", "--out", str(out)],
+         "omega"),
     ]:
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
@@ -152,6 +164,21 @@ def test_certify_table_regress_text(capsys, monkeypatch, table):
     monkeypatch.setattr(presets, "CONV1_KS", (5, 10))
     assert main(["certify", "--table", table, "--regress"]) == EXIT_DIVERGED
     assert capsys.readouterr().out.splitlines() == TABLE_TEXT[table]
+
+
+def test_certify_opt1_flagged_cells_print_nan(capsys, monkeypatch):
+    # a cell the sweep flags must not print as a tiny ratio (0.000): here
+    # every kappa_1 fails, so every cell reads nan and counts as a miss
+    def singular(M):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(presets, "CONV1_KS", (5,))
+    monkeypatch.setattr(certificate, "condition_number_p1", singular)
+    assert main(["certify", "--table", "opt1", "--regress"]) == EXIT_DIVERGED
+    out = capsys.readouterr().out
+    assert out.count("nan/nan") == len(presets.OPT1_OMEGAS)
+    assert "0.000" not in out
+    assert "regression: 10 cell(s) outside the 15% band" in out
 
 
 def test_every_option_is_read():
