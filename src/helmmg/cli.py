@@ -151,9 +151,10 @@ def cmd_solve(args):
     if args.dump_config:
         _refuse_set(args, ("out", "field_dump"), "--dump-config")
         sys.stdout.write(spec_to_config(spec))
+        omega = f"omega = {args.omega!r}\n" if sm.kind == "jacobi" else ""
         sys.stdout.write(f"transfer = {args.transfer}\n"
                          f"smoother = {args.smoother}\n"
-                         f"omega = {args.omega!r}\nnu = {args.nu}\n"
+                         f"{omega}nu = {args.nu}\n"
                          f"cycle = {args.cycle}\n"
                          f"tol = {args.tol!r}\nmax_cycles = {args.max_cycles}\n")
         return EXIT_OK

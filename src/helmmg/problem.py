@@ -207,18 +207,21 @@ def assemble_rhs(spec):
 # ---------------------------------------------------------------------------
 
 def spec_to_config(spec):
-    """Serialize a ProblemSpec as 'key = value' lines."""
-    lines = [
-        f"kind = {spec.kind}",
-        f"k = {spec.k!r}",
-        f"k_min = {spec.k_min!r}",
-        f"k_max = {spec.k_max!r}",
-        f"profile = {spec.profile}",
-        f"seed = {spec.seed}",
-        f"nodes_per_dim = {spec.nodes_per_dim}",
-        f"shift_kind = {spec.shift.kind}",
-        f"shift_beta2 = {spec.shift.beta2!r}",
-    ]
+    """Serialize a ProblemSpec as 'key = value' lines.
+
+    Only the fields the spec's kind and shift read are written: k for
+    constant-k; k_min, k_max, profile and seed for variable-k; beta2 for a
+    fixed shift.
+    """
+    if spec.kind == "constant-k":
+        lines = [f"kind = {spec.kind}", f"k = {spec.k!r}"]
+    else:
+        lines = [f"kind = {spec.kind}", f"k_min = {spec.k_min!r}",
+                 f"k_max = {spec.k_max!r}", f"profile = {spec.profile}",
+                 f"seed = {spec.seed}"]
+    lines += [f"nodes_per_dim = {spec.nodes_per_dim}", f"shift_kind = {spec.shift.kind}"]
+    if spec.shift.kind == "fixed":
+        lines.append(f"shift_beta2 = {spec.shift.beta2!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,16 +1,24 @@
 """Relaxation smoothers: omega-Jacobi and the GMRES(m) polynomial smoother.
 
+Every smoother works on the residual equation: it takes the iterate u
+together with its current residual r = b - A u and returns the pair
+(u, r) after the step, with r updated alongside u, so no caller forms
+b - A u from scratch.
+
 The Jacobi convention follows X = omega * Lambda_A: one sweep is
 
-    u <- u + (1/omega) * Lambda_A^{-1} (b - A u)
+    d = (1/omega) * Lambda_A^{-1} r,   u <- u + d,   r <- r - A d
 
-so ``omega = 4.5`` means a damping factor of 1/4.5 ~ 0.222.
+so ``omega = 4.5`` means a damping factor of 1/4.5 ~ 0.222, at one
+matvec per sweep.
 
-The GMRES smoother runs ``m`` Arnoldi steps on the current residual
-equation A c = r, keeping the Krylov basis as one array orthogonalized
-through BLAS products, and adds the correction that minimizes ||r - A c||
-(one LAPACK least-squares solve on the small Hessenberg matrix); it acts
-as a degree-(m-1) polynomial smoother.
+The GMRES smoother runs ``m`` Arnoldi steps on A c = r, keeping the
+Krylov basis as one array orthogonalized through BLAS products, and adds
+the correction c = V_m y that minimizes ||r - A c|| (one LAPACK
+least-squares solve on the small Hessenberg matrix H); the Arnoldi
+relation A V_m = V_{m+1} H gives the new residual r - V_{m+1} H y
+without another matvec.  It acts as a degree-(m-1) polynomial smoother
+at m matvecs per step.
 """
 
 from dataclasses import dataclass
@@ -38,8 +46,11 @@ class SmootherConfig:
             raise ValueError("smoothing step count nu must be >= 0")
 
 
-def jacobi_sweep(A, u, b, omega, diag=None):
-    """One damped Jacobi sweep u + (1/omega) Lambda^-1 (b - A u)."""
+def jacobi_sweep(A, u, r, omega, diag=None):
+    """One damped Jacobi sweep on the residual r = b - A u.
+
+    Returns (u + d, r - A d) with d = (1/omega) Lambda^-1 r.
+    """
     if diag is None:
         diag = A.diagonal()
     small = np.abs(diag) <= 1e-300
@@ -47,23 +58,25 @@ def jacobi_sweep(A, u, b, omega, diag=None):
         raise ZeroDivisionError(
             f"zero diagonal entry at node {int(np.nonzero(small)[0][0])}"
         )
-    return u + (1.0 / omega) * (b - A @ u) / diag
+    d = (1.0 / omega) * r / diag
+    return u + d, r - A @ d
 
 
-def gmres_smooth(A, u, b, m=3):
-    """One GMRES(m) smoothing step on the residual equation.
+def gmres_smooth(A, u, r, m=3):
+    """One GMRES(m) smoothing step on the residual r = b - A u.
 
-    Returns u + c where c minimizes ||r - A c|| over the m-dimensional
-    Krylov space of (A, r), r = b - A u.  Arnoldi breakdown means the
+    Returns (u + c, r - A c) where c minimizes ||r - A c|| over the
+    m-dimensional Krylov space of (A, r); the new residual comes from the
+    Arnoldi relation, not from a matvec.  Arnoldi breakdown means the
     Krylov space is invariant and the correction is exact.
     """
-    r = b - A @ u
     rn = np.linalg.norm(r)
     if rn == 0.0:
-        return u
+        return u, r
     V = np.empty((m + 1, r.shape[0]), dtype=complex)  # basis, one row each
     H = np.zeros((m + 1, m), dtype=complex)
     V[0] = r / rn
+    filled = m + 1  # basis rows written
     for j in range(m):
         w = A @ V[j]
         wn0 = np.linalg.norm(w)
@@ -80,20 +93,23 @@ def gmres_smooth(A, u, b, m=3):
         H[:j + 1, j] = h
         H[j + 1, j] = hb
         if hb < 1e-14 * rn:
-            break  # breakdown: Krylov space invariant, correction exact
+            # breakdown: Krylov space invariant, correction exact; row
+            # V[j + 1] is never written, so the residual uses V[:j + 1]
+            filled = j + 1
+            break
         V[j + 1] = w / hb
     k = j + 1
     g = np.zeros(k + 1, dtype=complex)
     g[0] = rn
     y = np.linalg.lstsq(H[:k + 1, :k], g, rcond=None)[0]
-    return u + y @ V[:k]
+    return u + y @ V[:k], r - (H[:filled, :k] @ y) @ V[:filled]
 
 
-def apply_smoother(A, u, b, cfg, diag=None):
-    """Apply ``cfg.nu`` steps of the configured smoother."""
+def apply_smoother(A, u, r, cfg, diag=None):
+    """Apply ``cfg.nu`` steps of the configured smoother; returns (u, r)."""
     for _ in range(cfg.nu):
         if cfg.kind == "jacobi":
-            u = jacobi_sweep(A, u, b, cfg.omega, diag=diag)
+            u, r = jacobi_sweep(A, u, r, cfg.omega, diag=diag)
         else:
-            u = gmres_smooth(A, u, b, cfg.m)
-    return u
+            u, r = gmres_smooth(A, u, r, cfg.m)
+    return u, r

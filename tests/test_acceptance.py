@@ -177,7 +177,8 @@ def test_criterion_03_two_grid_bridge():
         rng = np.random.default_rng(2)
         for _ in range(3):
             e = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-            out = cycle(h, 0, e.copy(), np.zeros(N, dtype=complex), cfg)
+            out = cycle(h, 0, e.copy(), np.zeros(N, dtype=complex) - h.levels[0].op @ e,
+                        cfg)[0]
             worst = max(worst, np.linalg.norm(out - T @ e) / np.linalg.norm(e))
     ok = worst <= 1e-11
     report("3 two-grid bridge", ok, f"worst relative error {worst:.2e} (<= 1e-11)")
@@ -372,7 +373,7 @@ def test_criterion_10_property_suites():
     u = np.zeros(b.shape[0], dtype=complex)
     r_prev = np.linalg.norm(b)
     for _ in range(10):
-        u = gmres_smooth(Af, u, b, m=3)
+        u = gmres_smooth(Af, u, b - Af @ u, m=3)[0]
         r = np.linalg.norm(b - Af @ u)
         if r > r_prev * (1 + 1e-12):
             msgs.append("GMRES residual increased")
@@ -381,9 +382,9 @@ def test_criterion_10_property_suites():
     # Jacobi linearity
     rng = np.random.default_rng(4)
     e = rng.standard_normal(b.shape[0]) + 1j * rng.standard_normal(b.shape[0])
-    lhs = jacobi_sweep(Af, e.copy(), b, 4.5)
-    rhs = (jacobi_sweep(Af, np.zeros_like(b), b, 4.5)
-           + jacobi_sweep(Af, e.copy(), np.zeros_like(b), 4.5))
+    lhs = jacobi_sweep(Af, e.copy(), b - Af @ e, 4.5)[0]
+    rhs = (jacobi_sweep(Af, np.zeros_like(b), b, 4.5)[0]
+           + jacobi_sweep(Af, e.copy(), np.zeros_like(b) - Af @ e, 4.5)[0])
     if not np.allclose(lhs, rhs, rtol=1e-11):
         msgs.append("Jacobi sweep not affine-linear")
     # cycle-count invariance under RHS scaling

@@ -75,7 +75,7 @@ def test_I_minus_DA_equals_dense_T0(nu):
     ccfg = CycleConfig(gamma=1, smoother=SmootherConfig(kind="jacobi",
                                                         omega=4.5, nu=nu))
     zero = np.zeros(N, dtype=complex)
-    T_cycle = np.column_stack([cycle(h, 0, e, zero, ccfg)
+    T_cycle = np.column_stack([cycle(h, 0, e, zero - cfg.A @ e, ccfg)[0]
                                for e in np.eye(N, dtype=complex)])
     I_DA = np.eye(N) - assemble_D(cfg) @ A
     scale = np.linalg.norm(T0, "fro")

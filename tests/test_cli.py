@@ -47,6 +47,20 @@ def test_solve_dump_config(capsys):
     assert "kind = constant-k" in text
     assert "nodes_per_dim = 17" in text
     assert "smoother = jacobi" in text
+    # each dump holds only the keys its problem kind, shift and smoother read
+    keys = [line.split(" = ")[0] for line in text.splitlines()]
+    assert keys == ["kind", "k", "nodes_per_dim", "shift_kind", "shift_beta2",
+                    "transfer", "smoother", "omega", "nu", "cycle", "tol",
+                    "max_cycles"]
+    rc = main(["solve", "--k-min", "1", "--k-max", "20", "--shift", "inv-k",
+               "--smoother", "gmres3", "--dump-config"])
+    assert rc == EXIT_OK
+    text = capsys.readouterr().out
+    assert "kind = variable-k" in text and "k_max = 20.0" in text
+    keys = [line.split(" = ")[0] for line in text.splitlines()]
+    assert keys == ["kind", "k_min", "k_max", "profile", "seed", "nodes_per_dim",
+                    "shift_kind", "transfer", "smoother", "nu", "cycle", "tol",
+                    "max_cycles"]
 
 
 def test_usage_errors(capsys, tmp_path):

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from helmmg import mg
 from helmmg.mg import CycleConfig, build_hierarchy, cycle, history_csv, solve
 from helmmg.presets import reference_start
 from helmmg.problem import (
@@ -107,7 +108,8 @@ def test_two_grid_bridge(nu):
     rng = np.random.default_rng(11)
     for _ in range(5):
         e = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        out = cycle(h, 0, e.copy(), np.zeros(N, dtype=complex), cfg)
+        out = cycle(h, 0, e.copy(), np.zeros(N, dtype=complex) - h.fine_operator @ e,
+                    cfg)[0]
         err = np.linalg.norm(out - T @ e) / np.linalg.norm(e)
         assert err <= 1e-11
 
@@ -122,8 +124,11 @@ def test_cycle_is_stationary_linear_method():
     u2 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     a = 0.37 - 0.2j
     # affine map: cycle(a u1 + (1-a) u2) = a cycle(u1) + (1-a) cycle(u2)
-    lhs = cycle(h, 0, a * u1 + (1 - a) * u2, b, cfg)
-    rhs = a * cycle(h, 0, u1.copy(), b, cfg) + (1 - a) * cycle(h, 0, u2.copy(), b, cfg)
+    A = h.fine_operator
+    u3 = a * u1 + (1 - a) * u2
+    lhs = cycle(h, 0, u3, b - A @ u3, cfg)[0]
+    rhs = (a * cycle(h, 0, u1.copy(), b - A @ u1, cfg)[0]
+           + (1 - a) * cycle(h, 0, u2.copy(), b - A @ u2, cfg)[0])
     assert np.allclose(lhs, rhs, rtol=1e-10)
 
 
@@ -263,6 +268,80 @@ def test_gmres_reference_counts(shift, nu, gamma, cycles):
     res = solve(h, b, cfg, u0=reference_start(b.shape[0]))
     assert res.converged and res.cycles == cycles
 
+
+class CountingOp:
+    """A level operator that counts its applications through ``@``."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.op @ x
+
+    def __getattr__(self, name):
+        return getattr(self.op, name)
+
+
+@pytest.mark.parametrize("gamma", [1, 2])
+def test_cycle_operator_applications(monkeypatch, gamma):
+    # k = 100 on n = 161 has six levels; with GMRES(3), nu = 5 a visit
+    # applies its level operator once for the coarse correction and m
+    # times per smoothing step, and no level forms b - A u from scratch.
+    # The level above the coarsest solves there once whatever gamma is.
+    spec = ProblemSpec(kind="constant-k", k=100.0, nodes_per_dim=161,
+                       shift=ShiftSpec(kind="fixed", beta2=0.7))
+    h = build_hierarchy(spec, "bezier", "csl")
+    L = h.nlevels
+    assert L == 6
+    for lev in h.levels:
+        lev.op = CountingOp(lev.op)
+    cfg = CycleConfig(gamma=gamma, smoother=SmootherConfig(kind="gmres", m=3, nu=5))
+    b = assemble_rhs(spec)
+    visits = {}
+    inner = mg.cycle
+
+    def counted(h, level, u, r, cfg):
+        visits[level] = visits.get(level, 0) + 1
+        return inner(h, level, u, r, cfg)
+
+    monkeypatch.setattr(mg, "cycle", counted)
+    u, r = mg.cycle(h, 0, np.zeros_like(b), b, cfg)
+    want = [gamma ** j for j in range(L - 1)] + [gamma ** (L - 2)]
+    assert [visits[j] for j in range(L)] == want
+    per_visit = 1 + 5 * 3
+    assert [lev.op.calls for lev in h.levels] == [v * per_visit for v in want[:-1]] + [0]
+    assert np.linalg.norm(r - (b - h.levels[0].op.op @ u)) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("smoother, gamma", [
+    (SmootherConfig(kind="jacobi", nu=2), 1),
+    (SmootherConfig(kind="gmres", m=3, nu=2), 2),
+], ids=["jacobi-V", "gmres-W"])
+def test_history_matches_true_residual(monkeypatch, smoother, gamma):
+    # every history entry, not only the last, is ||b - A u_j|| / ||r0||
+    spec = ProblemSpec(kind="constant-k", k=20.0, nodes_per_dim=33)
+    h = build_hierarchy(spec, "bezier", "csl")
+    assert h.nlevels == 3
+    A = h.fine_operator
+    b = assemble_rhs(spec)
+    u0 = reference_start(b.shape[0])
+    iterates = []
+    inner = mg.cycle
+
+    def record(h, level, u, r, cfg):
+        out = inner(h, level, u, r, cfg)
+        if level == 0:
+            iterates.append(out[0])
+        return out
+
+    monkeypatch.setattr(mg, "cycle", record)
+    res = solve(h, b, CycleConfig(gamma=gamma, smoother=smoother), u0=u0)
+    assert res.converged and len(iterates) == res.cycles > 3
+    r0 = np.linalg.norm(b - A @ u0)
+    true = [np.linalg.norm(b - A @ u) / r0 for u in iterates]
+    assert np.allclose(res.residual_history, true, rtol=1e-9, atol=0)
 
 def test_cycle_config_validation():
     with pytest.raises(ValueError, match="gamma"):

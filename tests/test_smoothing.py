@@ -24,7 +24,7 @@ def test_jacobi_matches_dense_iteration_matrix():
     rng = np.random.default_rng(1)
     for _ in range(20):
         e = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        out = jacobi_sweep(A, e.copy(), np.zeros(20, dtype=complex), omega)
+        out = jacobi_sweep(A, e.copy(), np.zeros(20, dtype=complex) - A @ e, omega)[0]
         assert np.allclose(out, S @ e, rtol=1e-12)
 
 
@@ -32,7 +32,7 @@ def test_jacobi_3x3_dense_oracle():
     A = sp.csr_matrix(np.diag([2.0, 4.0, 8.0]).astype(complex))
     u = np.array([1.0, 1.0, 1.0], dtype=complex)
     b = np.array([2.0, 2.0, 2.0], dtype=complex)
-    out = jacobi_sweep(A, u, b, omega=2.0)
+    out = jacobi_sweep(A, u, b - A @ u, omega=2.0)[0]
     # u + (1/2) * diag^-1 (b - A u) = u + (1/2) * (b/d - u)
     want = u + 0.5 * (b / np.array([2.0, 4.0, 8.0]) - u)
     assert np.allclose(out, want)
@@ -43,9 +43,9 @@ def test_jacobi_is_affine_linear():
     u1 = np.zeros(15, dtype=complex)
     rng = np.random.default_rng(3)
     e = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-    base = jacobi_sweep(A, u1, b, 4.5)
-    shifted = jacobi_sweep(A, u1 + e, b, 4.5)
-    homog = jacobi_sweep(A, e.copy(), np.zeros(15, dtype=complex), 4.5)
+    base = jacobi_sweep(A, u1, b - A @ u1, 4.5)[0]
+    shifted = jacobi_sweep(A, u1 + e, b - A @ (u1 + e), 4.5)[0]
+    homog = jacobi_sweep(A, e.copy(), np.zeros(15, dtype=complex) - A @ e, 4.5)[0]
     assert np.allclose(shifted - base, homog, rtol=1e-12)
 
 
@@ -60,7 +60,7 @@ def test_gmres_residual_never_increases():
     u = np.zeros(30, dtype=complex)
     r_prev = np.linalg.norm(b)
     for _ in range(15):
-        u = gmres_smooth(A, u, b, m=3)
+        u = gmres_smooth(A, u, b - A @ u, m=3)[0]
         r = np.linalg.norm(b - A @ u)
         assert r <= r_prev * (1 + 1e-12)
         r_prev = r
@@ -71,7 +71,7 @@ def test_gmres_optimality_over_krylov_space():
     A, b = random_system(12, 5)
     u0 = np.zeros(12, dtype=complex)
     m = 3
-    u1 = gmres_smooth(A, u0, b, m=m)
+    u1 = gmres_smooth(A, u0, b - A @ u0, m=m)[0]
     Ad = A.toarray()
     K = np.stack([np.linalg.matrix_power(Ad, j) @ b for j in range(m)], axis=1)
     coef, *_ = np.linalg.lstsq(Ad @ K, b, rcond=None)
@@ -85,23 +85,28 @@ def test_gmres_exact_when_m_covers_space():
     A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex))
     b = np.array([1.0, 1.0, 1.0], dtype=complex)
     for m in (3, 5):
-        u = gmres_smooth(A, np.zeros(3, dtype=complex), b, m=m)
+        u, r = gmres_smooth(A, np.zeros(3, dtype=complex), b, m=m)
         assert np.allclose(u, b / np.array([1.0, 2.0, 3.0]), rtol=1e-12)
+        # the returned residual is the true one, built from filled rows only
+        assert np.all(np.isfinite(r))
+        assert np.linalg.norm(r - (b - A @ u)) <= 1e-13 * np.linalg.norm(b)
 
 
 def test_gmres_breakdown_is_exact():
     # r is an eigenvector: 1-dimensional invariant Krylov space
     A = sp.csr_matrix(np.diag([2.0, 5.0]).astype(complex))
     b = np.array([4.0, 0.0], dtype=complex)
-    u = gmres_smooth(A, np.zeros(2, dtype=complex), b, m=3)
+    u, r = gmres_smooth(A, np.zeros(2, dtype=complex), b, m=3)
     assert np.allclose(u, [2.0, 0.0], rtol=1e-13)
+    assert np.all(np.isfinite(r))
+    assert np.linalg.norm(r - (b - A @ u)) <= 1e-13 * np.linalg.norm(b)
 
 
 def test_gmres_converged_input_returned():
     A, _ = random_system(5, 6)
     x = np.ones(5, dtype=complex)
     b = A @ x
-    assert np.array_equal(gmres_smooth(A, x.copy(), b, m=3), x)
+    assert np.array_equal(gmres_smooth(A, x.copy(), b - A @ x, m=3)[0], x)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -114,18 +119,30 @@ def test_gmres_matches_scipy_restart_cycle(m):
     u = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     b = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     want, _ = spla.gmres(A, b, x0=u, rtol=0, atol=0, restart=m, maxiter=1)
-    got = gmres_smooth(A, u, b, m)
+    got = gmres_smooth(A, u, b - A @ u, m)[0]
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want - u)
 
 
 def test_apply_smoother_steps():
     A, b = random_system(10, 7)
     cfg = SmootherConfig(kind="jacobi", omega=4.5, nu=2)
-    u2 = apply_smoother(A, np.zeros(10, dtype=complex), b, cfg)
-    u_manual = jacobi_sweep(A, np.zeros(10, dtype=complex), b, 4.5)
-    u_manual = jacobi_sweep(A, u_manual, b, 4.5)
+    u2 = apply_smoother(A, np.zeros(10, dtype=complex), b, cfg)[0]
+    u_manual = jacobi_sweep(A, np.zeros(10, dtype=complex), b, 4.5)[0]
+    u_manual = jacobi_sweep(A, u_manual, b - A @ u_manual, 4.5)[0]
     assert np.allclose(u2, u_manual, rtol=1e-13)
 
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "gmres"])
+def test_apply_smoother_returns_true_residual(kind):
+    # the carried residual stays b - A u of the returned iterate
+    A, b = random_system(30, 9)
+    rng = np.random.default_rng(10)
+    u = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    cfg = SmootherConfig(kind=kind, omega=4.5, m=3, nu=5)
+    u, r = apply_smoother(A, u, b - A @ u, cfg)
+    true = b - A @ u
+    assert np.linalg.norm(r - true) <= 1e-12 * np.linalg.norm(true)
 
 def test_smoother_config_validation():
     with pytest.raises(ValueError):
