@@ -280,9 +280,6 @@ class CountingOp:
         self.calls += 1
         return self.op @ x
 
-    def __getattr__(self, name):
-        return getattr(self.op, name)
-
 
 @pytest.mark.parametrize("gamma", [1, 2])
 def test_cycle_operator_applications(monkeypatch, gamma):
