@@ -57,6 +57,7 @@ from .problem import (
     build_wavenumber_field,
     nodes_for_wavenumber,
 )
+from .smoothing import SmootherConfig
 from .transfer import build_transfer_2d, galerkin_coarse
 
 
@@ -76,10 +77,8 @@ class TwoGridConfig:
     nu: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"jacobi requires finite omega > 0, got {self.omega}")
-        if self.nu < 0:
-            raise ValueError("smoothing step count nu must be >= 0")
+        # the smoother's own omega and nu checks and messages
+        SmootherConfig(kind="jacobi", omega=self.omega, nu=self.nu)
 
     def check_dense_limit(self):
         N = self.A.shape[0]
@@ -102,7 +101,7 @@ class CertificateReport:
     sigma_max_DA: float
     lambda_min_gamma: float
     bound_value: float  # sqrt(|1 - ||Gt||_1 / kappa_1(Gt)|)
-    ratio_table_value: float  # ||Gt||_1 / kappa_1(Gt)
+    ratio_table_value: float  # ||Gt||_1 / kappa_1(Gt); NaN if Gt is singular
     consistency_warnings: list
 
     def to_text(self):
@@ -210,7 +209,11 @@ def certify(cfg, log=None):
     norm_T0 = norm2(np.eye(DA.shape[0], dtype=complex) - DA)
     sigma_DA = norm2(DA)
     lam_min = lambda_min_hermitian(0.5 * (G + G.conj().T))
-    ratio = norm1(Gt) / condition_number_p1(Gt)
+    try:
+        ratio = norm1(Gt) / condition_number_p1(Gt)
+    except np.linalg.LinAlgError:
+        # Gamma-tilde singular (rank <= 2 N_c at nu = 0): no ratio, as in opt1_row
+        ratio = np.nan
     bound = float(np.sqrt(abs(1.0 - ratio)))
 
     warnings = []

@@ -1,7 +1,9 @@
 """Command-line interface: ``helmmg solve | certify | bench``.
 
-Exit codes: 0 success, 2 usage / configuration error, 3 solver divergence
-or non-convergence, 4 dense-size limit exceeded.
+Exit codes, all set in ``main``: 0 success; 2 a refused configuration
+(any ``ValueError``, including a grid too small for two levels); 3
+divergence, a regression miss, or a pivot-checked factorization found
+singular (``LinAlgError``); 4 the dense-size limit (``DenseLimitError``).
 """
 
 import argparse
@@ -30,10 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_DENSE_LIMIT = 4
-
-
-class CliError(Exception):
-    """Configuration error reported with exit code 2."""
 
 
 def _add_problem_args(p):
@@ -73,13 +71,10 @@ def _shift_spec(text):
     try:
         beta2 = float(text)
     except ValueError:
-        raise CliError(f"--shift must be a number, 'inv-k' or 'zero', got {text!r}")
+        raise ValueError(f"--shift must be a number, 'inv-k' or 'zero', got {text!r}")
     if beta2 == 0.0:
         return ShiftSpec(kind="zero")
-    try:
-        return ShiftSpec(kind="fixed", beta2=beta2)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return ShiftSpec(kind="fixed", beta2=beta2)
 
 
 def _refuse_set(args, dests, reader):
@@ -89,7 +84,7 @@ def _refuse_set(args, dests, reader):
     unread = ["--" + dest.replace("_", "-") for dest in dests
               if getattr(args, dest) != defaults[dest]]
     if unread:
-        raise CliError(f"{reader} does not read {', '.join(unread)}")
+        raise ValueError(f"{reader} does not read {', '.join(unread)}")
 
 
 def _problem_spec(args):
@@ -99,30 +94,24 @@ def _problem_spec(args):
     ppw = args.ppw if args.ppw is not None else 0.625
     if args.k is not None:
         if args.k_min is not None or args.k_max is not None:
-            raise CliError("give either --k or --k-min/--k-max, not both")
+            raise ValueError("give either --k or --k-min/--k-max, not both")
         _refuse_set(args, ("profile", "seed"), "a constant-k problem (--k)")
         kwargs = dict(kind="constant-k", k=args.k)
     elif args.k_min is not None and args.k_max is not None:
         kwargs = dict(kind="variable-k", k_min=args.k_min, k_max=args.k_max,
                       profile=args.profile, seed=args.seed)
     else:
-        raise CliError("a problem needs --k or both --k-min and --k-max")
-    try:
-        k_top = args.k if args.k is not None else args.k_max
-        n = nodes_for_wavenumber(k_top, ppw) if args.n is None else args.n
-        return ProblemSpec(nodes_per_dim=n, shift=shift, **kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        raise ValueError("a problem needs --k or both --k-min and --k-max")
+    k_top = args.k if args.k is not None else args.k_max
+    n = nodes_for_wavenumber(k_top, ppw) if args.n is None else args.n
+    return ProblemSpec(nodes_per_dim=n, shift=shift, **kwargs)
 
 
 def _smoother_config(args):
     kind = "gmres" if args.smoother == "gmres3" else "jacobi"
     if kind == "gmres":
         _refuse_set(args, ("omega",), "--smoother gmres3")
-    try:
-        return SmootherConfig(kind=kind, omega=args.omega, m=3, nu=args.nu)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return SmootherConfig(kind=kind, omega=args.omega, m=3, nu=args.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +132,8 @@ def _dump_solution_csv(f, spec, u):
 def cmd_solve(args):
     spec = _problem_spec(args)
     sm = _smoother_config(args)
-    try:
-        cfg = CycleConfig(gamma=2 if args.cycle == "w" else 1, smoother=sm,
-                          tol=args.tol, max_cycles=args.max_cycles)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg = CycleConfig(gamma=2 if args.cycle == "w" else 1, smoother=sm,
+                      tol=args.tol, max_cycles=args.max_cycles)
     if args.dump_config:
         _refuse_set(args, ("out", "field_dump"), "--dump-config")
         sys.stdout.write(spec_to_config(spec))
@@ -191,14 +177,11 @@ def cmd_certify(args):
     _refuse_set(args, ("regress",), "certify without --table")
     spec = _problem_spec(args)
     fieldvals = build_wavenumber_field(spec)
-    try:
-        cfg = TwoGridConfig(
-            A=assemble_helmholtz(spec, fieldvals, shift_on=False),
-            coarse_build_op=assemble_helmholtz(spec, fieldvals, shift_on=True),
-            pair=build_transfer_2d(spec.nodes_per_dim, args.transfer),
-            omega=CERTIFY_OMEGA if args.omega is None else args.omega, nu=args.nu)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg = TwoGridConfig(
+        A=assemble_helmholtz(spec, fieldvals, shift_on=False),
+        coarse_build_op=assemble_helmholtz(spec, fieldvals, shift_on=True),
+        pair=build_transfer_2d(spec.nodes_per_dim, args.transfer),
+        omega=CERTIFY_OMEGA if args.omega is None else args.omega, nu=args.nu)
     report = certify(cfg)
     print(report.to_text())
     if args.out:
@@ -219,10 +202,7 @@ def _regress(cells, band):
 
 def _certify_conv1(args):
     omega = presets.CONV1_OMEGA if args.omega is None else args.omega
-    try:
-        rows = {k: conv1_row(k, omega) for k in presets.CONV1_KS}
-    except ValueError as exc:  # an omega TwoGridConfig refuses
-        raise CliError(str(exc))
+    rows = {k: conv1_row(k, omega) for k in presets.CONV1_KS}
     print(f"two-grid certificate table (omega = {omega}, nu = 1)")
     print("k    lin/A            lin/C            bez/A            bez/C")
     for k, row in rows.items():
@@ -257,7 +237,7 @@ def _certify_opt1(args):
 
 def cmd_bench(args):
     if args.preset not in presets.PRESETS:
-        raise CliError(
+        raise ValueError(
             f"unknown preset {args.preset!r}; choose from "
             + ", ".join(sorted(presets.PRESETS))
         )
@@ -265,13 +245,10 @@ def cmd_bench(args):
     if args.case:
         cases = [c for c in cases if args.case in c["name"]]
         if not cases:
-            raise CliError(f"no case in preset {args.preset!r} matches {args.case!r}")
+            raise ValueError(f"no case in preset {args.preset!r} matches {args.case!r}")
     if args.max_cycles is not None:
-        try:
-            cases = [{**c, "cfg": dataclasses.replace(c["cfg"], max_cycles=args.max_cycles)}
-                     for c in cases]
-        except ValueError as exc:
-            raise CliError(str(exc))
+        cases = [{**c, "cfg": dataclasses.replace(c["cfg"], max_cycles=args.max_cycles)}
+                 for c in cases]
     out = open(args.out, "w") if args.out else None
     if out:
         out.write("case,expected,measured,status,within_band\n")
@@ -363,15 +340,15 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DenseLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DENSE_LIMIT
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

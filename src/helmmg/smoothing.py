@@ -92,7 +92,7 @@ def gmres_smooth(A, u, r, m=3):
             hb = np.linalg.norm(w)
         H[:j + 1, j] = h
         H[j + 1, j] = hb
-        if hb < 1e-14 * rn:
+        if hb <= 1e-14 * wn0:
             # breakdown: Krylov space invariant, correction exact; row
             # V[j + 1] is never written, so the residual uses V[:j + 1]
             filled = j + 1

@@ -134,6 +134,14 @@ def test_certify_known_bad_configuration():
     assert rep.norm_T0 > 1.0
 
 
+def test_certify_singular_gamma_tilde_reports_nan():
+    # nu = 0 leaves Gamma-tilde rank-deficient: no ratio or bound, but the
+    # rest of the report is computed
+    rep = certify(make_cfg(k=5.0, n=9, nu=0), log=io.StringIO())
+    assert np.isnan(rep.ratio_table_value) and np.isnan(rep.bound_value)
+    assert np.isfinite(rep.norm_T0)
+
+
 def test_certify_report_text_and_csv():
     rep = certify(make_cfg(omega=3.5), log=io.StringIO())
     text = rep.to_text()

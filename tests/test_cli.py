@@ -114,6 +114,7 @@ def test_usage_errors(capsys, tmp_path):
         (["solve", "--k", "10", "--omega", "nan"], "omega"),
         (["certify", "--k", "5", "--n", "9", "--omega", "nan", "--out", str(out)],
          "omega"),
+        (["solve", "--k", "5"], "nodes_per_dim"),  # n = 9: one level only
     ]:
         assert main(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
@@ -193,6 +194,19 @@ def test_certify_opt1_flagged_cells_print_nan(capsys, monkeypatch):
     assert out.count("nan/nan") == len(presets.OPT1_OMEGAS)
     assert "0.000" not in out
     assert "regression: 10 cell(s) outside the 15% band" in out
+
+
+@pytest.mark.parametrize("table", ["conv1", "opt1"])
+def test_certify_table_singular_exit_code(capsys, monkeypatch, table):
+    # a factorization found singular is a failed run (3) from either table,
+    # not a refused configuration (2)
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular")
+
+    monkeypatch.setattr(cli, "conv1_row", singular)
+    monkeypatch.setattr(cli, "opt1_row", singular)
+    assert main(["certify", "--table", table]) == EXIT_DIVERGED
+    assert "error: singular" in capsys.readouterr().err
 
 
 def test_every_option_is_read():

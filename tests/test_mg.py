@@ -163,6 +163,11 @@ def test_solve_cycle_count_invariant_under_rhs_scaling():
     c2 = solve(h, 1e6 * b, cfg).cycles
     c3 = solve(h, (1e-6 + 1e-6j) * b, cfg).cycles
     assert c1 == c2 == c3
+    # GMRES declares an Arnoldi breakdown relative to ||A v_j||, which does
+    # not scale with b
+    gmres = CycleConfig(gamma=1, smoother=SmootherConfig(kind="gmres", nu=2))
+    big = solve(h, 1e15 * b, gmres)
+    assert big.converged and big.cycles == solve(h, b, gmres).cycles
 
 
 def test_solve_zero_rhs():
