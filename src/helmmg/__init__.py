@@ -13,7 +13,6 @@ from .linalg import (
     condition_number_p1,
     norm1,
     quick_pd_screen,
-    sparse_triple_product,
 )
 from .problem import (
     ProblemSpec,

@@ -120,13 +120,11 @@ def _smoother_config(args):
 
 def _dump_solution_csv(f, spec, u):
     """Solution field as CSV 'x,y,re,im' rows, row-major (x fastest)."""
-    n = spec.nodes_per_dim
-    xs = np.linspace(0.0, 1.0, n)
-    f.write("x,y,re,im\n")
-    for j in range(n):
-        for i in range(n):
-            v = u[j * n + i]
-            f.write(f"{xs[i]:.10g},{xs[j]:.10g},{v.real:.10e},{v.imag:.10e}\n")
+    xs = np.linspace(0.0, 1.0, spec.nodes_per_dim)
+    x, y = np.meshgrid(xs, xs)
+    np.savetxt(f, np.column_stack([x.ravel(), y.ravel(), u.real, u.imag]),
+               fmt=["%.10g", "%.10g", "%.10e", "%.10e"], delimiter=",",
+               header="x,y,re,im", comments="")
 
 
 def cmd_solve(args):

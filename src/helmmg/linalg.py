@@ -1,15 +1,15 @@
-"""Complex dense and sparse linear-algebra kernels.
+"""Complex dense linear-algebra kernels.
 
-These routines carry no Helmholtz knowledge; every other module builds on
-them.  Sparse matrices are ``scipy.sparse`` CSR, dense matrices are
-``numpy`` arrays of ``complex128``, vectors are 1-D ``numpy`` arrays.
+These routines carry no Helmholtz knowledge; the certificate and the
+coarsest-level solve build on them.  Matrices are ``numpy`` arrays of
+``complex128``, vectors are 1-D ``numpy`` arrays.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 #: Largest dense matrix (entry count) the certificate machinery will touch.
 #: 2401^2 = 5 764 801 covers the 49x49-grid (k = 30) certificate tables.
@@ -31,29 +31,17 @@ class Verdict:
         return self.ok
 
 
-def sparse_triple_product(R, A, P):
-    """Galerkin-style triple product R @ A @ P in sparse arithmetic.
-
-    Structural zeros are dropped from the result.
-    """
-    if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
-        raise ValueError(
-            f"dimension mismatch in triple product: "
-            f"R is {R.shape}, A is {A.shape}, P is {P.shape}"
-        )
-    out = (R @ A @ P).tocsr()
-    out.eliminate_zeros()
-    out.sort_indices()
-    return out
-
-
 def lu_factor_checked(M, what):
     """Partially pivoted LU factors ``(lu, piv)`` of the dense square M.
 
     Raises ``np.linalg.LinAlgError`` naming ``what`` and the first pivot
     below 1e-14 times the largest entry of M.
     """
-    lu, piv = sla.lu_factor(M)
+    # scipy warns on an exactly zero pivot; the check below raises for it
+    # instead, naming the factorization and the pivot
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(M)
     tol = 1e-14 * max(np.abs(M).max(), 1e-300)
     bad = np.nonzero(np.abs(np.diag(lu)) < tol)[0]
     if bad.size:

@@ -6,11 +6,12 @@ from the CSL C (or from A when ``coarsen_on='original'``):
 
     L_1 = R C P,   L_{j+1} = R L_j P,
 
-halving nodes-per-dimension (n -> (n+1)/2) until n < 10; the coarsest
-operator is LU-factorized densely.  One cycle at a level is: restrict
-the residual, recurse gamma times starting from the zero coarse
-correction, prolongate-and-add, post-smooth.  Smoothing is post-smoothing
-only, the order the two-grid certificate models (T0 = S^nu * CGC).
+halving nodes-per-dimension (n -> (n+1)/2) while n is odd and >= 10;
+the coarsest operator is LU-factorized densely.  One cycle at a level
+is: restrict the residual, recurse gamma times starting from the zero
+coarse correction, prolongate-and-add, post-smooth.  Smoothing is
+post-smoothing only, the order the two-grid certificate models
+(T0 = S^nu * CGC).
 
 The residual r = b - A u travels with the iterate: a cycle takes and
 returns the pair (u, r), a coarse level starts from R r (its own iterate

@@ -172,23 +172,13 @@ def assemble_helmholtz(spec, fieldvals, shift_on):
         raise ValueError("wavenumber field does not match the grid")
     h = spec.h
     s = 1.0 + 1j * resolve_beta2(spec, fieldvals) if shift_on else 1.0
-    ii = np.arange(N)
-    ix = ii % n
-    iy = ii // n
-    diag = (4.0 / h**2 - s * fieldvals**2).astype(complex)
-    rows = [ii]
-    cols = [ii]
-    data = [diag]
-    for mask, off in ((ix > 0, -1), (ix < n - 1, 1), (iy > 0, -n), (iy < n - 1, n)):
-        rows.append(ii[mask])
-        cols.append(ii[mask] + off)
-        data.append(np.full(int(mask.sum()), -1.0 / h**2, dtype=complex))
-        missing = ~mask
-        diag[missing] += -1.0 / h**2 - 1j * fieldvals[missing] / h
-    A = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
+    k = fieldvals.reshape(n, n)  # rows are y, columns are x
+    diag = (4.0 / h**2 - s * k**2).astype(complex)
+    # Sommerfeld terms on the x-, x+, y-, y+ edges; a corner sums two, in this order
+    for edge in (np.s_[:, 0], np.s_[:, -1], np.s_[0, :], np.s_[-1, :]):
+        diag[edge] += -1.0 / h**2 - 1j * k[edge] / h
+    T = sp.diags([-1.0 / h**2, -1.0 / h**2], [-1, 1], shape=(n, n))
+    A = (sp.kronsum(T, T) + sp.diags(diag.ravel())).tocsr()
     A.sort_indices()
     return A
 

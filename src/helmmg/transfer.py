@@ -1,14 +1,17 @@
 """Prolongation / restriction operators and Galerkin coarsening.
 
-Two interpolation schemes are supported in 1D stencil form:
+The 1D prolongation is P = W E.  E injects coarse node c at fine node
+2c, and W is a fixed stencil on the fine grid whose columns at even
+nodes are the columns of P.  Two schemes are supported:
 
-* ``linear`` — injection at coincident (even) fine nodes, averaging
-  (1/2, 1/2) at odd nodes;
-* ``bezier`` — the quadratic-rational-Bezier stencil: weights
-  (1/8, 6/8, 1/8) over the three nearest coarse nodes at coincident fine
-  nodes, (1/2, 1/2) at odd nodes.  At domain-boundary coincident nodes
-  the out-of-range neighbor weight folds onto the coincident coarse
-  node (7/8 + 1/8), preserving row sums of one.
+* ``linear`` — W = tridiag(1/2, 1, 1/2): injection at coincident (even)
+  fine nodes, averaging (1/2, 1/2) at odd nodes;
+* ``bezier`` — the quadratic-rational-Bezier stencil, W with diagonals
+  (1/8, 1/2, 6/8, 1/2, 1/8): weights (1/8, 6/8, 1/8) over the three
+  nearest coarse nodes at coincident fine nodes, (1/2, 1/2) at odd
+  nodes.  At the two end nodes the out-of-range neighbor weight folds
+  onto the coincident coarse node (7/8 on W's diagonal), preserving row
+  sums of one.
 
 2D operators are Kronecker products of the 1D stencil consistent with
 lexicographic (x fastest) ordering; restriction is R = (1/4) P^T.
@@ -19,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import sparse_triple_product
-
 SCHEMES = ("linear", "bezier")
 
 
@@ -30,43 +31,25 @@ class TransferPair:
 
     P: sp.csr_matrix
     R: sp.csr_matrix
-    scheme: str
 
 
 def build_prolongation_1d(n_fine, scheme):
-    """1D prolongation stencil matrix, shape (n_fine, (n_fine+1)//2)."""
+    """1D prolongation P = W E, shape (n_fine, (n_fine+1)//2)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown transfer scheme {scheme!r}")
     if n_fine < 3 or n_fine % 2 == 0:
         raise ValueError(
             f"coarsening requires an odd node-coincident grid, got n={n_fine}"
         )
-    m = (n_fine + 1) // 2
-    rows, cols, vals = [], [], []
-
-    def add(i, c, w):
-        rows.append(i)
-        cols.append(c)
-        vals.append(w)
-
-    for i in range(n_fine):
-        if i % 2 == 0:  # coincident with coarse node i//2
-            c = i // 2
-            if scheme == "linear":
-                add(i, c, 1.0)
-            else:
-                w_center = 6.0 / 8.0
-                for cc in (c - 1, c + 1):
-                    if 0 <= cc < m:
-                        add(i, cc, 1.0 / 8.0)
-                    else:
-                        w_center += 1.0 / 8.0  # boundary fold
-                add(i, c, w_center)
-        else:
-            add(i, (i - 1) // 2, 0.5)
-            add(i, (i + 1) // 2, 0.5)
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(n_fine, m))
-    P.sum_duplicates()
+    E = sp.identity(n_fine, format="csr")[:, ::2]  # coarse node c -> fine node 2c
+    if scheme == "linear":
+        W = sp.diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(n_fine, n_fine))
+    else:
+        center = np.full(n_fine, 6.0 / 8.0)
+        center[[0, -1]] = 7.0 / 8.0  # boundary fold
+        W = sp.diags([1.0 / 8.0, 0.5, center, 0.5, 1.0 / 8.0], [-2, -1, 0, 1, 2],
+                     shape=(n_fine, n_fine))
+    P = (W @ E).tocsr()
     P.sort_indices()
     return P
 
@@ -78,9 +61,12 @@ def build_transfer_2d(n_fine_per_dim, scheme):
     R = (0.25 * P.T).tocsr()
     P.sort_indices()
     R.sort_indices()
-    return TransferPair(P=P, R=R, scheme=scheme)
+    return TransferPair(P=P, R=R)
 
 
 def galerkin_coarse(A_level, pair):
-    """Galerkin coarse operator A_c = R A P."""
-    return sparse_triple_product(pair.R, A_level, pair.P)
+    """Galerkin coarse operator A_c = R A P with structural zeros dropped."""
+    A_c = (pair.R @ A_level @ pair.P).tocsr()
+    A_c.eliminate_zeros()
+    A_c.sort_indices()
+    return A_c

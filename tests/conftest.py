@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 
 @pytest.fixture
@@ -15,9 +14,3 @@ def small_spd():
     B = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     return B @ B.conj().T + 12 * np.eye(12)
 
-
-def random_sparse(n, m, density, seed):
-    rng = np.random.default_rng(seed)
-    M = sp.random(n, m, density=density, random_state=rng, format="csr")
-    return (M + 1j * sp.random(n, m, density=density,
-                               random_state=rng, format="csr")).tocsr()

@@ -10,8 +10,8 @@ from helmmg.linalg import (
     norm1,
     norm2,
     quick_pd_screen,
-    sparse_triple_product,
 )
+from helmmg.transfer import TransferPair, galerkin_coarse
 
 
 def linear_p_5():
@@ -30,7 +30,7 @@ def test_triple_product_matches_dense_oracle():
     P = linear_p_5()
     R = P.T.tocsr()
     A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(5, 5), format="csr")
-    got = sparse_triple_product(R, A, P).toarray()
+    got = galerkin_coarse(A, TransferPair(P=P, R=R)).toarray()
     want = (R.toarray() @ A.toarray()) @ P.toarray()
     assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
     # coarse operator of tridiag(-1,2,-1) under linear transfer is tridiagonal
@@ -43,7 +43,7 @@ def test_triple_product_association_order_irrelevant():
     R = sp.csr_matrix(rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9)))
     A = sp.csr_matrix(rng.standard_normal((9, 9)))
     P = sp.csr_matrix(rng.standard_normal((9, 4)))
-    got = sparse_triple_product(R, A, P).toarray()
+    got = galerkin_coarse(A, TransferPair(P=P, R=R)).toarray()
     left = (R.toarray() @ A.toarray()) @ P.toarray()
     right = R.toarray() @ (A.toarray() @ P.toarray())
     assert np.allclose(got, left, rtol=1e-12)
@@ -54,7 +54,7 @@ def test_triple_product_dimension_mismatch():
     P = linear_p_5()
     A = sp.eye(4, format="csr")
     with pytest.raises(ValueError, match="dimension mismatch"):
-        sparse_triple_product(P.T.tocsr(), A, P)
+        galerkin_coarse(A, TransferPair(P=P, R=P.T.tocsr()))
 
 
 def test_lu_factor_checked_singular_names_pivot():

@@ -10,6 +10,34 @@ from helmmg.transfer import (
 )
 
 
+def reference_prolongation_1d(n_fine, scheme):
+    """Per-node 1D prolongation stencil, the oracle for P = W E."""
+    m = (n_fine + 1) // 2
+    P = np.zeros((n_fine, m))
+    for i in range(n_fine):
+        if i % 2 == 1:  # midway between coarse nodes (i-1)/2 and (i+1)/2
+            P[i, (i - 1) // 2] = P[i, (i + 1) // 2] = 0.5
+        elif scheme == "linear":
+            P[i, i // 2] = 1.0
+        else:
+            c = i // 2
+            P[i, c] = 6.0 / 8.0
+            for cc in (c - 1, c + 1):
+                if 0 <= cc < m:
+                    P[i, cc] = 1.0 / 8.0
+                else:
+                    P[i, c] += 1.0 / 8.0  # boundary fold
+    return P
+
+
+@pytest.mark.parametrize("scheme", ["linear", "bezier"])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 17, 161])
+def test_prolongation_1d_matches_per_node_reference(scheme, n):
+    P = build_prolongation_1d(n, scheme)
+    assert P.shape == (n, (n + 1) // 2)
+    assert np.array_equal(P.toarray(), reference_prolongation_1d(n, scheme))
+
+
 def test_linear_1d_stencil_5_nodes():
     P = build_prolongation_1d(5, "linear").toarray()
     want = np.array([
@@ -75,7 +103,7 @@ def test_2d_is_tensor_product():
 def test_galerkin_identity_linear_1d():
     # A = identity: Galerkin operator reduces to R P
     P1 = build_prolongation_1d(5, "linear").astype(complex)
-    pair = TransferPair(P=P1.tocsr(), R=(0.25 * P1.T).tocsr(), scheme="linear")
+    pair = TransferPair(P=P1.tocsr(), R=(0.25 * P1.T).tocsr())
     A = sp.eye(5, dtype=complex, format="csr")
     got = galerkin_coarse(A, pair).toarray()
     want = 0.25 * P1.toarray().T @ P1.toarray()
