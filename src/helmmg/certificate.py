@@ -25,9 +25,9 @@ and the Hermitian certificate matrices
 Gamma-tilde does not depend on the order of smoothing and coarse
 correction.  Gamma HPD implies ||T0||_2 = sqrt(1 - lambda_min(Gamma)) < 1;
 Gamma-tilde HPD is the cheaper sufficient test, and ||Gamma-tilde||_1 /
-kappa_1 is the optimality-bound table value.  D-tilde, D and everything
-built from them are dense.  Reported 2-norms are exact (LAPACK
-eigenvalues of X^H X), not iterative estimates.
+kappa_1 is the optimality-bound table value.  The certificate forms the
+dense products D-tilde A and D A, never D-tilde or D (``assemble_D``
+alone forms D).  Reported 2-norms are exact (LAPACK eigenvalues of X^H X).
 """
 
 import sys
@@ -147,25 +147,18 @@ def smoother_correction(A, omega, nu):
     return M
 
 
-def _coarse_correction(cfg):
-    """Dense P A_c^{-1} R, A_c = R B P: the first dense matrix of every path."""
+def _coarse_correction(cfg, X):
+    """Dense P A_c^{-1} R X for sparse X (CA at X = A, CC at X = I), A_c = R B P."""
     cfg.check_dense_limit()
     Ac = galerkin_coarse(cfg.coarse_build_op, cfg.pair).toarray()
     lu = lu_factor_checked(Ac, "coarse operator A_c")
-    return cfg.pair.P @ sla.lu_solve(lu, cfg.pair.R.toarray())
+    return cfg.pair.P @ sla.lu_solve(lu, (cfg.pair.R @ X).toarray())
 
 
-def _D_tilde(cfg, CC):
-    """(sparse M_nu, dense D-tilde = M_nu + CC) for CC = P A_c^{-1} R."""
-    M = smoother_correction(cfg.A, cfg.omega, cfg.nu)
-    return M, np.asarray(M + CC)
-
-
-def _D_tilde_and_D(cfg):
-    """Dense (D-tilde, D) with D = D-tilde - M_nu A P A_c^{-1} R."""
-    CC = _coarse_correction(cfg)
-    M, Dt = _D_tilde(cfg, CC)
-    return Dt, Dt - M @ (cfg.A @ CC)
+def _products(cfg, CA):
+    """(sparse MA = M_nu A, dense D-tilde A = MA + CA) for CA = P A_c^{-1} R A."""
+    MA = smoother_correction(cfg.A, cfg.omega, cfg.nu) @ cfg.A
+    return MA, np.asarray(MA + CA)
 
 
 def _gamma(DA):
@@ -173,9 +166,19 @@ def _gamma(DA):
     return DA.conj().T + DA - DA.conj().T @ DA
 
 
+def _ratio(Gt):
+    """||Gt||_1 / kappa_1(Gt); NaN when Gt is singular (rank <= 2 N_c at nu = 0)."""
+    try:
+        return norm1(Gt) / condition_number_p1(Gt)
+    except np.linalg.LinAlgError:
+        return np.nan
+
+
 def assemble_D(cfg):
-    """Dense D with T0 = I - D A (includes the trailing coupling term)."""
-    return _D_tilde_and_D(cfg)[1]
+    """Dense D = M_nu + CC - M_nu A CC with T0 = I - D A (the only place D is formed)."""
+    CC = _coarse_correction(cfg, sp.identity(cfg.A.shape[0], format="csr"))
+    M = smoother_correction(cfg.A, cfg.omega, cfg.nu)
+    return np.asarray(M + CC) - M @ (cfg.A @ CC)
 
 
 def lambda_min_hermitian(G):
@@ -196,25 +199,25 @@ def certify(cfg, log=None):
     violations are reportable findings recorded in the report, never
     silent and never fatal.
     """
-    Dt, D = _D_tilde_and_D(cfg)
-    DA = D @ cfg.A
+    CA = _coarse_correction(cfg, cfg.A)
+    MA, DtA = _products(cfg, CA)
+    DA = DtA - MA @ CA
+    del CA
+    Gt = _gamma(DtA)
+    del DtA  # CA and D-tilde A are freed before the Gamma products
     G = _gamma(DA)
-    Gt = _gamma(Dt @ cfg.A)
 
     herm = _hermiticity_residual(G)
     hpd_g = cholesky_hpd_test(G)
     hpd_gt = cholesky_hpd_test(Gt)
-    screen = quick_pd_screen(0.5 * (Gt + Gt.conj().T))
-
-    norm_T0 = norm2(np.eye(DA.shape[0], dtype=complex) - DA)
+    screen = quick_pd_screen(Gt)
     sigma_DA = norm2(DA)
-    lam_min = lambda_min_hermitian(0.5 * (G + G.conj().T))
-    try:
-        ratio = norm1(Gt) / condition_number_p1(Gt)
-    except np.linalg.LinAlgError:
-        # Gamma-tilde singular (rank <= 2 N_c at nu = 0): no ratio, as in opt1_row
-        ratio = np.nan
+    lam_min = lambda_min_hermitian(G)
+    ratio = _ratio(Gt)
     bound = float(np.sqrt(abs(1.0 - ratio)))
+    DA *= -1.0
+    DA[np.diag_indices_from(DA)] += 1.0  # T0 = I - D A, in place
+    norm_T0 = norm2(DA)
 
     warnings = []
     if hpd_gt.ok and not hpd_g.ok:
@@ -231,10 +234,8 @@ def certify(cfg, log=None):
             warnings.append("||T0|| exceeds sqrt|1 - lambda_min(Gamma)| bound")
         if not sigma_DA < 2.0 + 1e-8:
             warnings.append(f"sigma_max(DA) = {sigma_DA:.6g} >= 2 (theory violation)")
-    if log is None:
-        log = sys.stderr
     for w in warnings:
-        print(f"certificate consistency: {w}", file=log)
+        print(f"certificate consistency: {w}", file=log or sys.stderr)
 
     return CertificateReport(
         hermiticity_residual_gamma=float(herm),
@@ -257,37 +258,32 @@ def table_entry(cfg):
     lambda_min, sigma_max(DA) and optimality-ratio machinery so large
     (k = 30) configurations stay tractable.
     """
-    Dt, D = _D_tilde_and_D(cfg)
-    hpd = cholesky_hpd_test(_gamma(Dt @ cfg.A))
-    T0 = -(D @ cfg.A)
-    T0[np.arange(T0.shape[0]), np.arange(T0.shape[0])] += 1.0
-    return hpd, norm2(T0)
+    CA = _coarse_correction(cfg, cfg.A)
+    MA, DtA = _products(cfg, CA)
+    T0 = MA @ CA - DtA  # = -D A
+    del CA  # freed before the Gamma-tilde products
+    T0[np.diag_indices_from(T0)] += 1.0  # T0 = I - D A, in place
+    return cholesky_hpd_test(_gamma(DtA)), norm2(T0)
 
 
 def omega_sweep(make_cfg, omegas, nus):
     """Grid of ||Gamma-tilde||_1 / kappa_1(Gamma-tilde) over (omega, nu).
 
     ``make_cfg(omega, nu)`` must return a TwoGridConfig that varies only
-    omega and nu: P A_c^{-1} R is computed once, from
-    ``make_cfg(omegas[0], nus[0])``, and shared by every cell.  nu = 0
-    rows are computed from the degenerate D-tilde = P A_c^{-1} R and
-    flagged.
+    omega and nu: CA = P A_c^{-1} R A is computed once, from
+    ``make_cfg(omegas[0], nus[0])``, and each cell forms only D-tilde A.
+    nu = 0 rows are flagged; a singular Gamma-tilde reads 0.0, flagged.
     """
-    CC = _coarse_correction(make_cfg(omegas[0], nus[0]))
+    cfg = make_cfg(omegas[0], nus[0])
+    CA = _coarse_correction(cfg, cfg.A)
     rows = []
     for omega in omegas:
         for nu in nus:
-            cfg = make_cfg(omega, nu)
-            # one expression, so M_nu and D-tilde are freed before kappa_1
-            Gt = _gamma(_D_tilde(cfg, CC)[1] @ cfg.A)
+            # one expression, so M_nu A and D-tilde A are freed before kappa_1
+            val = _ratio(_gamma(_products(make_cfg(omega, nu), CA)[1]))
             flag = "degenerate-no-smoothing" if nu == 0 else ""
-            try:
-                val = norm1(Gt) / condition_number_p1(Gt)
-            except np.linalg.LinAlgError:
-                # nu = 0 leaves Gamma-tilde rank-deficient (kappa infinite)
-                val = 0.0
-                flag = flag or "singular-gamma-tilde"
-            del Gt  # free this cell's dense matrix before the next is formed
+            if np.isnan(val):
+                val, flag = 0.0, flag or "singular-gamma-tilde"
             rows.append({"omega": omega, "nu": nu, "ratio": val, "flag": flag})
     return rows
 

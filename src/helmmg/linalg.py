@@ -71,14 +71,13 @@ def cholesky_hpd_test(M, tol=1e-12):
     herm = _hermiticity_residual(M)
     if herm > 1e-10:
         return Verdict(False, f"non-hermitian (residual {herm:.2e})")
-    H = 0.5 * (M + M.conj().T)
-    c, info = sla.lapack.zpotrf(H, lower=1)
+    c, info = sla.lapack.zpotrf(M, lower=1)  # reads only the lower triangle
     if info > 0:
         return Verdict(False, f"not positive definite: pivot failure at index {info - 1}")
     if info < 0:
         raise ValueError(f"invalid argument {-info} passed to zpotrf")
     pivots = np.real(np.diag(c)) ** 2
-    floor = tol * max(np.real(np.diag(H)).max(), 1e-300)
+    floor = tol * max(np.real(np.diag(M)).max(), 1e-300)
     bad = np.nonzero(pivots < floor)[0]
     if bad.size:
         return Verdict(False, f"semidefinite to tolerance at pivot index {bad[0]}")
@@ -90,9 +89,9 @@ def quick_pd_screen(M):
 
     Checks, in order: (1) positive diagonal, (2) b_ii + b_jj > 2|Re b_ij|
     for i != j, (3) the element of largest modulus lies on the diagonal,
-    (4) det(M) > 0 evaluated in sign/log-magnitude form.  Condition (4)
-    is skipped with a warning in the reason string when the matrix
-    exceeds DENSE_LIMIT.  Returns the first failing condition.
+    (4) det(M) > 0, its sign from ``lu_factor_checked`` (a singular M fails).
+    Condition (4) is skipped with a warning in the reason string when the
+    matrix exceeds DENSE_LIMIT.  Returns the first failing condition.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
@@ -113,7 +112,12 @@ def quick_pd_screen(M):
         return Verdict(False, "condition 3: largest modulus off the diagonal")
     if n * n > DENSE_LIMIT:
         return Verdict(True, "pass (condition 4 skipped: dense limit)")
-    sign, _logdet = np.linalg.slogdet(M)
+    try:
+        lu, piv = lu_factor_checked(M, "quick_pd_screen input")
+    except np.linalg.LinAlgError:
+        return Verdict(False, "condition 4: determinant not positive")
+    u = np.diag(lu)  # det = (-1)^(row swaps) * prod(u)
+    sign = (-1.0) ** np.count_nonzero(piv != np.arange(n)) * np.prod(u / np.abs(u))
     if not (np.real(sign) > 0.5):
         return Verdict(False, "condition 4: determinant not positive")
     return Verdict(True, "pass")

@@ -81,6 +81,12 @@ def test_I_minus_DA_equals_dense_T0(nu):
     scale = np.linalg.norm(T0, "fro")
     assert np.linalg.norm(I_DA - T0, "fro") / scale <= 1e-11
     assert np.linalg.norm(I_DA - T_cycle, "fro") / scale <= 1e-11
+    # the certificate's own T0 comes from the products D-tilde A and D A,
+    # never from D: its exact norm must match the independent dense T0
+    want = np.linalg.norm(T0, 2)
+    assert np.isclose(table_entry(cfg)[1], want, rtol=1e-12, atol=0.0)
+    assert np.isclose(certify(cfg, log=io.StringIO()).norm_T0, want,
+                      rtol=1e-12, atol=0.0)
 
 
 def test_D_tilde_drops_coupling_term():
@@ -132,6 +138,25 @@ def test_certify_known_bad_configuration():
                            omega=3.5), log=io.StringIO())
     assert not rep.hpd_gamma_tilde.ok
     assert rep.norm_T0 > 1.0
+
+
+def test_certify_report_pinned():
+    # k = 5, n = 9, Bezier/CSL, omega = 3.5, nu = 1: every line of the
+    # report but the Hermiticity residual, which is rounding noise
+    lines = certify(make_cfg(omega=3.5, nu=1), log=io.StringIO()).to_text().split("\n")
+    label, value = lines[0].split(":")
+    assert label.strip() == "Gamma hermiticity residual"
+    assert float(value) <= 1e-15
+    assert lines[1:] == [
+        "Gamma HPD                  : True (HPD)",
+        "Gamma-tilde HPD            : True (HPD)",
+        "quick PD screen            : True (pass)",
+        "lambda_min(Gamma)          : 0.206891",
+        "||T0||_2                   : 0.890567",
+        "sigma_max(DA)              : 0.998942",
+        "||Gt||_1 / kappa_1(Gt)     : 0.102579",
+        "bound sqrt|1 - ratio|      : 0.947323",
+    ]
 
 
 def test_certify_singular_gamma_tilde_reports_nan():

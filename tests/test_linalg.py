@@ -121,6 +121,19 @@ def test_quick_screen_detects_negative_determinant():
     assert not v.ok and "condition 4" in v.reason
 
 
+def test_quick_screen_fails_singular_gram_matrix():
+    # a rank-8 12x12 Gram matrix passes conditions 1-3; its determinant is
+    # zero, so condition 4 must fail (the slogdet phase of a singular
+    # matrix is rounding noise and read positive here)
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
+    M = B @ B.conj().T
+    with pytest.raises(np.linalg.LinAlgError):
+        lu_factor_checked(M, "Gram matrix")
+    v = quick_pd_screen(M)
+    assert not v.ok and v.reason == "condition 4: determinant not positive"
+
+
 def test_norm2_exact(rng):
     for shape in ((15, 15), (12, 7)):
         M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
