@@ -25,9 +25,25 @@ and the Hermitian certificate matrices
 Gamma-tilde does not depend on the order of smoothing and coarse
 correction.  Gamma HPD implies ||T0||_2 = sqrt(1 - lambda_min(Gamma)) < 1;
 Gamma-tilde HPD is the cheaper sufficient test, and ||Gamma-tilde||_1 /
-kappa_1 is the optimality-bound table value.  The certificate forms the
-dense products D-tilde A and D A, never D-tilde or D (``assemble_D``
-alone forms D).  Reported 2-norms are exact (LAPACK eigenvalues of X^H X).
+kappa_1 is the optimality-bound table value.
+
+The coarse correction has rank N_c ~ N/4, so the certificate works from
+
+    Y = A_c^{-1} R A   (dense N_c x N, one LU solve),
+    MA = M_nu A        (sparse),     S = I - MA,
+
+with D-tilde A = MA + P Y and T0 = S - S P Y.  Gamma-tilde and T0^H T0
+are built in sparse-plus-rank-N_c form, each with one N x N_c x N product:
+
+    Gamma-tilde = G_s + F + F^H,   G_s = MA^H + MA - MA^H MA,
+                                   F = (P - MA^H P - 1/2 Y^H P^H P) Y;
+    T0^H T0     = S^H S + G + G^H, G = (1/2 Y^H Q - S^H S P) Y,
+                                   Q = P^H S^H S P.
+
+``certify`` also forms the dense D A = MA + S P Y, so that its Gamma and
+Gamma's Hermiticity residual come from a dense product; D itself is formed
+only in ``assemble_D``.  Reported 2-norms are exact (LAPACK eigenvalues of
+X^H X).
 """
 
 import sys
@@ -48,6 +64,7 @@ from .linalg import (
     lu_factor_checked,
     norm1,
     norm2,
+    norm2_from_gram,
     quick_pd_screen,
 )
 from .problem import (
@@ -148,17 +165,54 @@ def smoother_correction(A, omega, nu):
 
 
 def _coarse_correction(cfg, X):
-    """Dense P A_c^{-1} R X for sparse X (CA at X = A, CC at X = I), A_c = R B P."""
+    """Dense A_c^{-1} R X for sparse X (Y at X = A), A_c = R B P."""
     cfg.check_dense_limit()
     Ac = galerkin_coarse(cfg.coarse_build_op, cfg.pair).toarray()
     lu = lu_factor_checked(Ac, "coarse operator A_c")
-    return cfg.pair.P @ sla.lu_solve(lu, (cfg.pair.R @ X).toarray())
+    return sla.lu_solve(lu, (cfg.pair.R @ X).toarray())
 
 
-def _products(cfg, CA):
-    """(sparse MA = M_nu A, dense D-tilde A = MA + CA) for CA = P A_c^{-1} R A."""
-    MA = smoother_correction(cfg.A, cfg.omega, cfg.nu) @ cfg.A
-    return MA, np.asarray(MA + CA)
+def _smoothed(cfg):
+    """Sparse MA = M_nu A."""
+    return smoother_correction(cfg.A, cfg.omega, cfg.nu) @ cfg.A
+
+
+def _add_sparse(X, Hs):
+    """X += Hs in place, for dense X and sparse Hs, entry by entry."""
+    Hs = Hs.tocoo()
+    Hs.sum_duplicates()
+    X[Hs.row, Hs.col] += Hs.data
+    return X
+
+
+def _hermitian_low_rank(Hs, W, Y):
+    """Hs + W Y + (W Y)^H for sparse Hermitian Hs, dense N x N_c W and N_c x N Y."""
+    X = W @ Y  # the one N x N_c x N product
+    X += X.conj().T
+    return _add_sparse(X, Hs)
+
+
+def _gamma_tilde(MA, P, Y):
+    """Gamma-tilde = G_s + F + F^H from D-tilde A = MA + P Y.
+
+    G_s = MA^H + MA - MA^H MA is sparse and
+    F = (P - MA^H P - 1/2 Y^H P^H P) Y.
+    """
+    MAh = MA.conj().T.tocsr()
+    W = (P - MAh @ P).toarray() - 0.5 * (P.T @ P @ Y).conj().T
+    return _hermitian_low_rank(MAh + MA - MAh @ MA, W, Y)
+
+
+def _t0_gram(MA, P, Y):
+    """T0^H T0 = S^H S + G + G^H for T0 = S - S P Y, S = I - MA.
+
+    G = (1/2 Y^H Q - S^H S P) Y with Q = P^H S^H S P.
+    """
+    S = sp.identity(MA.shape[0], format="csr") - MA
+    SS = (S.conj().T @ S).tocsr()
+    SSP = SS @ P
+    W = 0.5 * ((P.T @ SSP) @ Y).conj().T - SSP.toarray()
+    return _hermitian_low_rank(SS, W, Y)
 
 
 def _gamma(DA):
@@ -176,7 +230,8 @@ def _ratio(Gt):
 
 def assemble_D(cfg):
     """Dense D = M_nu + CC - M_nu A CC with T0 = I - D A (the only place D is formed)."""
-    CC = _coarse_correction(cfg, sp.identity(cfg.A.shape[0], format="csr"))
+    Y = _coarse_correction(cfg, sp.identity(cfg.A.shape[0], format="csr"))
+    CC = cfg.pair.P @ Y
     M = smoother_correction(cfg.A, cfg.omega, cfg.nu)
     return np.asarray(M + CC) - M @ (cfg.A @ CC)
 
@@ -199,12 +254,15 @@ def certify(cfg, log=None):
     violations are reportable findings recorded in the report, never
     silent and never fatal.
     """
-    CA = _coarse_correction(cfg, cfg.A)
-    MA, DtA = _products(cfg, CA)
-    DA = DtA - MA @ CA
-    del CA
-    Gt = _gamma(DtA)
-    del DtA  # CA and D-tilde A are freed before the Gamma products
+    Y = _coarse_correction(cfg, cfg.A)
+    MA = _smoothed(cfg)
+    P = cfg.pair.P
+    Gt = _gamma_tilde(MA, P, Y)
+    # DA = I - T0 = MA + S P Y, dense, so that the Hermiticity residual of
+    # Gamma measures a GEMM form rather than a matrix Hermitian by construction
+    S = sp.identity(MA.shape[0], format="csr") - MA
+    DA = _add_sparse((S @ P) @ Y, MA)
+    del Y
     G = _gamma(DA)
 
     herm = _hermiticity_residual(G)
@@ -256,31 +314,32 @@ def table_entry(cfg):
 
     Computes only what the published verdict table shows; skips the
     lambda_min, sigma_max(DA) and optimality-ratio machinery so large
-    (k = 30) configurations stay tractable.
+    (k = 30) configurations stay tractable.  Gamma-tilde and T0^H T0 are
+    built in sparse-plus-rank-N_c form; ||T0||_2 is the root of
+    lambda_max(T0^H T0).
     """
-    CA = _coarse_correction(cfg, cfg.A)
-    MA, DtA = _products(cfg, CA)
-    T0 = MA @ CA - DtA  # = -D A
-    del CA  # freed before the Gamma-tilde products
-    T0[np.diag_indices_from(T0)] += 1.0  # T0 = I - D A, in place
-    return cholesky_hpd_test(_gamma(DtA)), norm2(T0)
+    Y = _coarse_correction(cfg, cfg.A)
+    MA = _smoothed(cfg)
+    P = cfg.pair.P
+    hpd = cholesky_hpd_test(_gamma_tilde(MA, P, Y))
+    return hpd, norm2_from_gram(_t0_gram(MA, P, Y))
 
 
 def omega_sweep(make_cfg, omegas, nus):
     """Grid of ||Gamma-tilde||_1 / kappa_1(Gamma-tilde) over (omega, nu).
 
     ``make_cfg(omega, nu)`` must return a TwoGridConfig that varies only
-    omega and nu: CA = P A_c^{-1} R A is computed once, from
-    ``make_cfg(omegas[0], nus[0])``, and each cell forms only D-tilde A.
+    omega and nu: Y = A_c^{-1} R A is computed once, from
+    ``make_cfg(omegas[0], nus[0])``, and each cell forms only Gamma-tilde.
     nu = 0 rows are flagged; a singular Gamma-tilde reads 0.0, flagged.
     """
     cfg = make_cfg(omegas[0], nus[0])
-    CA = _coarse_correction(cfg, cfg.A)
+    Y = _coarse_correction(cfg, cfg.A)
     rows = []
     for omega in omegas:
         for nu in nus:
-            # one expression, so M_nu A and D-tilde A are freed before kappa_1
-            val = _ratio(_gamma(_products(make_cfg(omega, nu), CA)[1]))
+            cell = make_cfg(omega, nu)
+            val = _ratio(_gamma_tilde(_smoothed(cell), cell.pair.P, Y))
             flag = "degenerate-no-smoothing" if nu == 0 else ""
             if np.isnan(val):
                 val, flag = 0.0, flag or "singular-gamma-tilde"

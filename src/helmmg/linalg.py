@@ -61,10 +61,10 @@ def _hermiticity_residual(M):
 def cholesky_hpd_test(M, tol=1e-12):
     """Hermitian-positive-definiteness test via complex Cholesky.
 
-    The Hermiticity residual ||M - M^H||_F / ||M||_F is checked first; a
-    matrix that is non-Hermitian beyond ``tol``**0.5-ish tolerances can
-    never be HPD.  On the Hermitian path the verdict is HPD iff the
-    factorization completes with every pivot above ``tol`` times the
+    The Hermiticity residual ||M - M^H||_F / ||M||_F is checked first,
+    against a fixed 1e-10 (not ``tol``): a matrix above it is reported
+    non-Hermitian, never HPD.  On the Hermitian path the verdict is HPD iff
+    the factorization completes with every pivot above ``tol`` times the
     largest diagonal entry; the reason records the first failing pivot.
     """
     M = np.asarray(M, dtype=complex)
@@ -123,18 +123,23 @@ def quick_pd_screen(M):
     return Verdict(True, "pass")
 
 
-def norm2(M):
-    """Exact 2-norm of M: the root of the largest eigenvalue of M^H M.
+def norm2_from_gram(H):
+    """Exact 2-norm of any X with X^H X = H: the root of lambda_max(H).
 
-    One LAPACK call (``eigvalsh`` restricted to the top eigenvalue); no
-    iteration that can stop short.
+    One LAPACK call (``eigvalsh``, driver ``evr``, restricted to the top
+    eigenvalue); no iteration that can stop short.
     """
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[1]
+    n = H.shape[0]
     if n == 0:
         return 0.0
-    lam = sla.eigvalsh(M.conj().T @ M, subset_by_index=[n - 1, n - 1])[0]
+    lam = sla.eigvalsh(H, subset_by_index=[n - 1, n - 1], driver="evr")[0]
     return float(np.sqrt(max(lam, 0.0)))
+
+
+def norm2(M):
+    """Exact 2-norm of M, from its Gram matrix M^H M (``norm2_from_gram``)."""
+    M = np.asarray(M, dtype=complex)
+    return norm2_from_gram(M.conj().T @ M)
 
 
 def norm1(M):
@@ -143,11 +148,36 @@ def norm1(M):
 
 
 def condition_number_p1(M):
-    """kappa_1(M) = ||M||_1 ||M^-1||_1 with the inverse from dense LU."""
+    """kappa_1(M) = ||M||_1 ||M^-1||_1.
+
+    When M is Hermitian to 1e-12 and complex Cholesky (``zpotrf``)
+    completes, M^-1 comes from ``zpotri``; otherwise from partially
+    pivoted LU (``lu_factor_checked``) and an identity solve.  Both paths
+    raise ``np.linalg.LinAlgError`` ("condition_number_p1 input singular to
+    tolerance at pivot index i") at the first pivot below 1e-14 max|M|:
+    c_ii^2 for the Cholesky factor, |u_ii| for LU.
+    """
     M = np.asarray(M, dtype=complex)
     if M.shape[0] != M.shape[1]:
         raise ValueError("condition_number_p1 requires a square matrix")
-    inv = sla.lu_solve(lu_factor_checked(M, "condition_number_p1 input"),
-                       np.eye(M.shape[0], dtype=complex))
+    what = "condition_number_p1 input"
+    if _hermiticity_residual(M) <= 1e-12:
+        # M.T is F-contiguous and equals conj(M), which has M's kappa_1 and
+        # HPD verdict: zpotrf factors one copy and leaves M for the LU path
+        c, info = sla.lapack.zpotrf(M.T, lower=1, clean=1)
+        if info == 0:
+            tol = 1e-14 * max(np.abs(M).max(), 1e-300)
+            bad = np.nonzero(np.real(np.diag(c)) ** 2 < tol)[0]
+            if bad.size:
+                raise np.linalg.LinAlgError(
+                    f"{what} singular to tolerance at pivot index {bad[0]}")
+            # the pivot check above leaves zpotri no zero pivot to fail on
+            c, _ = sla.lapack.zpotri(c, lower=1, overwrite_c=1)
+            # c holds the lower triangle L of the Hermitian inverse and zeros
+            # above it (clean=1): |column j| = |L col j| + |L row j| - |L_jj|
+            L = np.abs(c)
+            del c
+            return norm1(M) * float((L.sum(axis=0) + L.sum(axis=1) - np.diag(L)).max())
+        del c  # not HPD: the partial factor is freed before the LU fallback
+    inv = sla.lu_solve(lu_factor_checked(M, what), np.eye(M.shape[0], dtype=complex))
     return norm1(M) * norm1(inv)
-

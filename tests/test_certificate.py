@@ -6,6 +6,10 @@ import scipy.sparse as sp
 
 from helmmg.certificate import (
     TwoGridConfig,
+    _coarse_correction,
+    _gamma_tilde,
+    _smoothed,
+    _t0_gram,
     assemble_D,
     certify,
     lambda_min_hermitian,
@@ -13,7 +17,7 @@ from helmmg.certificate import (
     smoother_correction,
     table_entry,
 )
-from helmmg.linalg import DenseLimitError
+from helmmg.linalg import DenseLimitError, _hermiticity_residual
 from helmmg.mg import CycleConfig, build_hierarchy, cycle
 from helmmg.problem import (
     ProblemSpec,
@@ -34,6 +38,33 @@ def make_cfg(k=5.0, n=9, scheme="bezier", coarsen="csl", omega=4.5, nu=1,
     B = assemble_helmholtz(spec, f, shift_on=True) if coarsen == "csl" else A
     pair = build_transfer_2d(n, scheme)
     return TwoGridConfig(A=A, coarse_build_op=B, pair=pair, omega=omega, nu=nu)
+
+
+def dense_parts(cfg):
+    """(S^nu, P A_c^{-1} R A) in numpy from the sparse inputs."""
+    A = cfg.A.toarray()
+    P = cfg.pair.P.toarray()
+    R = cfg.pair.R.toarray()
+    Ac = R @ cfg.coarse_build_op.toarray() @ P
+    S = np.eye(A.shape[0]) - (1.0 / cfg.omega) * (A / np.diag(A)[:, None])
+    return np.linalg.matrix_power(S, cfg.nu), P @ np.linalg.solve(Ac, R @ A)
+
+
+def dense_T0(cfg):
+    """T0 = S^nu (I - P A_c^{-1} R A) in numpy."""
+    Snu, CA = dense_parts(cfg)
+    return Snu @ (np.eye(CA.shape[0]) - CA)
+
+
+def dense_gamma_tilde(cfg):
+    """Gamma-tilde from the dense D-tilde A = (I - S^nu) + P A_c^{-1} R A."""
+    Snu, CA = dense_parts(cfg)
+    DtA = np.eye(CA.shape[0]) - Snu + CA
+    return DtA.conj().T + DtA - DtA.conj().T @ DtA
+
+
+def rel_fro(got, want):
+    return np.linalg.norm(got - want, "fro") / np.linalg.norm(want, "fro")
 
 
 def test_smoother_correction_identity():
@@ -66,12 +97,7 @@ def test_I_minus_DA_equals_dense_T0(nu):
                         pair=h.levels[0].pair, omega=4.5, nu=nu)
     A = cfg.A.toarray()
     N = A.shape[0]
-    P = cfg.pair.P.toarray()
-    R = cfg.pair.R.toarray()
-    Ac = R @ C.toarray() @ P
-    CGC = np.eye(N) - P @ np.linalg.solve(Ac, R) @ A
-    S = np.eye(N) - (1.0 / cfg.omega) * (A / np.diag(A)[:, None])
-    T0 = np.linalg.matrix_power(S, nu) @ CGC
+    T0 = dense_T0(cfg)
     ccfg = CycleConfig(gamma=1, smoother=SmootherConfig(kind="jacobi",
                                                         omega=4.5, nu=nu))
     zero = np.zeros(N, dtype=complex)
@@ -87,6 +113,22 @@ def test_I_minus_DA_equals_dense_T0(nu):
     assert np.isclose(table_entry(cfg)[1], want, rtol=1e-12, atol=0.0)
     assert np.isclose(certify(cfg, log=io.StringIO()).norm_T0, want,
                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+@pytest.mark.parametrize("coarsen", ["csl", "original"])
+@pytest.mark.parametrize("scheme", ["linear", "bezier"])
+def test_structured_forms_match_dense(scheme, coarsen, nu):
+    # Gamma-tilde and T0^H T0 in sparse-plus-rank-N_c form against the
+    # dense products of independent numpy D-tilde A and T0
+    cfg = make_cfg(scheme=scheme, coarsen=coarsen, nu=nu)
+    Y = _coarse_correction(cfg, cfg.A)
+    MA = _smoothed(cfg)
+    Gt = _gamma_tilde(MA, cfg.pair.P, Y)
+    assert rel_fro(Gt, dense_gamma_tilde(cfg)) <= 1e-13
+    assert _hermiticity_residual(Gt) <= 1e-15
+    T0 = dense_T0(cfg)
+    assert rel_fro(_t0_gram(MA, cfg.pair.P, Y), T0.conj().T @ T0) <= 1e-13
 
 
 def test_D_tilde_drops_coupling_term():
@@ -213,6 +255,18 @@ def test_omega_sweep_matches_cell_by_cell_ratio():
                        log=io.StringIO()).ratio_table_value
         assert np.isclose(r["ratio"], want, rtol=1e-12, atol=0.0)
         assert r["flag"] == ""
+
+
+def test_omega_sweep_matches_dense_reference():
+    # an independent reference for the sweep: kappa_1 of a dense numpy
+    # Gamma-tilde through np.linalg.inv
+    omegas, nus = (1.5, 4.5, 7.0), (1, 2)
+    rows = omega_sweep(lambda w, nu: make_cfg(omega=w, nu=nu), omegas, nus)
+    for r in rows:
+        Gt = dense_gamma_tilde(make_cfg(omega=r["omega"], nu=r["nu"]))
+        n1 = np.abs(Gt).sum(axis=0).max()
+        want = n1 / (n1 * np.abs(np.linalg.inv(Gt)).sum(axis=0).max())
+        assert np.isclose(r["ratio"], want, rtol=1e-12, atol=0.0)
 
 
 def test_two_grid_config_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helmmg import linalg
 from helmmg.linalg import (
     Verdict,
     cholesky_hpd_test,
@@ -148,6 +149,48 @@ def test_norm1_and_condition(rng):
     kappa = condition_number_p1(M)
     want = norm1(M) * norm1(np.linalg.inv(M))
     assert np.isclose(kappa, want, rtol=1e-10)
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Counts the LU factorizations ``condition_number_p1`` falls back to."""
+    calls = []
+
+    def spy(M, what):
+        calls.append(what)
+        return lu_factor_checked(M, what)
+
+    monkeypatch.setattr(linalg, "lu_factor_checked", spy)
+    return calls
+
+
+def test_condition_hpd_through_cholesky(small_spd, lu_calls):
+    want = norm1(small_spd) * norm1(np.linalg.inv(small_spd))
+    assert np.isclose(condition_number_p1(small_spd), want, rtol=1e-12, atol=0.0)
+    assert lu_calls == []
+
+
+def test_condition_hermitian_indefinite_through_lu(small_spd, lu_calls):
+    M = small_spd - 30 * np.eye(12)
+    assert np.linalg.eigvalsh(M).min() < 0 < np.linalg.eigvalsh(M).max()
+    want = norm1(M) * norm1(np.linalg.inv(M))
+    assert np.isclose(condition_number_p1(M), want, rtol=1e-12, atol=0.0)
+    assert lu_calls == ["condition_number_p1 input"]
+
+
+def test_condition_singular_raises(lu_calls):
+    # the rank-8 12x12 Gram matrix of test_quick_screen_fails_singular_gram_matrix
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
+    with pytest.raises(np.linalg.LinAlgError, match="condition_number_p1 input"):
+        condition_number_p1(B @ B.conj().T)
+    # Cholesky completes here, but c_11^2 = 1e-15 is below 1e-14 max|M|
+    lu_calls.clear()
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="condition_number_p1 input singular to tolerance "
+                             "at pivot index 1"):
+        condition_number_p1(np.diag([1.0, 1e-15, 1.0]).astype(complex))
+    assert lu_calls == []
 
 
 def test_verdict_truthiness():
