@@ -32,18 +32,18 @@ The coarse correction has rank N_c ~ N/4, so the certificate works from
     Y = A_c^{-1} R A   (dense N_c x N, one LU solve),
     MA = M_nu A        (sparse),     S = I - MA,
 
-with D-tilde A = MA + P Y and T0 = S - S P Y.  Gamma-tilde and T0^H T0
-are built in sparse-plus-rank-N_c form, each with one N x N_c x N product:
+with D-tilde A = MA + P Y and D A = I - T0 = MA + S P Y.  Both certificate
+matrices are one Gamma form of X = MA + W Y, built in sparse-plus-rank-N_c
+form with one N x N_c x N product:
 
-    Gamma-tilde = G_s + F + F^H,   G_s = MA^H + MA - MA^H MA,
-                                   F = (P - MA^H P - 1/2 Y^H P^H P) Y;
-    T0^H T0     = S^H S + G + G^H, G = (1/2 Y^H Q - S^H S P) Y,
-                                   Q = P^H S^H S P.
+    X^H + X - X^H X = G_s + F + F^H,  G_s = MA^H + MA - MA^H MA,
+                                      F = ((I - MA^H) W - 1/2 Y^H W^H W) Y;
 
-``certify`` also forms the dense D A = MA + S P Y, so that its Gamma and
-Gamma's Hermiticity residual come from a dense product; D itself is formed
-only in ``assemble_D``.  Reported 2-norms are exact (LAPACK eigenvalues of
-X^H X).
+W = P gives Gamma-tilde, W = S P gives Gamma, and T0^H T0 = I - Gamma.
+Every dense N x N matrix comes from one N x N_c x N product, the Gram
+matrix (DA)^H DA = DA + DA^H - Gamma included; D itself is formed only in
+``assemble_D``.  Reported 2-norms are exact (LAPACK eigenvalues of these
+Gram matrices).
 """
 
 import sys
@@ -63,7 +63,6 @@ from .linalg import (
     condition_number_p1,
     lu_factor_checked,
     norm1,
-    norm2,
     norm2_from_gram,
     quick_pd_screen,
 )
@@ -98,12 +97,16 @@ class TwoGridConfig:
         SmootherConfig(kind="jacobi", omega=self.omega, nu=self.nu)
 
     def check_dense_limit(self):
-        N = self.A.shape[0]
-        if N * N > DENSE_LIMIT:
-            raise DenseLimitError(
-                f"certificate needs a dense {N}x{N} matrix "
-                f"({N * N} entries > limit {DENSE_LIMIT})"
-            )
+        check_dense_limit(self.A.shape[0])
+
+
+def check_dense_limit(N):
+    """Raise DenseLimitError when a certificate of N unknowns exceeds DENSE_LIMIT."""
+    if N * N > DENSE_LIMIT:
+        raise DenseLimitError(
+            f"certificate needs a dense {N}x{N} matrix "
+            f"({N * N} entries > limit {DENSE_LIMIT})"
+        )
 
 
 @dataclass
@@ -177,47 +180,33 @@ def _smoothed(cfg):
     return smoother_correction(cfg.A, cfg.omega, cfg.nu) @ cfg.A
 
 
-def _add_sparse(X, Hs):
-    """X += Hs in place, for dense X and sparse Hs, entry by entry."""
+def _hermitian_low_rank(Hs, W, Y):
+    """Hs + W Y + (W Y)^H for sparse Hermitian Hs, N x N_c W and dense N_c x N Y."""
+    X = W @ Y  # the one N x N_c x N product
+    X += X.conj().T
     Hs = Hs.tocoo()
     Hs.sum_duplicates()
-    X[Hs.row, Hs.col] += Hs.data
+    X[Hs.row, Hs.col] += Hs.data  # the sparse part, entry by entry
     return X
 
 
-def _hermitian_low_rank(Hs, W, Y):
-    """Hs + W Y + (W Y)^H for sparse Hermitian Hs, dense N x N_c W and N_c x N Y."""
-    X = W @ Y  # the one N x N_c x N product
-    X += X.conj().T
-    return _add_sparse(X, Hs)
+def _gamma_form(MA, W, Y):
+    """X^H + X - X^H X for X = MA + W Y: G_s + F + F^H.
 
-
-def _gamma_tilde(MA, P, Y):
-    """Gamma-tilde = G_s + F + F^H from D-tilde A = MA + P Y.
-
-    G_s = MA^H + MA - MA^H MA is sparse and
-    F = (P - MA^H P - 1/2 Y^H P^H P) Y.
+    G_s = MA^H + MA - MA^H MA is sparse and F = U Y with
+    U = (I - MA^H) W - 1/2 Y^H W^H W.  W = P gives Gamma-tilde, W = S P
+    gives Gamma.
     """
     MAh = MA.conj().T.tocsr()
-    W = (P - MAh @ P).toarray() - 0.5 * (P.T @ P @ Y).conj().T
-    return _hermitian_low_rank(MAh + MA - MAh @ MA, W, Y)
+    U = (W - MAh @ W).toarray() - 0.5 * ((W.conj().T @ W) @ Y).conj().T
+    return _hermitian_low_rank(MAh + MA - MAh @ MA, U, Y)
 
 
-def _t0_gram(MA, P, Y):
-    """T0^H T0 = S^H S + G + G^H for T0 = S - S P Y, S = I - MA.
-
-    G = (1/2 Y^H Q - S^H S P) Y with Q = P^H S^H S P.
-    """
-    S = sp.identity(MA.shape[0], format="csr") - MA
-    SS = (S.conj().T @ S).tocsr()
-    SSP = SS @ P
-    W = 0.5 * ((P.T @ SSP) @ Y).conj().T - SSP.toarray()
-    return _hermitian_low_rank(SS, W, Y)
-
-
-def _gamma(DA):
-    """A^H D^H + D A - A^H D^H D A from the product D A."""
-    return DA.conj().T + DA - DA.conj().T @ DA
+def _norm_T0(G):
+    """||T0||_2 from Gamma, overwriting G with I - Gamma = T0^H T0."""
+    G *= -1.0
+    G[np.diag_indices_from(G)] += 1.0
+    return norm2_from_gram(G)
 
 
 def _ratio(Gt):
@@ -257,25 +246,24 @@ def certify(cfg, log=None):
     Y = _coarse_correction(cfg, cfg.A)
     MA = _smoothed(cfg)
     P = cfg.pair.P
-    Gt = _gamma_tilde(MA, P, Y)
-    # DA = I - T0 = MA + S P Y, dense, so that the Hermiticity residual of
-    # Gamma measures a GEMM form rather than a matrix Hermitian by construction
-    S = sp.identity(MA.shape[0], format="csr") - MA
-    DA = _add_sparse((S @ P) @ Y, MA)
-    del Y
-    G = _gamma(DA)
-
+    SP = P - MA @ P
+    # DA = I - T0 = MA + S P Y and (DA)^H DA = DA + DA^H - Gamma; each dense
+    # matrix is freed once its results are taken, and Gamma-tilde comes last
+    G = _gamma_form(MA, SP, Y)
+    DA_gram = _hermitian_low_rank(MA + MA.conj().T, SP, Y)
+    DA_gram -= G
+    sigma_DA = norm2_from_gram(DA_gram)
+    del DA_gram
     herm = _hermiticity_residual(G)
     hpd_g = cholesky_hpd_test(G)
+    lam_min = lambda_min_hermitian(G)
+    norm_T0 = _norm_T0(G)
+    del G
+    Gt = _gamma_form(MA, P, Y)
     hpd_gt = cholesky_hpd_test(Gt)
     screen = quick_pd_screen(Gt)
-    sigma_DA = norm2(DA)
-    lam_min = lambda_min_hermitian(G)
     ratio = _ratio(Gt)
     bound = float(np.sqrt(abs(1.0 - ratio)))
-    DA *= -1.0
-    DA[np.diag_indices_from(DA)] += 1.0  # T0 = I - D A, in place
-    norm_T0 = norm2(DA)
 
     warnings = []
     if hpd_gt.ok and not hpd_g.ok:
@@ -314,15 +302,15 @@ def table_entry(cfg):
 
     Computes only what the published verdict table shows; skips the
     lambda_min, sigma_max(DA) and optimality-ratio machinery so large
-    (k = 30) configurations stay tractable.  Gamma-tilde and T0^H T0 are
-    built in sparse-plus-rank-N_c form; ||T0||_2 is the root of
-    lambda_max(T0^H T0).
+    (k = 30) configurations stay tractable.  Gamma-tilde and Gamma are
+    Gamma forms with W = P and W = S P; ||T0||_2 is the root of
+    lambda_max(I - Gamma), as in ``certify``.
     """
     Y = _coarse_correction(cfg, cfg.A)
     MA = _smoothed(cfg)
     P = cfg.pair.P
-    hpd = cholesky_hpd_test(_gamma_tilde(MA, P, Y))
-    return hpd, norm2_from_gram(_t0_gram(MA, P, Y))
+    hpd = cholesky_hpd_test(_gamma_form(MA, P, Y))
+    return hpd, _norm_T0(_gamma_form(MA, P - MA @ P, Y))
 
 
 def omega_sweep(make_cfg, omegas, nus):
@@ -339,7 +327,7 @@ def omega_sweep(make_cfg, omegas, nus):
     for omega in omegas:
         for nu in nus:
             cell = make_cfg(omega, nu)
-            val = _ratio(_gamma_tilde(_smoothed(cell), cell.pair.P, Y))
+            val = _ratio(_gamma_form(_smoothed(cell), cell.pair.P, Y))
             flag = "degenerate-no-smoothing" if nu == 0 else ""
             if np.isnan(val):
                 val, flag = 0.0, flag or "singular-gamma-tilde"

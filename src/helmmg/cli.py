@@ -13,7 +13,13 @@ import sys
 import numpy as np
 
 from . import presets
-from .certificate import TwoGridConfig, certify, conv1_row, opt1_row
+from .certificate import (
+    TwoGridConfig,
+    certify,
+    check_dense_limit,
+    conv1_row,
+    opt1_row,
+)
 from .linalg import DenseLimitError
 from .mg import CycleConfig, build_hierarchy, history_csv, solve
 from .problem import (
@@ -174,6 +180,7 @@ def cmd_certify(args):
         return _certify_conv1(args) if args.table == "conv1" else _certify_opt1(args)
     _refuse_set(args, ("regress",), "certify without --table")
     spec = _problem_spec(args)
+    check_dense_limit(spec.nodes_per_dim ** 2)  # before any assembly
     fieldvals = build_wavenumber_field(spec)
     cfg = TwoGridConfig(
         A=assemble_helmholtz(spec, fieldvals, shift_on=False),

@@ -136,12 +136,6 @@ def norm2_from_gram(H):
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def norm2(M):
-    """Exact 2-norm of M, from its Gram matrix M^H M (``norm2_from_gram``)."""
-    M = np.asarray(M, dtype=complex)
-    return norm2_from_gram(M.conj().T @ M)
-
-
 def norm1(M):
     """Induced 1-norm (max absolute column sum) of a dense matrix."""
     return float(np.abs(np.asarray(M)).sum(axis=0).max())

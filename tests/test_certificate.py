@@ -7,9 +7,8 @@ import scipy.sparse as sp
 from helmmg.certificate import (
     TwoGridConfig,
     _coarse_correction,
-    _gamma_tilde,
+    _gamma_form,
     _smoothed,
-    _t0_gram,
     assemble_D,
     certify,
     lambda_min_hermitian,
@@ -119,16 +118,26 @@ def test_I_minus_DA_equals_dense_T0(nu):
 @pytest.mark.parametrize("coarsen", ["csl", "original"])
 @pytest.mark.parametrize("scheme", ["linear", "bezier"])
 def test_structured_forms_match_dense(scheme, coarsen, nu):
-    # Gamma-tilde and T0^H T0 in sparse-plus-rank-N_c form against the
-    # dense products of independent numpy D-tilde A and T0
+    # Gamma-tilde (W = P), Gamma (W = S P) and T0^H T0 = I - Gamma from the
+    # one Gamma form, against the dense products of independent numpy
+    # D-tilde A and T0
     cfg = make_cfg(scheme=scheme, coarsen=coarsen, nu=nu)
     Y = _coarse_correction(cfg, cfg.A)
     MA = _smoothed(cfg)
-    Gt = _gamma_tilde(MA, cfg.pair.P, Y)
+    P = cfg.pair.P
+    Gt = _gamma_form(MA, P, Y)
     assert rel_fro(Gt, dense_gamma_tilde(cfg)) <= 1e-13
     assert _hermiticity_residual(Gt) <= 1e-15
     T0 = dense_T0(cfg)
-    assert rel_fro(_t0_gram(MA, cfg.pair.P, Y), T0.conj().T @ T0) <= 1e-13
+    I = np.eye(T0.shape[0])
+    DA = I - T0
+    G = _gamma_form(MA, P - MA @ P, Y)
+    assert rel_fro(G, DA.conj().T + DA - DA.conj().T @ DA) <= 1e-13
+    assert rel_fro(I - G, T0.conj().T @ T0) <= 1e-13
+    # certify and table_entry take ||T0||_2 from the same I - Gamma
+    rep = certify(cfg, log=io.StringIO())
+    assert rep.norm_T0 == table_entry(cfg)[1]
+    assert np.isclose(rep.sigma_max_DA, np.linalg.norm(DA, 2), rtol=1e-12, atol=0.0)
 
 
 def test_D_tilde_drops_coupling_term():
@@ -146,7 +155,8 @@ def test_D_tilde_drops_coupling_term():
 
 def test_gamma_is_hermitian_and_matches_T0():
     # T0^H T0 = I - Gamma, so lambda_min(Gamma) = 1 - ||T0||_2^2; the
-    # report computes the two sides by separate eigenvalue solves
+    # report computes the two sides by separate eigvalsh calls, on Gamma
+    # and on I - Gamma
     rep = certify(make_cfg(), log=io.StringIO())
     assert rep.hermiticity_residual_gamma <= 1e-12
     assert np.isclose(rep.lambda_min_gamma, 1.0 - rep.norm_T0**2,
@@ -182,14 +192,19 @@ def test_certify_known_bad_configuration():
     assert rep.norm_T0 > 1.0
 
 
-def test_certify_report_pinned():
-    # k = 5, n = 9, Bezier/CSL, omega = 3.5, nu = 1: every line of the
-    # report but the Hermiticity residual, which is rounding noise
-    lines = certify(make_cfg(omega=3.5, nu=1), log=io.StringIO()).to_text().split("\n")
+def pinned_lines(cfg):
+    """Every line of the report but the Hermiticity residual, which is
+    rounding noise and only bounded."""
+    lines = certify(cfg, log=io.StringIO()).to_text().split("\n")
     label, value = lines[0].split(":")
     assert label.strip() == "Gamma hermiticity residual"
     assert float(value) <= 1e-15
-    assert lines[1:] == [
+    return lines[1:]
+
+
+def test_certify_report_pinned():
+    # k = 5, n = 9, Bezier/CSL, omega = 3.5, nu = 1
+    assert pinned_lines(make_cfg(omega=3.5, nu=1)) == [
         "Gamma HPD                  : True (HPD)",
         "Gamma-tilde HPD            : True (HPD)",
         "quick PD screen            : True (pass)",
@@ -198,6 +213,25 @@ def test_certify_report_pinned():
         "sigma_max(DA)              : 0.998942",
         "||Gt||_1 / kappa_1(Gt)     : 0.102579",
         "bound sqrt|1 - ratio|      : 0.947323",
+    ]
+
+
+def test_certify_report_pinned_not_hpd():
+    # k = 5, n = 9, linear transfer coarsened on A, omega = 3.5, nu = 2:
+    # neither Gamma nor Gamma-tilde is HPD, lambda_min(Gamma) < 0 and
+    # ||T0||_2 > 1
+    cfg = make_cfg(scheme="linear", coarsen="original", omega=3.5, nu=2)
+    assert pinned_lines(cfg) == [
+        "Gamma HPD                  : False (not positive definite: pivot failure "
+        "at index 22)",
+        "Gamma-tilde HPD            : False (not positive definite: pivot failure "
+        "at index 21)",
+        "quick PD screen            : False (condition 4: determinant not positive)",
+        "lambda_min(Gamma)          : -1.37731",
+        "||T0||_2                   : 1.54185",
+        "sigma_max(DA)              : 1.77136",
+        "||Gt||_1 / kappa_1(Gt)     : 0.0100836",
+        "bound sqrt|1 - ratio|      : 0.994945",
     ]
 
 

@@ -227,6 +227,18 @@ def test_certify_dense_limit(capsys):
     assert "dense" in capsys.readouterr().err
 
 
+def test_certify_dense_limit_before_assembly(capsys, monkeypatch):
+    # the limit is checked from the grid size alone: k = 2000 (n = 3201)
+    # never assembles its 10^7-unknown operator
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled before the dense-limit check")
+
+    monkeypatch.setattr(cli, "assemble_helmholtz", refuse)
+    monkeypatch.setattr(cli, "build_wavenumber_field", refuse)
+    assert main(["certify", "--k", "2000"]) == EXIT_DENSE_LIMIT
+    assert "dense" in capsys.readouterr().err
+
+
 def test_bench_preset_case_filter(capsys, tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "h-independence", "--case", "k15-h2e-5",

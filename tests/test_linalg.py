@@ -9,7 +9,7 @@ from helmmg.linalg import (
     condition_number_p1,
     lu_factor_checked,
     norm1,
-    norm2,
+    norm2_from_gram,
     quick_pd_screen,
 )
 from helmmg.transfer import TransferPair, galerkin_coarse
@@ -136,10 +136,12 @@ def test_quick_screen_fails_singular_gram_matrix():
 
 
 def test_norm2_exact(rng):
+    # the 2-norm of M from its Gram matrix M^H M
     for shape in ((15, 15), (12, 7)):
         M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.isclose(norm2(M), np.linalg.norm(M, 2), rtol=1e-12)
-    assert norm2(np.zeros((4, 4))) == 0.0
+        assert np.isclose(norm2_from_gram(M.conj().T @ M), np.linalg.norm(M, 2),
+                          rtol=1e-12)
+    assert norm2_from_gram(np.zeros((4, 4))) == 0.0
 
 
 def test_norm1_and_condition(rng):
