@@ -51,6 +51,11 @@ def lu_factor_checked(M, what):
     return lu, piv
 
 
+#: Largest Hermiticity residual ||M - M^H||_F / ||M||_F of a matrix that
+#: counts as Hermitian: the HPD verdict, kappa_1 and the quick screen share it.
+HERMITIAN_TOL = 1e-12
+
+
 def _hermiticity_residual(M):
     nrm = sla.norm(M, "fro")
     if nrm == 0.0:
@@ -58,30 +63,39 @@ def _hermiticity_residual(M):
     return sla.norm(M - M.conj().T, "fro") / nrm
 
 
-def cholesky_hpd_test(M, tol=1e-12):
-    """Hermitian-positive-definiteness test via complex Cholesky.
+def _hpd_cholesky(M):
+    """(verdict, c) under the rule of ``cholesky_hpd_test`` for complex M.
 
-    The Hermiticity residual ||M - M^H||_F / ||M||_F is checked first,
-    against a fixed 1e-10 (not ``tol``): a matrix above it is reported
-    non-Hermitian, never HPD.  On the Hermitian path the verdict is HPD iff
-    the factorization completes with every pivot above ``tol`` times the
-    largest diagonal entry; the reason records the first failing pivot.
+    c is None unless M is HPD; then it is the lower Cholesky factor of the
+    F-contiguous M.T = conj(M), which has M's pivots.
     """
-    M = np.asarray(M, dtype=complex)
     herm = _hermiticity_residual(M)
-    if herm > 1e-10:
-        return Verdict(False, f"non-hermitian (residual {herm:.2e})")
-    c, info = sla.lapack.zpotrf(M, lower=1)  # reads only the lower triangle
+    if herm > HERMITIAN_TOL:
+        return Verdict(False, f"non-hermitian (residual {herm:.2e})"), None
+    c, info = sla.lapack.zpotrf(M.T, lower=1, clean=1)
     if info > 0:
-        return Verdict(False, f"not positive definite: pivot failure at index {info - 1}")
+        reason = f"not positive definite: pivot failure at index {info - 1}"
+        return Verdict(False, reason), None
     if info < 0:
         raise ValueError(f"invalid argument {-info} passed to zpotrf")
     pivots = np.real(np.diag(c)) ** 2
-    floor = tol * max(np.real(np.diag(M)).max(), 1e-300)
+    floor = 1e-12 * max(np.real(np.diag(M)).max(), 1e-300)
     bad = np.nonzero(pivots < floor)[0]
     if bad.size:
-        return Verdict(False, f"semidefinite to tolerance at pivot index {bad[0]}")
-    return Verdict(True, "HPD")
+        return Verdict(False, f"semidefinite to tolerance at pivot index {bad[0]}"), None
+    return Verdict(True, "HPD"), c
+
+
+def cholesky_hpd_test(M):
+    """Hermitian-positive-definiteness verdict via complex Cholesky.
+
+    The one rule, which ``condition_number_p1`` also applies: M is
+    non-Hermitian when ||M - M^H||_F / ||M||_F exceeds HERMITIAN_TOL, and
+    otherwise HPD iff the factorization completes with every pivot at least
+    1e-12 times the largest diagonal entry; the reason records the first
+    failing pivot.
+    """
+    return _hpd_cholesky(np.asarray(M, dtype=complex))[0]
 
 
 def quick_pd_screen(M):
@@ -97,7 +111,7 @@ def quick_pd_screen(M):
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"quick_pd_screen requires a square matrix, got {M.shape}")
-    if _hermiticity_residual(M) > 1e-12:
+    if _hermiticity_residual(M) > HERMITIAN_TOL:
         raise ValueError("quick_pd_screen requires a Hermitian matrix")
     d = np.real(np.diag(M))
     if np.any(d <= 0):
@@ -144,34 +158,25 @@ def norm1(M):
 def condition_number_p1(M):
     """kappa_1(M) = ||M||_1 ||M^-1||_1.
 
-    When M is Hermitian to 1e-12 and complex Cholesky (``zpotrf``)
-    completes, M^-1 comes from ``zpotri``; otherwise from partially
-    pivoted LU (``lu_factor_checked``) and an identity solve.  Both paths
-    raise ``np.linalg.LinAlgError`` ("condition_number_p1 input singular to
-    tolerance at pivot index i") at the first pivot below 1e-14 max|M|:
-    c_ii^2 for the Cholesky factor, |u_ii| for LU.
+    M^-1 comes from ``zpotri`` on the factor of the ``cholesky_hpd_test``
+    verdict when M is HPD by that rule, and otherwise from partially
+    pivoted LU (``lu_factor_checked``) and an identity solve, which raises
+    ``np.linalg.LinAlgError`` ("condition_number_p1 input singular to
+    tolerance at pivot index i") at the first |u_ii| below 1e-14 max|M|.
+    An HPD verdict leaves no such pivot: c_ii^2 >= 1e-12 max diag(M).
     """
     M = np.asarray(M, dtype=complex)
     if M.shape[0] != M.shape[1]:
         raise ValueError("condition_number_p1 requires a square matrix")
-    what = "condition_number_p1 input"
-    if _hermiticity_residual(M) <= 1e-12:
-        # M.T is F-contiguous and equals conj(M), which has M's kappa_1 and
-        # HPD verdict: zpotrf factors one copy and leaves M for the LU path
-        c, info = sla.lapack.zpotrf(M.T, lower=1, clean=1)
-        if info == 0:
-            tol = 1e-14 * max(np.abs(M).max(), 1e-300)
-            bad = np.nonzero(np.real(np.diag(c)) ** 2 < tol)[0]
-            if bad.size:
-                raise np.linalg.LinAlgError(
-                    f"{what} singular to tolerance at pivot index {bad[0]}")
-            # the pivot check above leaves zpotri no zero pivot to fail on
-            c, _ = sla.lapack.zpotri(c, lower=1, overwrite_c=1)
-            # c holds the lower triangle L of the Hermitian inverse and zeros
-            # above it (clean=1): |column j| = |L col j| + |L row j| - |L_jj|
-            L = np.abs(c)
-            del c
-            return norm1(M) * float((L.sum(axis=0) + L.sum(axis=1) - np.diag(L)).max())
-        del c  # not HPD: the partial factor is freed before the LU fallback
-    inv = sla.lu_solve(lu_factor_checked(M, what), np.eye(M.shape[0], dtype=complex))
+    verdict, c = _hpd_cholesky(M)
+    if verdict:
+        # c factors conj(M), whose inverse has the same 1-norm as M^-1
+        c, _ = sla.lapack.zpotri(c, lower=1, overwrite_c=1)
+        # c holds the lower triangle L of the Hermitian inverse and zeros
+        # above it (clean=1): |column j| = |L col j| + |L row j| - |L_jj|
+        L = np.abs(c)
+        del c
+        return norm1(M) * float((L.sum(axis=0) + L.sum(axis=1) - np.diag(L)).max())
+    inv = sla.lu_solve(lu_factor_checked(M, "condition_number_p1 input"),
+                       np.eye(M.shape[0], dtype=complex))
     return norm1(M) * norm1(inv)

@@ -11,7 +11,7 @@ from helmmg.certificate import (
     _smoothed,
     assemble_D,
     certify,
-    lambda_min_hermitian,
+    check_dense_limit,
     omega_sweep,
     smoother_correction,
     table_entry,
@@ -132,12 +132,16 @@ def test_structured_forms_match_dense(scheme, coarsen, nu):
     I = np.eye(T0.shape[0])
     DA = I - T0
     G = _gamma_form(MA, P - MA @ P, Y)
-    assert rel_fro(G, DA.conj().T + DA - DA.conj().T @ DA) <= 1e-13
+    G_dense = DA.conj().T + DA - DA.conj().T @ DA
+    assert rel_fro(G, G_dense) <= 1e-13
     assert rel_fro(I - G, T0.conj().T @ T0) <= 1e-13
-    # certify and table_entry take ||T0||_2 from the same I - Gamma
+    # certify and table_entry take ||T0||_2 from the same I - Gamma;
+    # lambda_min(Gamma) against numpy's full spectrum of the dense Gamma
     rep = certify(cfg, log=io.StringIO())
     assert rep.norm_T0 == table_entry(cfg)[1]
     assert np.isclose(rep.sigma_max_DA, np.linalg.norm(DA, 2), rtol=1e-12, atol=0.0)
+    assert np.isclose(rep.lambda_min_gamma, np.linalg.eigvalsh(G_dense).min(),
+                      rtol=0.0, atol=1e-12 * np.linalg.norm(G_dense, 2))
 
 
 def test_D_tilde_drops_coupling_term():
@@ -155,20 +159,13 @@ def test_D_tilde_drops_coupling_term():
 
 def test_gamma_is_hermitian_and_matches_T0():
     # T0^H T0 = I - Gamma, so lambda_min(Gamma) = 1 - ||T0||_2^2; the
-    # report computes the two sides by separate eigvalsh calls, on Gamma
-    # and on I - Gamma
+    # report takes both from the one top eigenvalue of I - Gamma, and
+    # test_structured_forms_match_dense checks lambda_min(Gamma) against
+    # an independent dense spectrum
     rep = certify(make_cfg(), log=io.StringIO())
     assert rep.hermiticity_residual_gamma <= 1e-12
     assert np.isclose(rep.lambda_min_gamma, 1.0 - rep.norm_T0**2,
                       rtol=1e-10, atol=1e-12)
-
-
-def test_lambda_min_on_known_spectrum():
-    Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((10, 10)))
-    vals = np.linspace(0.3, 4.0, 10)
-    G = Q @ np.diag(vals) @ Q.T
-    lam = lambda_min_hermitian(G)
-    assert np.isclose(lam, 0.3, rtol=1e-8)
 
 
 def test_certify_known_good_configuration():
@@ -319,7 +316,7 @@ def test_dense_limit_enforced():
     big = TwoGridConfig(A=FakeBig(), coarse_build_op=None, pair=None,
                         omega=4.5, nu=1)
     with pytest.raises(DenseLimitError):
-        big.check_dense_limit()
+        check_dense_limit(FakeBig.shape[0])
     for run in (certify, table_entry, assemble_D,
                 lambda cfg: omega_sweep(lambda w, nu: cfg, (4.5,), (1,))):
         with pytest.raises(DenseLimitError):

@@ -155,7 +155,7 @@ def test_norm1_and_condition(rng):
 
 @pytest.fixture
 def lu_calls(monkeypatch):
-    """Counts the LU factorizations ``condition_number_p1`` falls back to."""
+    """Records the ``what`` of every ``lu_factor_checked`` call in linalg."""
     calls = []
 
     def spy(M, what):
@@ -186,32 +186,41 @@ def test_condition_singular_raises(lu_calls):
     B = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
     with pytest.raises(np.linalg.LinAlgError, match="condition_number_p1 input"):
         condition_number_p1(B @ B.conj().T)
-    # Cholesky completes here, but c_11^2 = 1e-15 is below 1e-14 max|M|
+    # Cholesky completes here, but c_11^2 = 1e-15 is below the verdict's
+    # 1e-12 max diag floor: LU takes over and its u_11 = 1e-15 is below
+    # 1e-14 max|M|
     lu_calls.clear()
     with pytest.raises(np.linalg.LinAlgError,
                        match="condition_number_p1 input singular to tolerance "
                              "at pivot index 1"):
         condition_number_p1(np.diag([1.0, 1e-15, 1.0]).astype(complex))
+    assert lu_calls == ["condition_number_p1 input"]
+
+
+def test_one_hermitian_tolerance(small_spd, lu_calls):
+    # a residual between 1e-12 and 1e-10 is non-Hermitian to the verdict,
+    # to kappa_1 and to the quick screen alike
+    M = small_spd.copy()
+    M[0, 1] += 1e-10 * np.abs(M).max()
+    assert 1e-12 < linalg._hermiticity_residual(M) < 1e-10
+    v = cholesky_hpd_test(M)
+    assert not v.ok and v.reason.startswith("non-hermitian")
+    want = norm1(M) * norm1(np.linalg.inv(M))
+    assert np.isclose(condition_number_p1(M), want, rtol=1e-12, atol=0.0)
+    assert lu_calls == ["condition_number_p1 input"]
+    with pytest.raises(ValueError, match="requires a Hermitian matrix"):
+        quick_pd_screen(M)
+
+
+def test_quick_screen_dense_limit_skips_determinant(monkeypatch, lu_calls):
+    monkeypatch.setattr(linalg, "DENSE_LIMIT", 8)
+    M = np.array([[2.0, 0.5, 0.0],
+                  [0.5, 2.0, 0.5],
+                  [0.0, 0.5, 2.0]], dtype=complex)
+    assert quick_pd_screen(M) == Verdict(True, "pass (condition 4 skipped: dense limit)")
     assert lu_calls == []
 
 
 def test_verdict_truthiness():
     assert bool(Verdict(True, "x"))
     assert not bool(Verdict(False, "y"))
-
-
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 512))
-    @settings(max_examples=30, deadline=None)
-    def test_splitmix64_property(seed, count):
-        from helmmg.problem import splitmix64_uniform
-
-        vals = splitmix64_uniform(seed, count)
-        assert vals.shape == (count,)
-        assert np.all((vals >= 0.0) & (vals < 1.0))
-        assert np.array_equal(vals, splitmix64_uniform(seed, count))
-except ImportError:  # hypothesis is an optional test dependency
-    pass
