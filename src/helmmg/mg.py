@@ -19,6 +19,16 @@ is zero), the coarse correction updates r with one matvec, and the
 smoothers update it instead of forming b - A u again.  The level above the
 coarsest visits it once whatever gamma is, since an exact solve repeated
 on the same right-hand side returns the same vector.
+
+The GMRES smoother's Krylov basis lives in one workspace per hierarchy,
+(m+1) x N_0 complex entries, allocated by the first GMRES cycle and grown
+only when a later cycle asks for a larger m.  Level j smooths on the
+leading (m+1) x N_j view of it.  One workspace serves every level
+because a level post-smooths only after the coarser recursion has
+returned, so no two levels hold the basis at once.  Two solves must not
+run on one hierarchy at the same time, since they would share it.
+``solve`` drops the workspace when it returns, so hierarchies kept
+between solves hold none.
 """
 
 from dataclasses import dataclass, field
@@ -46,11 +56,12 @@ class Level:
 
 @dataclass
 class Hierarchy:
-    """Ordered levels (fine to coarse) plus the coarsest dense LU."""
+    """Levels (fine to coarse), coarsest dense LU, shared GMRES workspace."""
 
     levels: list
     coarse_lu: tuple
     spec: object = None
+    workspace: np.ndarray = None  # GMRES basis, see gmres_basis
 
     @property
     def fine_operator(self):
@@ -59,6 +70,18 @@ class Hierarchy:
     @property
     def nlevels(self):
         return len(self.levels)
+
+    def gmres_basis(self, m, N):
+        """The (m+1) x N GMRES basis view of the shared workspace.
+
+        The workspace holds (m+1) * N_0 entries for the N_0 fine-level
+        unknowns and is reallocated only when m exceeds the m it was
+        allocated for.
+        """
+        size = (m + 1) * self.levels[0].n ** 2
+        if self.workspace is None or self.workspace.size < size:
+            self.workspace = np.empty(size, dtype=complex)
+        return self.workspace[:(m + 1) * N].reshape(m + 1, N)
 
 
 @dataclass
@@ -139,7 +162,11 @@ def cycle(h, level, u, r, cfg):
     for _ in range(1 if level + 2 == h.nlevels else cfg.gamma):
         ec, rc = cycle(h, level + 1, ec, rc, cfg)
     d = L.pair.P @ ec
-    return apply_smoother(L.op, u + d, r - L.op @ d, cfg.smoother, diag=L.diag)
+    sm = cfg.smoother
+    # size from r: the level operator need not expose a shape
+    basis = h.gmres_basis(sm.m, r.shape[0]) if sm.kind == "gmres" else None
+    return apply_smoother(L.op, u + d, r - L.op @ d, sm, diag=L.diag,
+                          basis=basis)
 
 
 #: a run stops as diverged once its relative residual exceeds this multiple
@@ -191,19 +218,22 @@ def solve(h, b, cfg, u0=None):
     if r0 == 0.0:
         return SolveResult(u=u, cycles=0, residual_history=history, status="converged")
     best = 1.0
-    for it in range(1, cfg.max_cycles + 1):
-        u, r = cycle(h, 0, u, r, cfg)
-        rel = float(np.linalg.norm(r) / r0)
-        status = _stop_status(rel, best, cfg.tol)
-        if status or it == cfg.max_cycles:
-            r = b - A @ u
+    try:
+        for it in range(1, cfg.max_cycles + 1):
+            u, r = cycle(h, 0, u, r, cfg)
             rel = float(np.linalg.norm(r) / r0)
             status = _stop_status(rel, best, cfg.tol)
-        history.append(rel)
-        if status:
-            return SolveResult(u=u, cycles=it, residual_history=history,
-                               status=status)
-        best = min(best, rel)
+            if status or it == cfg.max_cycles:
+                r = b - A @ u
+                rel = float(np.linalg.norm(r) / r0)
+                status = _stop_status(rel, best, cfg.tol)
+            history.append(rel)
+            if status:
+                return SolveResult(u=u, cycles=it, residual_history=history,
+                                   status=status)
+            best = min(best, rel)
+    finally:
+        h.workspace = None  # a hierarchy kept between solves holds no basis
     return SolveResult(u=u, cycles=cfg.max_cycles, residual_history=history,
                        status="max-cycles")
 

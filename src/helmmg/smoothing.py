@@ -12,18 +12,29 @@ The Jacobi convention follows X = omega * Lambda_A: one sweep is
 so ``omega = 4.5`` means a damping factor of 1/4.5 ~ 0.222, at one
 matvec per sweep.
 
-The GMRES smoother runs ``m`` Arnoldi steps on A c = r, keeping the
-Krylov basis as one array orthogonalized through BLAS products, and adds
-the correction c = V_m y that minimizes ||r - A c|| (one LAPACK
-least-squares solve on the small Hessenberg matrix H); the Arnoldi
-relation A V_m = V_{m+1} H gives the new residual r - V_{m+1} H y
-without another matvec.  It acts as a degree-(m-1) polynomial smoother
-at m matvecs per step.
+The GMRES smoother runs ``m`` Arnoldi steps on A c = r and adds the
+correction c = V_m y that minimizes ||r - A c|| (one LAPACK least-squares
+solve on the small Hessenberg matrix H); the Arnoldi relation
+A V_m = V_{m+1} H gives the new residual r - V_{m+1} H y without another
+matvec.  It acts as a degree-(m-1) polynomial smoother at m matvecs per
+step.
+
+The Krylov basis V is an (m+1) x N array, one row per basis vector,
+that the caller may own: the multigrid cycle passes a view of one
+workspace per hierarchy, shared by all levels, so a step allocates no
+basis.  Classical Gram-Schmidt runs through BLAS level 2 on the
+F-contiguous view V^T: ``zgemv(trans=2)`` forms V^* w and an in-place
+``zgemv`` subtracts V^T h from w, with no conjugated copies; norms come
+from ``vdot``.  The (m+1) x m least-squares solve stays with
+``np.linalg.lstsq``: LAPACK's zgels is faster on so small a matrix, but
+has no answer when H is rank-deficient at breakdown, where lstsq returns
+the minimum-norm solution.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 
 @dataclass(frozen=True)
@@ -62,54 +73,73 @@ def jacobi_sweep(A, u, r, omega, diag=None):
     return u + d, r - A @ d
 
 
-def gmres_smooth(A, u, r, m=3):
+def _norm(x):
+    """2-norm of a complex vector from one BLAS dot product."""
+    return np.sqrt(np.vdot(x, x).real)
+
+
+def gmres_smooth(A, u, r, m=3, V=None):
     """One GMRES(m) smoothing step on the residual r = b - A u.
 
     Returns (u + c, r - A c) where c minimizes ||r - A c|| over the
     m-dimensional Krylov space of (A, r); the new residual comes from the
     Arnoldi relation, not from a matvec.  Arnoldi breakdown means the
     Krylov space is invariant and the correction is exact.
+
+    ``V`` is an optional complex (m+1) x N workspace for the basis; its
+    contents on entry are ignored and overwritten.  Without it a fresh
+    one is allocated.  The returned arrays never share memory with ``V``,
+    ``u`` or ``r``, and ``u`` and ``r`` are left unchanged.
     """
-    rn = np.linalg.norm(r)
+    rn = _norm(r)
     if rn == 0.0:
         return u, r
-    V = np.empty((m + 1, r.shape[0]), dtype=complex)  # basis, one row each
+    if V is None:
+        V = np.empty((m + 1, r.shape[0]), dtype=complex)  # basis, one row each
     H = np.zeros((m + 1, m), dtype=complex)
-    V[0] = r / rn
+    np.multiply(r, 1.0 / rn, out=V[0])
     filled = m + 1  # basis rows written
     for j in range(m):
         w = A @ V[j]
-        wn0 = np.linalg.norm(w)
-        # classical Gram-Schmidt; (w^H V^T)^* = V^* w without copying V^*
-        h = (w.conj() @ V[:j + 1].T).conj()
-        w = w - h @ V[:j + 1]
-        hb = np.linalg.norm(w)
+        wn0 = _norm(w)
+        # classical Gram-Schmidt; Vj = V[:j+1].T is N x (j+1), F-contiguous
+        Vj = V[:j + 1].T
+        h = blas.zgemv(1.0, Vj, w, trans=2)
+        w = blas.zgemv(-1.0, Vj, h, beta=1.0, y=w, overwrite_y=1)
+        hb = _norm(w)
         if hb < 1e-8 * wn0:
             # second pass only when cancellation has cost orthogonality
-            h2 = (w.conj() @ V[:j + 1].T).conj()
-            w = w - h2 @ V[:j + 1]
-            h = h + h2
-            hb = np.linalg.norm(w)
+            h2 = blas.zgemv(1.0, Vj, w, trans=2)
+            w = blas.zgemv(-1.0, Vj, h2, beta=1.0, y=w, overwrite_y=1)
+            h += h2
+            hb = _norm(w)
         H[:j + 1, j] = h
         H[j + 1, j] = hb
         if hb <= 1e-14 * wn0:
             # breakdown: Krylov space invariant, correction exact; row
-            # V[j + 1] is never written, so the residual uses V[:j + 1]
+            # V[j + 1] is not written and may hold stale data, so the
+            # residual uses V[:j + 1] only
             filled = j + 1
             break
-        V[j + 1] = w / hb
+        np.multiply(w, 1.0 / hb, out=V[j + 1])
     k = j + 1
     g = np.zeros(k + 1, dtype=complex)
     g[0] = rn
     y = np.linalg.lstsq(H[:k + 1, :k], g, rcond=None)[0]
-    return u + y @ V[:k], r - (H[:filled, :k] @ y) @ V[:filled]
+    # without overwrite_y, zgemv writes into a copy of u (of r)
+    return (blas.zgemv(1.0, V[:k].T, y, beta=1.0, y=u),
+            blas.zgemv(-1.0, V[:filled].T, H[:filled, :k] @ y, beta=1.0, y=r))
 
 
-def apply_smoother(A, u, r, cfg, diag=None):
-    """Apply ``cfg.nu`` steps of the configured smoother; returns (u, r)."""
+def apply_smoother(A, u, r, cfg, diag=None, basis=None):
+    """Apply ``cfg.nu`` steps of the configured smoother; returns (u, r).
+
+    ``basis`` is the GMRES workspace handed to every step (see
+    ``gmres_smooth``); Jacobi ignores it.
+    """
     for _ in range(cfg.nu):
         if cfg.kind == "jacobi":
             u, r = jacobi_sweep(A, u, r, cfg.omega, diag=diag)
         else:
-            u, r = gmres_smooth(A, u, r, cfg.m)
+            u, r = gmres_smooth(A, u, r, cfg.m, V=basis)
     return u, r

@@ -158,13 +158,16 @@ def test_D_tilde_drops_coupling_term():
 
 
 def test_gamma_is_hermitian_and_matches_T0():
-    # T0^H T0 = I - Gamma, so lambda_min(Gamma) = 1 - ||T0||_2^2; the
-    # report takes both from the one top eigenvalue of I - Gamma, and
-    # test_structured_forms_match_dense checks lambda_min(Gamma) against
-    # an independent dense spectrum
-    rep = certify(make_cfg(), log=io.StringIO())
+    # the report takes lambda_min(Gamma) = 1 - ||T0||_2^2 from one
+    # eigenvalue of T0^H T0 = I - Gamma; check it against the spectrum of
+    # the dense Gamma = DA^H + DA - DA^H DA with DA = I - T0
+    cfg = make_cfg()
+    rep = certify(cfg, log=io.StringIO())
     assert rep.hermiticity_residual_gamma <= 1e-12
-    assert np.isclose(rep.lambda_min_gamma, 1.0 - rep.norm_T0**2,
+    T0 = dense_T0(cfg)
+    DA = np.eye(T0.shape[0]) - T0
+    gamma = DA.conj().T + DA - DA.conj().T @ DA
+    assert np.isclose(rep.lambda_min_gamma, np.linalg.eigvalsh(gamma).min(),
                       rtol=1e-10, atol=1e-12)
 
 

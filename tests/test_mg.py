@@ -274,6 +274,39 @@ def test_gmres_reference_counts(shift, nu, gamma, cycles):
     assert res.converged and res.cycles == cycles
 
 
+def test_gmres_workspace_reused_across_configs():
+    # one hierarchy solved in turn with GMRES m = 3, m = 5, Jacobi and
+    # m = 3 again gives, solve by solve, the history of a freshly built
+    # hierarchy.  Before each solve a cycle leaves stale basis vectors in
+    # the workspace the solve then reuses: m = 5 grows it, Jacobi leaves
+    # it alone, and the last m = 3 runs on a view of the grown one.
+    spec = ProblemSpec(kind="constant-k", k=50.0,
+                       nodes_per_dim=nodes_for_wavenumber(50.0),
+                       shift=ShiftSpec(kind="fixed", beta2=0.7))
+    b = assemble_rhs(spec)
+    u0 = reference_start(b.shape[0])
+    smoothers = [SmootherConfig(kind="gmres", m=3, nu=3),
+                 SmootherConfig(kind="gmres", m=5, nu=3),
+                 SmootherConfig(kind="jacobi", nu=3),
+                 SmootherConfig(kind="gmres", m=3, nu=3)]
+    h = build_hierarchy(spec, "bezier", "csl")
+    r0 = b - h.fine_operator @ u0
+    workspaces = []
+    for sm in smoothers:
+        cfg = CycleConfig(smoother=sm, max_cycles=40)
+        cycle(h, 0, u0, r0, cfg)
+        workspaces.append(h.workspace)
+        got = solve(h, b, cfg, u0=u0)
+        want = solve(build_hierarchy(spec, "bezier", "csl"), b, cfg, u0=u0)
+        assert got.cycles == want.cycles
+        assert got.residual_history == want.residual_history
+        assert h.workspace is None  # a kept hierarchy holds no basis
+        h.workspace = workspaces[-1]
+    N0 = b.shape[0]
+    assert workspaces[0].size == 4 * N0 and workspaces[1].size == 6 * N0
+    assert workspaces[3] is workspaces[2] is workspaces[1]
+
+
 class CountingOp:
     """A level operator that counts its applications through ``@``."""
 

@@ -102,6 +102,21 @@ def test_gmres_breakdown_is_exact():
     assert np.linalg.norm(r - (b - A @ u)) <= 1e-13 * np.linalg.norm(b)
 
 
+def test_gmres_breakdown_ignores_stale_workspace():
+    # a reused basis holds old data in the rows a breakdown leaves
+    # unwritten; the residual must be built from the written rows only
+    cases = [(np.diag([1.0, 2.0, 3.0]), np.ones(3), 3),
+             (np.diag([1.0, 2.0, 3.0]), np.ones(3), 5),
+             (np.diag([2.0, 5.0]), np.array([4.0, 0.0]), 3)]
+    for d, b, m in cases:
+        A = sp.csr_matrix(d.astype(complex))
+        b = b.astype(complex)
+        V = np.full((m + 1, b.shape[0]), np.nan, dtype=complex)
+        u, r = gmres_smooth(A, np.zeros_like(b), b, m=m, V=V)
+        assert np.all(np.isfinite(r))
+        assert np.linalg.norm(r - (b - A @ u)) <= 1e-13 * np.linalg.norm(b)
+
+
 def test_gmres_converged_input_returned():
     A, _ = random_system(5, 6)
     x = np.ones(5, dtype=complex)
@@ -121,6 +136,30 @@ def test_gmres_matches_scipy_restart_cycle(m):
     want, _ = spla.gmres(A, b, x0=u, rtol=0, atol=0, restart=m, maxiter=1)
     got = gmres_smooth(A, u, b - A @ u, m)[0]
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want - u)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_gmres_reused_basis_matches_fresh(m):
+    # a caller-owned basis, already holding another step's vectors, gives
+    # the step of a freshly allocated one; the results own their memory
+    spec = ProblemSpec(kind="constant-k", k=20.0, nodes_per_dim=33)
+    A = assemble_helmholtz(spec, build_wavenumber_field(spec), shift_on=False)
+    rng = np.random.default_rng(11)
+    N = A.shape[0]
+    u, b, b_old = (rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                   for _ in range(3))
+    r = b - A @ u
+    u_in, r_in = u.copy(), r.copy()
+    buf = np.empty((m + 1, N), dtype=complex)
+    gmres_smooth(A, np.zeros(N, dtype=complex), b_old, m, V=buf)
+    want_u, want_r = gmres_smooth(A, u, r, m)
+    got_u, got_r = gmres_smooth(A, u, r, m, V=buf)
+    assert np.linalg.norm(got_u - want_u) <= 1e-14 * np.linalg.norm(want_u)
+    assert np.linalg.norm(got_r - want_r) <= 1e-14 * np.linalg.norm(want_r)
+    for out in (got_u, got_r):
+        for other in (buf, u, r):
+            assert not np.shares_memory(out, other)
+    assert np.array_equal(u, u_in) and np.array_equal(r, r_in)
 
 
 def test_apply_smoother_steps():
