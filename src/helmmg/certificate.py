@@ -45,6 +45,20 @@ matrix (DA)^H DA = DA + DA^H - Gamma included; D itself is formed only in
 ``assemble_D``.  Reported 2-norms are exact (LAPACK eigenvalues of these
 Gram matrices), and lambda_min(Gamma) = 1 - lambda_max(T0^H T0) comes
 from the same one eigenvalue as ||T0||_2.
+
+MP 2-A has constant k and the same Sommerfeld rows on all four sides, so
+its two-grid operator commutes with the grid reflections x -> 1-x and
+y -> 1-y (both transfer schemes, both coarsenings, omega-Jacobi).  In the
+orthogonal even/odd mirror basis Q = Q1 (x) Q1, Q1 the butterfly
+(x_i +- x_{n-1-i})/sqrt(2) with the centre node even, both Gram matrices
+are block diagonal with four blocks of about N/4 (289, 272, 272 and 256
+at n = 33), and lambda_max is the largest block maximum.  ``_grid_norm2``
+applies Q in place and measures the 12 off-diagonal blocks E; it solves
+the four diagonal blocks only when ||E||_F <= MIRROR_TOL ||H||_F, with
+MIRROR_TOL = 1e-13, since by Weyl's inequality dropping E moves no
+eigenvalue by more than ||E||_2 <= ||E||_F.  Otherwise (variable k) it
+solves the whole transformed matrix, with the same exact result.  The
+Cholesky verdicts and kappa_1 are taken on the untransformed matrices.
 """
 
 import sys
@@ -200,11 +214,80 @@ def _gamma_form(MA, W, Y):
     return _hermitian_low_rank(MAh + MA - MAh @ MA, U, Y)
 
 
+#: Largest off-block Frobenius norm, relative to ||H||_F, at which
+#: ``_grid_norm2`` takes lambda_max(H) from the four mirror blocks.  Dropping
+#: the off-blocks E moves no eigenvalue by more than ||E||_2 <= ||E||_F
+#: (Weyl's inequality), so below the gate the block maximum is within
+#: MIRROR_TOL * ||H||_F of lambda_max(H).  Constant-k Gram matrices read
+#: about 1e-15 (rounding), variable-k ones 0.05 and more.
+MIRROR_TOL = 1e-13
+
+
+def _butterfly(H):
+    """Apply H <- Q H Q^T in place for the mirror basis Q = Q1 (x) Q1.
+
+    H is an N x N C-contiguous matrix on an n x n grid, N = n^2, n odd.
+    Q1 maps x to (x_i + x_j)/sqrt(2) at i and (x_i - x_j)/sqrt(2) at j
+    for each mirror pair i < j = n-1-i, and keeps the centre x_m,
+    m = (n-1)/2: indices 0..m of an axis are even, m+1..n-1 odd.  Q is
+    orthogonal, so ||H||_F and the spectrum are unchanged.  Returns the
+    (n, n, n, n) view of H and the four (x, y) parity slice pairs, or
+    None, leaving H untouched, when N is not the square of an odd n >= 3.
+    """
+    n = int(round(np.sqrt(H.shape[0])))
+    if n * n != H.shape[0] or n < 3 or n % 2 == 0 or not H.flags.c_contiguous:
+        return None
+    m = (n - 1) // 2
+    s = np.sqrt(0.5)
+    H4 = H.reshape(n, n, n, n)
+    for axis in range(4):
+        V = np.moveaxis(H4, axis, 0)
+        lo, hi = V[:m], V[:m:-1]  # hi[i] is node n-1-i
+        # the difference first, so a (near-)symmetric pair leaves an odd
+        # part accurate to its own size, not to the size of the sum
+        np.subtract(lo, hi, out=hi)
+        hi *= s
+        lo *= 2.0 * s
+        lo -= hi
+    halves = (slice(0, m + 1), slice(m + 1, n))
+    return H4, [(a, b) for a in halves for b in halves]
+
+
+def _off_block_ratio(H4, parities):
+    """||off-diagonal mirror blocks||_F / ||H||_F of a butterflied H.
+
+    The off-block norm is summed block by block, not taken as
+    ||H||_F^2 minus the diagonal blocks, which cancels.
+    """
+    blocks = (H4[r + c].ravel() for r in parities for c in parities if r != c)
+    off = sum(np.vdot(B, B).real for B in blocks)
+    total = np.vdot(H4, H4).real
+    return float(np.sqrt(off / total)) if total > 0.0 else 0.0
+
+
+def _grid_norm2(H):
+    """Exact 2-norm of any X with X^H X = H on the certificate grid; overwrites H.
+
+    lambda_max(H) is the largest maximum of the four mirror blocks of the
+    butterflied H when its off-blocks pass the MIRROR_TOL gate, and that of
+    the whole butterflied H otherwise (variable k, or a grid that is not
+    an odd square).
+    """
+    split = _butterfly(H)
+    if split is None:
+        return norm2_from_gram(H)
+    H4, parities = split
+    if _off_block_ratio(H4, parities) > MIRROR_TOL:
+        return norm2_from_gram(H)
+    blocks = (H4[p + p] for p in parities)
+    return max(norm2_from_gram(B.reshape(B.shape[0] * B.shape[1], -1)) for B in blocks)
+
+
 def _norm_T0(G):
-    """||T0||_2 from Gamma, overwriting G with I - Gamma = T0^H T0."""
+    """||T0||_2 from Gamma, overwriting G."""
     G *= -1.0
     G[np.diag_indices_from(G)] += 1.0
-    return norm2_from_gram(G)
+    return _grid_norm2(G)
 
 
 def _ratio(Gt):
@@ -240,7 +323,7 @@ def certify(cfg, log=None):
     G = _gamma_form(MA, SP, Y)
     DA_gram = _hermitian_low_rank(MA + MA.conj().T, SP, Y)
     DA_gram -= G
-    sigma_DA = norm2_from_gram(DA_gram)
+    sigma_DA = _grid_norm2(DA_gram)
     del DA_gram
     herm = _hermiticity_residual(G)
     hpd_g = cholesky_hpd_test(G)

@@ -38,7 +38,7 @@ import scipy.linalg as sla
 
 from .linalg import lu_factor_checked
 from .problem import assemble_helmholtz, build_wavenumber_field
-from .smoothing import SmootherConfig, apply_smoother
+from .smoothing import SmootherConfig, apply_smoother, reciprocal_diagonal
 from .transfer import build_transfer_2d, galerkin_coarse
 
 COARSEST_NODES = 10  # stop coarsening when nodes-per-dim drops below this
@@ -51,7 +51,7 @@ class Level:
     op: object  # ComplexSparseMatrix (CSR)
     n: int
     pair: object = None  # TransferPair, absent on the coarsest level
-    diag: np.ndarray = None  # cached operator diagonal for Jacobi
+    inv_diag: np.ndarray = None  # cached 1 / diag(op), the Jacobi scaling
 
 
 @dataclass
@@ -134,7 +134,7 @@ def build_hierarchy(spec, scheme="bezier", coarsen_on="csl"):
         if coarsen_on == "csl"
         else A
     )
-    levels = [Level(op=A, n=n, diag=A.diagonal())]
+    levels = [Level(op=A, n=n, inv_diag=reciprocal_diagonal(A))]
     op = chain_op
     # stop on an even node count too: node-coincident coarsening needs odd n
     while n >= COARSEST_NODES and n % 2 == 1:
@@ -142,7 +142,7 @@ def build_hierarchy(spec, scheme="bezier", coarsen_on="csl"):
         op = galerkin_coarse(op, pair)
         n = (n + 1) // 2
         levels[-1].pair = pair
-        levels.append(Level(op=op, n=n, diag=op.diagonal()))
+        levels.append(Level(op=op, n=n, inv_diag=reciprocal_diagonal(op)))
     coarse_lu = lu_factor_checked(levels[-1].op.toarray(),
                                   "coarsest operator (try a different shift)")
     return Hierarchy(levels=levels, coarse_lu=coarse_lu, spec=spec)
@@ -165,7 +165,7 @@ def cycle(h, level, u, r, cfg):
     sm = cfg.smoother
     # size from r: the level operator need not expose a shape
     basis = h.gmres_basis(sm.m, r.shape[0]) if sm.kind == "gmres" else None
-    return apply_smoother(L.op, u + d, r - L.op @ d, sm, diag=L.diag,
+    return apply_smoother(L.op, u + d, r - L.op @ d, sm, inv_diag=L.inv_diag,
                           basis=basis)
 
 

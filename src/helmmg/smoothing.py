@@ -57,19 +57,28 @@ class SmootherConfig:
             raise ValueError("smoothing step count nu must be >= 0")
 
 
-def jacobi_sweep(A, u, r, omega, diag=None):
-    """One damped Jacobi sweep on the residual r = b - A u.
-
-    Returns (u + d, r - A d) with d = (1/omega) Lambda^-1 r.
-    """
-    if diag is None:
-        diag = A.diagonal()
+def reciprocal_diagonal(A):
+    """1 / diag(A), the Jacobi scaling; ZeroDivisionError names a zero entry's node."""
+    diag = A.diagonal()
     small = np.abs(diag) <= 1e-300
     if small.any():
         raise ZeroDivisionError(
             f"zero diagonal entry at node {int(np.nonzero(small)[0][0])}"
         )
-    d = (1.0 / omega) * r / diag
+    return 1.0 / diag
+
+
+def jacobi_sweep(A, u, r, omega, inv_diag=None):
+    """One damped Jacobi sweep on the residual r = b - A u.
+
+    Returns (u + d, r - A d) with d = (1/omega) Lambda^-1 r.  ``inv_diag``
+    is a cached ``reciprocal_diagonal(A)``; without it the sweep computes
+    (and checks) its own.
+    """
+    if inv_diag is None:
+        inv_diag = reciprocal_diagonal(A)
+    d = r * inv_diag
+    d *= 1.0 / omega
     return u + d, r - A @ d
 
 
@@ -131,15 +140,16 @@ def gmres_smooth(A, u, r, m=3, V=None):
             blas.zgemv(-1.0, V[:filled].T, H[:filled, :k] @ y, beta=1.0, y=r))
 
 
-def apply_smoother(A, u, r, cfg, diag=None, basis=None):
+def apply_smoother(A, u, r, cfg, inv_diag=None, basis=None):
     """Apply ``cfg.nu`` steps of the configured smoother; returns (u, r).
 
-    ``basis`` is the GMRES workspace handed to every step (see
-    ``gmres_smooth``); Jacobi ignores it.
+    ``inv_diag`` is the Jacobi scaling handed to every sweep (see
+    ``jacobi_sweep``) and ``basis`` the GMRES workspace handed to every
+    step (see ``gmres_smooth``); each smoother ignores the other's.
     """
     for _ in range(cfg.nu):
         if cfg.kind == "jacobi":
-            u, r = jacobi_sweep(A, u, r, cfg.omega, diag=diag)
+            u, r = jacobi_sweep(A, u, r, cfg.omega, inv_diag=inv_diag)
         else:
             u, r = gmres_smooth(A, u, r, cfg.m, V=basis)
     return u, r

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helmmg import certificate
 from helmmg.certificate import (
+    MIRROR_TOL,
     TwoGridConfig,
+    _butterfly,
     _coarse_correction,
     _gamma_form,
+    _grid_norm2,
     _smoothed,
     assemble_D,
     certify,
@@ -23,6 +27,7 @@ from helmmg.problem import (
     ShiftSpec,
     assemble_helmholtz,
     build_wavenumber_field,
+    nodes_for_wavenumber,
 )
 from helmmg.smoothing import SmootherConfig
 from helmmg.transfer import build_transfer_2d
@@ -328,3 +333,144 @@ def test_dense_limit_enforced():
 
 class FakeBig:
     shape = (3000, 3000)
+
+
+# --- ||.||_2 from the four mirror blocks ------------------------------------
+
+def mirror_Q1(n):
+    """Dense 1-D butterfly of ``_butterfly``: (x_i +- x_j)/sqrt(2) at i and j = n-1-i."""
+    m = (n - 1) // 2
+    Q = np.zeros((n, n))
+    Q[m, m] = 1.0
+    for i in range(m):
+        j = n - 1 - i
+        Q[i, i] = Q[i, j] = Q[j, i] = np.sqrt(0.5)
+        Q[j, j] = -np.sqrt(0.5)
+    return Q
+
+
+def mirror_parity(n):
+    """Block label 0..3 (x parity, y parity) of each unknown in the mirror basis."""
+    odd = np.arange(n) > (n - 1) // 2
+    return (2 * odd[:, None] + odd[None, :]).ravel()
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Record the off-block ratios and the Gram sizes ``_grid_norm2`` hands on."""
+    calls = {"ratios": [], "sizes": []}
+    ratio, norm2 = certificate._off_block_ratio, certificate.norm2_from_gram
+
+    def record_ratio(H4, parities):
+        calls["ratios"].append(ratio(H4, parities))
+        return calls["ratios"][-1]
+
+    def record_norm2(H):
+        calls["sizes"].append(H.shape[0])
+        return norm2(H)
+
+    monkeypatch.setattr(certificate, "_off_block_ratio", record_ratio)
+    monkeypatch.setattr(certificate, "norm2_from_gram", record_norm2)
+    return calls
+
+
+def gram_norm(X):
+    """sqrt(lambda_max(X^H X)) from numpy's full spectrum of the dense Gram."""
+    return np.sqrt(np.linalg.eigvalsh(X.conj().T @ X).max())
+
+
+@pytest.mark.parametrize("nu", [1, 3])
+@pytest.mark.parametrize("coarsen", ["csl", "original"])
+@pytest.mark.parametrize("scheme", ["linear", "bezier"])
+@pytest.mark.parametrize("k", [5, 10])
+def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls):
+    # constant k: table_entry's ||T0||_2 and certify's sigma_max(DA) come
+    # from the four mirror blocks, and match the dense Gram's spectrum
+    cfg = make_cfg(k=float(k), n=nodes_for_wavenumber(k), scheme=scheme,
+                   coarsen=coarsen, nu=nu)
+    T0 = dense_T0(cfg)
+    N = T0.shape[0]
+    t0 = table_entry(cfg)[1]
+    rep = certify(cfg, log=io.StringIO())
+    assert abs(t0 - gram_norm(T0)) <= 1e-13 * gram_norm(T0)
+    assert rep.norm_T0 == t0
+    want = gram_norm(np.eye(N) - T0)
+    assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
+    # one gate per norm (table_entry: ||T0||; certify: sigma_max(DA), ||T0||),
+    # each passed, and only the quarter-size blocks were solved
+    assert len(norm_calls["ratios"]) == 3
+    assert max(norm_calls["ratios"]) <= MIRROR_TOL
+    assert len(norm_calls["sizes"]) == 12
+    assert sum(norm_calls["sizes"]) == 3 * N
+
+
+def test_grid_norm2_variable_k_takes_full_path(norm_calls):
+    # MP 2-B breaks the mirror symmetry: the gate fails and the whole
+    # transformed Gram is solved, still exactly
+    spec = ProblemSpec(kind="variable-k", k_min=5.0, k_max=10.0, profile="smooth",
+                       seed=1, nodes_per_dim=17,
+                       shift=ShiftSpec(kind="fixed", beta2=0.7))
+    f = build_wavenumber_field(spec)
+    A = assemble_helmholtz(spec, f, shift_on=False)
+    cfg = TwoGridConfig(A=A, coarse_build_op=assemble_helmholtz(spec, f, shift_on=True),
+                        pair=build_transfer_2d(17, "bezier"), omega=4.5, nu=1)
+    T0 = dense_T0(cfg)
+    rep = certify(cfg, log=io.StringIO())
+    assert abs(rep.norm_T0 - gram_norm(T0)) <= 1e-13 * gram_norm(T0)
+    want = gram_norm(np.eye(17 * 17) - T0)
+    assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
+    assert min(norm_calls["ratios"]) > 1e3 * MIRROR_TOL
+    assert norm_calls["sizes"] == [17 * 17, 17 * 17]
+
+
+@pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
+def test_grid_norm2_gate(scale, blocks, norm_calls):
+    # a reflection-invariant Hermitian PSD H = Q^T B Q plus an off-block
+    # perturbation E of ||E||_F = scale * MIRROR_TOL * ||B||_F: the gate
+    # alone decides the path, and either path is exact to ||E||_2
+    n = 9
+    N = n * n
+    rng = np.random.default_rng(7)
+    Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    B = Z @ Z.conj().T
+    label = mirror_parity(n)
+    same = label[:, None] == label[None, :]
+    E = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) * ~same
+    E += E.conj().T
+    B *= same
+    E *= scale * MIRROR_TOL * np.linalg.norm(B) / np.linalg.norm(E)
+    Q = np.kron(mirror_Q1(n), mirror_Q1(n))
+    H = Q.T @ (B + E) @ Q
+    want = np.sqrt(np.linalg.eigvalsh(H).max())
+    got = _grid_norm2(H.copy())
+    ratio, = norm_calls["ratios"]
+    assert (ratio <= MIRROR_TOL) == blocks
+    assert abs(ratio - scale * MIRROR_TOL) <= 0.1 * MIRROR_TOL
+    assert sorted(norm_calls["sizes"]) == ([16, 20, 20, 25] if blocks else [N])
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_butterfly_is_the_mirror_basis_and_keeps_frobenius():
+    n = 9
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    Q = np.kron(mirror_Q1(n), mirror_Q1(n))
+    got = H.copy()
+    _, parities = _butterfly(got)
+    even, odd = slice(0, 5), slice(5, 9)
+    assert parities == [(even, even), (even, odd), (odd, even), (odd, odd)]
+    assert rel_fro(got, Q @ H @ Q.T) <= 1e-14
+    assert abs(np.linalg.norm(got) - np.linalg.norm(H)) <= 1e-14 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("N", [64, 80])
+def test_butterfly_leaves_other_grids_to_the_full_path(N, norm_calls):
+    # an even n or a non-square N has no centre-symmetric butterfly
+    rng = np.random.default_rng(4)
+    Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    H = Z.conj().T @ Z
+    keep = H.copy()
+    assert _butterfly(H) is None
+    assert np.array_equal(H, keep)
+    assert np.isclose(_grid_norm2(H), np.linalg.norm(Z, 2), rtol=1e-13, atol=0.0)
+    assert norm_calls["sizes"] == [N] and norm_calls["ratios"] == []

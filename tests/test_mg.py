@@ -49,6 +49,27 @@ def test_level0_is_unshifted():
     assert abs(d[interior].imag) < 1e-14
 
 
+def test_levels_cache_the_jacobi_scaling():
+    h = two_level()
+    for L in h.levels:
+        assert np.array_equal(L.inv_diag, 1.0 / L.op.diagonal())
+
+
+def test_zero_diagonal_refused_at_build(monkeypatch):
+    # the Jacobi scaling is checked once per level, when the hierarchy is
+    # built, and the error names the node
+    galerkin = mg.galerkin_coarse
+
+    def zero_node_3(op, pair):
+        Ac = galerkin(op, pair).tolil()
+        Ac[3, 3] = 0.0
+        return Ac.tocsr()
+
+    monkeypatch.setattr(mg, "galerkin_coarse", zero_node_3)
+    with pytest.raises(ZeroDivisionError, match="node 3"):
+        two_level()
+
+
 def test_coarsen_on_choices_differ():
     a = two_level(coarsen_on="csl").levels[1].op.toarray()
     b = two_level(coarsen_on="original").levels[1].op.toarray()
