@@ -25,7 +25,7 @@ and the Hermitian certificate matrices
 Gamma-tilde does not depend on the order of smoothing and coarse
 correction.  Gamma HPD implies ||T0||_2 = sqrt(1 - lambda_min(Gamma)) < 1;
 Gamma-tilde HPD is the cheaper sufficient test, and ||Gamma-tilde||_1 /
-kappa_1 is the optimality-bound table value.
+kappa_1 = 1 / ||Gamma-tilde^-1||_1 is the optimality-bound table value.
 
 The coarse correction has rank N_c ~ N/4, so the certificate works from
 
@@ -57,8 +57,16 @@ applies Q in place and measures the 12 off-diagonal blocks E; it solves
 the four diagonal blocks only when ||E||_F <= MIRROR_TOL ||H||_F, with
 MIRROR_TOL = 1e-13, since by Weyl's inequality dropping E moves no
 eigenvalue by more than ||E||_2 <= ||E||_F.  Otherwise (variable k) it
-solves the whole transformed matrix, with the same exact result.  The
-Cholesky verdicts and kappa_1 are taken on the untransformed matrices.
+solves the whole transformed matrix, with the same exact result.
+
+The optimality ratio ||Gamma-tilde||_1 / kappa_1(Gamma-tilde) is exactly
+1 / ||Gamma-tilde^-1||_1.  The 1-norm is not orthogonally invariant, but
+Q is symmetric and orthogonal, so Gamma-tilde^-1 = Q blockdiag(B_i^-1) Q:
+``_grid_inverse`` inverts the four blocks B_i of the butterflied
+Gamma-tilde behind the same gate (Cholesky and ``zpotri`` for an HPD
+block, LU otherwise) and butterflies the result back, and the ratio is
+one over its largest absolute column sum.  The Cholesky verdicts are
+taken on the untransformed matrices.
 """
 
 import sys
@@ -74,8 +82,9 @@ from .linalg import (
     DenseLimitError,
     Verdict,
     _hermiticity_residual,
+    add_adjoint,
     cholesky_hpd_test,
-    condition_number_p1,
+    inverse,
     lu_factor_checked,
     norm1,
     norm2_from_gram,
@@ -133,7 +142,7 @@ class CertificateReport:
     sigma_max_DA: float
     lambda_min_gamma: float
     bound_value: float  # sqrt(|1 - ||Gt||_1 / kappa_1(Gt)|)
-    ratio_table_value: float  # ||Gt||_1 / kappa_1(Gt); NaN if Gt is singular
+    ratio_table_value: float  # ||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1; NaN if singular
     consistency_warnings: list
 
     def to_text(self):
@@ -194,8 +203,7 @@ def _smoothed(cfg):
 
 def _hermitian_low_rank(Hs, W, Y):
     """Hs + W Y + (W Y)^H for sparse Hermitian Hs, N x N_c W and dense N_c x N Y."""
-    X = W @ Y  # the one N x N_c x N product
-    X += X.conj().T
+    X = add_adjoint(W @ Y)  # the one N x N_c x N product
     Hs = Hs.tocoo()
     Hs.sum_duplicates()
     X[Hs.row, Hs.col] += Hs.data  # the sparse part, entry by entry
@@ -215,11 +223,13 @@ def _gamma_form(MA, W, Y):
 
 
 #: Largest off-block Frobenius norm, relative to ||H||_F, at which
-#: ``_grid_norm2`` takes lambda_max(H) from the four mirror blocks.  Dropping
-#: the off-blocks E moves no eigenvalue by more than ||E||_2 <= ||E||_F
-#: (Weyl's inequality), so below the gate the block maximum is within
-#: MIRROR_TOL * ||H||_F of lambda_max(H).  Constant-k Gram matrices read
-#: about 1e-15 (rounding), variable-k ones 0.05 and more.
+#: ``_grid_norm2`` takes lambda_max(H), and ``_grid_inverse`` H^-1, from the
+#: four mirror blocks.  Dropping the off-blocks E moves no eigenvalue by more
+#: than ||E||_2 <= ||E||_F (Weyl's inequality), so below the gate the block
+#: maximum is within MIRROR_TOL * ||H||_F of lambda_max(H).  The inverse
+#: moves by about kappa_2(H) ||E||_2 / ||H||_2 relative, the order of a full
+#: inversion's own rounding error while E is rounding.  Constant-k matrices
+#: read about 1e-15 (rounding), variable-k ones 0.05 and more.
 MIRROR_TOL = 1e-13
 
 
@@ -290,10 +300,37 @@ def _norm_T0(G):
     return _grid_norm2(G)
 
 
+def _grid_inverse(H):
+    """H^-1 of a dense matrix on the certificate grid, overwriting H.
+
+    The butterflied Q H Q is inverted block by block (``linalg.inverse`` on
+    each of the four mirror blocks) when its off-blocks pass the MIRROR_TOL
+    gate, and whole otherwise (variable k).  Q is symmetric and orthogonal,
+    so one more butterfly turns (Q H Q)^-1 into H^-1 = Q (Q H Q)^-1 Q.  A
+    grid that is not an odd square is inverted as it stands.
+    """
+    split = _butterfly(H)
+    if split is None:
+        return inverse(H, "Gamma-tilde")
+    H4, parities = split
+    if _off_block_ratio(H4, parities) > MIRROR_TOL:
+        H = inverse(H, "Gamma-tilde")
+    else:
+        blocks = [H4[p + p] for p in parities]
+        inv = [inverse(B.reshape(B.shape[0] * B.shape[1], -1), "Gamma-tilde mirror block")
+               for B in blocks]
+        H4[...] = 0.0
+        for B, Binv in zip(blocks, inv):
+            B[...] = Binv.reshape(B.shape)
+    _butterfly(H)
+    return H
+
+
 def _ratio(Gt):
-    """||Gt||_1 / kappa_1(Gt); NaN when Gt is singular (rank <= 2 N_c at nu = 0)."""
+    """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1, overwriting Gt; NaN when Gt is
+    singular (rank <= 2 N_c at nu = 0)."""
     try:
-        return norm1(Gt) / condition_number_p1(Gt)
+        return 1.0 / norm1(_grid_inverse(Gt))
     except np.linalg.LinAlgError:
         return np.nan
 

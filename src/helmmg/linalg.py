@@ -52,7 +52,7 @@ def lu_factor_checked(M, what):
 
 
 #: Largest Hermiticity residual ||M - M^H||_F / ||M||_F of a matrix that
-#: counts as Hermitian: the HPD verdict, kappa_1 and the quick screen share it.
+#: counts as Hermitian: the HPD verdict, ``inverse`` and the quick screen share it.
 HERMITIAN_TOL = 1e-12
 
 
@@ -89,11 +89,10 @@ def _hpd_cholesky(M):
 def cholesky_hpd_test(M):
     """Hermitian-positive-definiteness verdict via complex Cholesky.
 
-    The one rule, which ``condition_number_p1`` also applies: M is
-    non-Hermitian when ||M - M^H||_F / ||M||_F exceeds HERMITIAN_TOL, and
-    otherwise HPD iff the factorization completes with every pivot at least
-    1e-12 times the largest diagonal entry; the reason records the first
-    failing pivot.
+    The one rule, which ``inverse`` also applies: M is non-Hermitian when
+    ||M - M^H||_F / ||M||_F exceeds HERMITIAN_TOL, and otherwise HPD iff
+    the factorization completes with every pivot at least 1e-12 times the
+    largest diagonal entry; the reason records the first failing pivot.
     """
     return _hpd_cholesky(np.asarray(M, dtype=complex))[0]
 
@@ -155,28 +154,67 @@ def norm1(M):
     return float(np.abs(np.asarray(M)).sum(axis=0).max())
 
 
-def condition_number_p1(M):
-    """kappa_1(M) = ||M||_1 ||M^-1||_1.
+#: Edge of the square tiles ``add_adjoint`` adds at a time.
+_ADJOINT_TILE = 96
 
-    M^-1 comes from ``zpotri`` on the factor of the ``cholesky_hpd_test``
-    verdict when M is HPD by that rule, and otherwise from partially
-    pivoted LU (``lu_factor_checked``) and an identity solve, which raises
-    ``np.linalg.LinAlgError`` ("condition_number_p1 input singular to
-    tolerance at pivot index i") at the first |u_ii| below 1e-14 max|M|.
-    An HPD verdict leaves no such pivot: c_ii^2 >= 1e-12 max diag(M).
+
+def add_adjoint(X):
+    """X <- X + X^H in place for a square X, one pair of tiles at a time.
+
+    Each entry gets X_ij + conj(X_ji), the same sum as ``X + X.conj().T``
+    bit for bit, without that N x N temporary: the extra memory is two
+    tiles.  Returns X.
+    """
+    n = X.shape[0]
+    t = min(n, _ADJOINT_TILE)
+    buf = np.empty((t, t), dtype=X.dtype)
+    for i in range(0, n, _ADJOINT_TILE):
+        I = slice(i, i + _ADJOINT_TILE)
+        for j in range(i, n, _ADJOINT_TILE):
+            J = slice(j, j + _ADJOINT_TILE)
+            upper, lower = X[I, J], X[J, I]
+            lower_h = np.conjugate(lower.T, out=buf[:upper.shape[0], :upper.shape[1]])
+            if j > i:
+                lower += upper.T.conj()
+            upper += lower_h
+    return X
+
+
+def inverse(M, what):
+    """Full M^-1 of the dense square M, as a C-contiguous complex array.
+
+    When M is HPD by the rule of ``cholesky_hpd_test``, M^-1 comes from
+    ``zpotri`` on that rule's Cholesky factor, with both triangles filled.
+    Otherwise it comes from partially pivoted LU (``lu_factor_checked``)
+    and an identity solve, which raises ``np.linalg.LinAlgError`` ("<what>
+    singular to tolerance at pivot index i") at the first |u_ii| below
+    1e-14 max|M|.  An HPD verdict leaves no such pivot: c_ii^2 >= 1e-12
+    max diag(M).
     """
     M = np.asarray(M, dtype=complex)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("condition_number_p1 requires a square matrix")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
     verdict, c = _hpd_cholesky(M)
     if verdict:
-        # c factors conj(M), whose inverse has the same 1-norm as M^-1
         c, _ = sla.lapack.zpotri(c, lower=1, overwrite_c=1)
-        # c holds the lower triangle L of the Hermitian inverse and zeros
-        # above it (clean=1): |column j| = |L col j| + |L row j| - |L_jj|
-        L = np.abs(c)
-        del c
-        return norm1(M) * float((L.sum(axis=0) + L.sum(axis=1) - np.diag(L)).max())
-    inv = sla.lu_solve(lu_factor_checked(M, "condition_number_p1 input"),
-                       np.eye(M.shape[0], dtype=complex))
-    return norm1(M) * norm1(inv)
+        # c factors conj(M) = M^T, so it now holds the lower triangle of
+        # (M^-1)^T and zeros above it (clean=1): its transpose is the upper
+        # triangle of M^-1, and adding the adjoint fills the lower one (the
+        # add doubles the diagonal, so it is halved first)
+        inv = c.T
+        inv[np.diag_indices_from(inv)] *= 0.5
+        add_adjoint(inv)
+    else:
+        inv = sla.lu_solve(lu_factor_checked(M, what),
+                           np.eye(M.shape[0], dtype=complex, order="F"), overwrite_b=True)
+    return np.ascontiguousarray(inv)
+
+
+def condition_number_p1(M):
+    """kappa_1(M) = ||M||_1 ||M^-1||_1, M^-1 from ``inverse``.
+
+    Raises ``np.linalg.LinAlgError`` ("condition_number_p1 input singular to
+    tolerance at pivot index i") when M is singular to LU's tolerance.
+    """
+    M = np.asarray(M, dtype=complex)
+    return norm1(M) * norm1(inverse(M, "condition_number_p1 input"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helmmg import certificate
+from helmmg import certificate, linalg
 from helmmg.certificate import (
     MIRROR_TOL,
     TwoGridConfig,
@@ -396,24 +396,30 @@ def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls)
     assert rep.norm_T0 == t0
     want = gram_norm(np.eye(N) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
-    # one gate per norm (table_entry: ||T0||; certify: sigma_max(DA), ||T0||),
-    # each passed, and only the quarter-size blocks were solved
-    assert len(norm_calls["ratios"]) == 3
+    # one gate per norm (table_entry: ||T0||; certify: sigma_max(DA), ||T0||)
+    # and one for certify's ratio, each passed, and only the quarter-size
+    # blocks were solved
+    assert len(norm_calls["ratios"]) == 4
     assert max(norm_calls["ratios"]) <= MIRROR_TOL
     assert len(norm_calls["sizes"]) == 12
     assert sum(norm_calls["sizes"]) == 3 * N
 
 
-def test_grid_norm2_variable_k_takes_full_path(norm_calls):
-    # MP 2-B breaks the mirror symmetry: the gate fails and the whole
-    # transformed Gram is solved, still exactly
+def smooth_medium_cfg(omega=4.5, nu=1):
+    """MP 2-B, smooth medium with k from 5 to 10 on n = 17, Bezier/CSL."""
     spec = ProblemSpec(kind="variable-k", k_min=5.0, k_max=10.0, profile="smooth",
                        seed=1, nodes_per_dim=17,
                        shift=ShiftSpec(kind="fixed", beta2=0.7))
     f = build_wavenumber_field(spec)
     A = assemble_helmholtz(spec, f, shift_on=False)
-    cfg = TwoGridConfig(A=A, coarse_build_op=assemble_helmholtz(spec, f, shift_on=True),
-                        pair=build_transfer_2d(17, "bezier"), omega=4.5, nu=1)
+    return TwoGridConfig(A=A, coarse_build_op=assemble_helmholtz(spec, f, shift_on=True),
+                         pair=build_transfer_2d(17, "bezier"), omega=omega, nu=nu)
+
+
+def test_grid_norm2_variable_k_takes_full_path(norm_calls):
+    # MP 2-B breaks the mirror symmetry: the gate fails and the whole
+    # transformed Gram is solved, still exactly
+    cfg = smooth_medium_cfg()
     T0 = dense_T0(cfg)
     rep = certify(cfg, log=io.StringIO())
     assert abs(rep.norm_T0 - gram_norm(T0)) <= 1e-13 * gram_norm(T0)
@@ -423,16 +429,15 @@ def test_grid_norm2_variable_k_takes_full_path(norm_calls):
     assert norm_calls["sizes"] == [17 * 17, 17 * 17]
 
 
-@pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
-def test_grid_norm2_gate(scale, blocks, norm_calls):
-    # a reflection-invariant Hermitian PSD H = Q^T B Q plus an off-block
-    # perturbation E of ||E||_F = scale * MIRROR_TOL * ||B||_F: the gate
-    # alone decides the path, and either path is exact to ||E||_2
+def mirror_invariant(scale, shift=0.0):
+    """H = Q^T (B + E) Q on n = 9: B Hermitian PSD plus shift * I and block
+    diagonal in the mirror basis, E an off-block Hermitian perturbation of
+    ||E||_F = scale * MIRROR_TOL * ||B||_F."""
     n = 9
     N = n * n
     rng = np.random.default_rng(7)
     Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    B = Z @ Z.conj().T
+    B = Z @ Z.conj().T + shift * np.eye(N)
     label = mirror_parity(n)
     same = label[:, None] == label[None, :]
     E = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) * ~same
@@ -440,7 +445,16 @@ def test_grid_norm2_gate(scale, blocks, norm_calls):
     B *= same
     E *= scale * MIRROR_TOL * np.linalg.norm(B) / np.linalg.norm(E)
     Q = np.kron(mirror_Q1(n), mirror_Q1(n))
-    H = Q.T @ (B + E) @ Q
+    return Q.T @ (B + E) @ Q
+
+
+@pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
+def test_grid_norm2_gate(scale, blocks, norm_calls):
+    # a reflection-invariant Hermitian PSD H = Q^T B Q plus an off-block
+    # perturbation E of ||E||_F = scale * MIRROR_TOL * ||B||_F: the gate
+    # alone decides the path, and either path is exact to ||E||_2
+    H = mirror_invariant(scale)
+    N = H.shape[0]
     want = np.sqrt(np.linalg.eigvalsh(H).max())
     got = _grid_norm2(H.copy())
     ratio, = norm_calls["ratios"]
@@ -474,3 +488,114 @@ def test_butterfly_leaves_other_grids_to_the_full_path(N, norm_calls):
     assert np.array_equal(H, keep)
     assert np.isclose(_grid_norm2(H), np.linalg.norm(Z, 2), rtol=1e-13, atol=0.0)
     assert norm_calls["sizes"] == [N] and norm_calls["ratios"] == []
+
+
+# --- 1 / ||Gamma-tilde^-1||_1 from the four mirror blocks ---------------------
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """Record the gate ratios, the sizes ``_grid_inverse`` inverts and the LU inputs."""
+    calls = {"ratios": [], "sizes": [], "lu": []}
+    ratio, inv, lu = certificate._off_block_ratio, certificate.inverse, linalg.lu_factor_checked
+
+    def record_ratio(H4, parities):
+        calls["ratios"].append(ratio(H4, parities))
+        return calls["ratios"][-1]
+
+    def record_inverse(M, what):
+        calls["sizes"].append(M.shape[0])
+        return inv(M, what)
+
+    def record_lu(M, what):
+        calls["lu"].append((what, M.shape[0]))
+        return lu(M, what)
+
+    monkeypatch.setattr(certificate, "_off_block_ratio", record_ratio)
+    monkeypatch.setattr(certificate, "inverse", record_inverse)
+    monkeypatch.setattr(linalg, "lu_factor_checked", record_lu)
+    return calls
+
+
+def dense_ratio(cfg):
+    """1 / ||Gamma-tilde^-1||_1 from numpy's inverse of the dense Gamma-tilde."""
+    return 1.0 / np.abs(np.linalg.inv(dense_gamma_tilde(cfg))).sum(axis=0).max()
+
+
+def mirror_block_sizes(n):
+    """Sizes of the four mirror blocks on an n x n grid, n odd, sorted."""
+    m = (n - 1) // 2
+    return sorted([(m + 1) ** 2, (m + 1) * m, m * (m + 1), m * m])
+
+
+def sweep_and_certify_ratio(make, omega, nu, calls):
+    """The one-cell ``omega_sweep`` ratio and the ``certify`` ratio of make(omega, nu),
+    with the gate ratio and the inverted sizes of each."""
+    cell, = omega_sweep(make, (omega,), (nu,))
+    sweep = cell["ratio"], calls["ratios"][-1], sorted(calls["sizes"])
+    calls["sizes"].clear()
+    rep = certify(make(omega, nu), log=io.StringIO())
+    # certify's ratio is its last gate: the two norms come first
+    return sweep, (rep.ratio_table_value, calls["ratios"][-1], sorted(calls["sizes"]))
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("coarsen", ["csl", "original"])
+@pytest.mark.parametrize("scheme", ["linear", "bezier"])
+@pytest.mark.parametrize("k", [5, 10])
+def test_ratio_block_path_matches_dense_inverse(k, scheme, coarsen, nu, inverse_calls):
+    # constant k: omega_sweep's and certify's ratio invert only the four
+    # quarter-size mirror blocks, and match numpy's inverse of the dense
+    # Gamma-tilde
+    n = nodes_for_wavenumber(k)
+
+    def make(omega, nu):
+        return make_cfg(k=float(k), n=n, scheme=scheme, coarsen=coarsen,
+                        omega=omega, nu=nu)
+
+    want = dense_ratio(make(4.5, nu))
+    for got, gate, sizes in sweep_and_certify_ratio(make, 4.5, nu, inverse_calls):
+        assert abs(got - want) <= 1e-12 * want
+        assert gate <= MIRROR_TOL
+        assert sizes == mirror_block_sizes(n)
+
+
+def test_ratio_variable_k_takes_full_path(inverse_calls):
+    # MP 2-B: the gate fails and the whole butterflied Gamma-tilde is inverted
+    want = dense_ratio(smooth_medium_cfg())
+    for got, gate, sizes in sweep_and_certify_ratio(smooth_medium_cfg, 4.5, 1,
+                                                   inverse_calls):
+        assert abs(got - want) <= 1e-12 * want
+        assert gate > 1e3 * MIRROR_TOL
+        assert sizes == [17 * 17]
+
+
+@pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
+def test_grid_inverse_gate(scale, blocks, inverse_calls):
+    # the gate alone decides the path of the inverse too, and either path
+    # returns H^-1 in the original ordering.  B + 81 I keeps kappa_2 near 4,
+    # so dropping E moves H^-1 by about 4 * scale * MIRROR_TOL; the 1e6
+    # scale makes any E left beside the block inverses stand out
+    H = 1e6 * mirror_invariant(scale, shift=81.0)
+    want = np.linalg.inv(H)
+    got = certificate._grid_inverse(H.copy())
+    ratio, = inverse_calls["ratios"]
+    assert (ratio <= MIRROR_TOL) == blocks
+    assert sorted(inverse_calls["sizes"]) == ([16, 20, 20, 25] if blocks else [81])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
+    # k = 5, Bezier coarsened on A, omega = 4.5, nu = 1: Gamma-tilde is not
+    # HPD; its 25 x 25 even-even block fails Cholesky and is inverted by LU,
+    # the other three by zpotri
+    cfg = make_cfg(coarsen="original", omega=4.5, nu=1)
+    assert not certify(cfg, log=io.StringIO()).hpd_gamma_tilde.ok
+    inverse_calls["lu"].clear()
+    inverse_calls["sizes"].clear()
+    cell, = omega_sweep(lambda w, nu: make_cfg(coarsen="original", omega=w, nu=nu),
+                        (4.5,), (1,))
+    assert inverse_calls["ratios"][-1] <= MIRROR_TOL
+    assert sorted(inverse_calls["sizes"]) == mirror_block_sizes(9)
+    assert inverse_calls["lu"] == [("Gamma-tilde mirror block", 25)]
+    want = dense_ratio(cfg)
+    assert abs(cell["ratio"] - want) <= 1e-12 * want

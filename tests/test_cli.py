@@ -183,12 +183,13 @@ def test_certify_table_regress_text(capsys, monkeypatch, table):
 
 def test_certify_opt1_flagged_cells_print_nan(capsys, monkeypatch):
     # a cell the sweep flags must not print as a tiny ratio (0.000): here
-    # every kappa_1 fails, so every cell reads nan and counts as a miss
-    def singular(M):
+    # every inverse of Gamma-tilde fails, so every cell reads nan and counts
+    # as a miss
+    def singular(M, what):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(presets, "CONV1_KS", (5,))
-    monkeypatch.setattr(certificate, "condition_number_p1", singular)
+    monkeypatch.setattr(certificate, "inverse", singular)
     assert main(["certify", "--table", "opt1", "--regress"]) == EXIT_DIVERGED
     out = capsys.readouterr().out
     assert out.count("nan/nan") == len(presets.OPT1_OMEGAS)

@@ -5,8 +5,10 @@ import scipy.sparse as sp
 from helmmg import linalg
 from helmmg.linalg import (
     Verdict,
+    add_adjoint,
     cholesky_hpd_test,
     condition_number_p1,
+    inverse,
     lu_factor_checked,
     norm1,
     norm2_from_gram,
@@ -210,6 +212,43 @@ def test_one_hermitian_tolerance(small_spd, lu_calls):
     assert lu_calls == ["condition_number_p1 input"]
     with pytest.raises(ValueError, match="requires a Hermitian matrix"):
         quick_pd_screen(M)
+
+
+@pytest.mark.parametrize("tiles, extra", [(0, 1), (0, 7), (1, 0), (1, 1), (3, 17)])
+def test_add_adjoint_is_the_full_sum_bit_for_bit(tiles, extra):
+    # part of a tile, exactly one, one plus a sliver, and a ragged last
+    # tile pair; every entry must be the sum X + X^H gives
+    n = tiles * linalg._ADJOINT_TILE + extra
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = X + X.conj().T
+    got = X.copy()
+    assert add_adjoint(got) is got
+    assert np.array_equal(got, want)
+
+
+def test_inverse_hpd_through_cholesky(small_spd, lu_calls):
+    got = inverse(small_spd, "spd")
+    want = np.linalg.inv(small_spd)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got.flags.c_contiguous
+    assert lu_calls == []
+
+
+def test_inverse_indefinite_through_lu(small_spd, lu_calls):
+    M = small_spd - 30 * np.eye(12)
+    got = inverse(M, "indefinite")
+    want = np.linalg.inv(M)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got.flags.c_contiguous
+    assert lu_calls == ["indefinite"]
+
+
+def test_inverse_singular_names_the_input(lu_calls):
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="rank-3 input singular to tolerance at pivot index 2"):
+        inverse(np.diag([1.0, 2.0, 0.0, 3.0]).astype(complex), "rank-3 input")
+    assert lu_calls == ["rank-3 input"]
 
 
 def test_quick_screen_dense_limit_skips_determinant(monkeypatch, lu_calls):
