@@ -33,18 +33,18 @@ The coarse correction has rank N_c ~ N/4, so the certificate works from
     MA = M_nu A        (sparse),     S = I - MA,
 
 with D-tilde A = MA + P Y and D A = I - T0 = MA + S P Y.  Both certificate
-matrices are one Gamma form of X = MA + W Y, built in sparse-plus-rank-N_c
-form with one N x N_c x N product:
+matrices are one Gamma form of X = MA + W Y, in sparse-plus-rank-N_c form:
 
     X^H + X - X^H X = G_s + F + F^H,  G_s = MA^H + MA - MA^H MA,
-                                      F = ((I - MA^H) W - 1/2 Y^H W^H W) Y;
+                                      F = U Y,
+                                      U = (I - MA^H) W - 1/2 Y^H W^H W;
 
 W = P gives Gamma-tilde, W = S P gives Gamma, and T0^H T0 = I - Gamma.
-Every dense N x N matrix comes from one N x N_c x N product, the Gram
-matrix (DA)^H DA = DA + DA^H - Gamma included; D itself is formed only in
-``assemble_D``.  Reported 2-norms are exact (LAPACK eigenvalues of these
-Gram matrices), and lambda_min(Gamma) = 1 - lambda_max(T0^H T0) comes
-from the same one eigenvalue as ||T0||_2.
+The full N x N form (``_gamma_form``) costs one N x N_c x N product; the
+Gram matrix (DA)^H DA = DA + DA^H - Gamma is built the same way, and D
+itself is formed only in ``assemble_D``.  Reported 2-norms are exact
+(LAPACK eigenvalues of these Gram matrices), and lambda_min(Gamma) =
+1 - lambda_max(T0^H T0) comes from the same one eigenvalue as ||T0||_2.
 
 MP 2-A has constant k and the same Sommerfeld rows on all four sides, so
 its two-grid operator commutes with the grid reflections x -> 1-x and
@@ -52,21 +52,53 @@ y -> 1-y (both transfer schemes, both coarsenings, omega-Jacobi).  In the
 orthogonal even/odd mirror basis Q = Q1 (x) Q1, Q1 the butterfly
 (x_i +- x_{n-1-i})/sqrt(2) with the centre node even, both Gram matrices
 are block diagonal with four blocks of about N/4 (289, 272, 272 and 256
-at n = 33), and lambda_max is the largest block maximum.  ``_grid_norm2``
-applies Q in place and measures the 12 off-diagonal blocks E; it solves
-the four diagonal blocks only when ||E||_F <= MIRROR_TOL ||H||_F, with
-MIRROR_TOL = 1e-13, since by Weyl's inequality dropping E moves no
-eigenvalue by more than ||E||_2 <= ||E||_F.  Otherwise (variable k) it
-solves the whole transformed matrix, with the same exact result.
+at n = 33), and lambda_max is the largest block maximum.
 
-The optimality ratio ||Gamma-tilde||_1 / kappa_1(Gamma-tilde) is exactly
-1 / ||Gamma-tilde^-1||_1.  The 1-norm is not orthogonally invariant, but
-Q is symmetric and orthogonal, so Gamma-tilde^-1 = Q blockdiag(B_i^-1) Q:
-``_grid_inverse`` inverts the four blocks B_i of the butterflied
-Gamma-tilde behind the same gate (Cholesky and ``zpotri`` for an HPD
-block, LU otherwise) and butterflies the result back, and the ratio is
-one over its largest absolute column sum.  The Cholesky verdicts are
-taken on the untransformed matrices.
+The blocks are built from the factors, and no N x N matrix is formed.
+The fine and coarse reflections commute with P, R, A, the CSL and M_nu,
+and the fine centre node is a coarse node when n_c = (n+1)/2 is odd.  So
+the butterflied factors Ub = Q_f U Q_c and Yb = Q_c Y Q_f are
+parity-block diagonal, fine parity p paired with coarse parity p, and so
+is Q_f G_s Q_f.  ``_mirror_blocks`` forms block p as
+
+    K_p = (Q_f G_s Q_f)_pp + U_p Y_p + (U_p Y_p)^H,
+
+four N/4 x N_c/4 x N/4 products (21.6 M complex multiply-adds at n = 33
+against 342.7 M for the full form).  Splitting Ub = U_d + U_o and
+Yb = Y_d + Y_o into their parity-diagonal and off parts, the dropped part
+of Q_f (G_s + F + F^H) Q_f is
+
+    E = G_o + Z + Z^H,  Z = U_d Y_o + U_o Yb,
+
+G_o the off-blocks of Q_f G_s Q_f.  Z holds U_o Y_o, whose products land
+inside the diagonal blocks too, not only in the off-blocks: U_d Y_d alone
+is what K keeps.  Hence
+
+    ||E||_F <= ||G_o||_F + 2 (||U_d||_F ||Y_o||_F + ||U_o||_F ||Yb||_F),
+
+each norm summed block by block (a total minus the diagonal blocks
+cancels to about 1e-8 on rounding-level off-blocks).  The factor gate
+takes the blocks when this bound is at most MIRROR_TOL = 1e-13 times
+||K||_F; by Weyl's inequality no eigenvalue of the kept matrix is then
+more than that from the form's.  The table rows read at most 4e-15
+(k = 5), 1e-14 (k = 10), 3e-14 (k = 20) and 5.5e-14 (k = 30, Bezier
+coarsened on A); a smooth variable-k medium reads about 1.6, and a grid
+with n_c even has no split, so both take the full form, unchanged.
+
+``omega_sweep`` and ``table_entry``'s Gamma use the blocks: Y is
+butterflied once per configuration, ||T0||_2 is the root of the largest
+lambda_max(I - K_p), and the optimality ratio ||Gamma-tilde||_1 /
+kappa_1 = 1 / ||Gamma-tilde^-1||_1 comes from Gamma-tilde^-1 =
+Q blockdiag(K_p^-1) Q (``linalg.inverse`` on each block: Cholesky and
+``zpotri`` for an HPD block, LU otherwise).  The 1-norm is not
+orthogonally invariant, but that matrix commutes with both reflections,
+so the column sums of one quadrant of columns give it (``_mirror_norm1``).
+The Cholesky verdicts, the Hermiticity residual and the quick screen are
+taken on the untransformed full matrices, and ``certify`` takes ||T0||_2
+and the ratio from the same blocks.  On a full matrix, ``_grid_norm2`` and
+``_grid_inverse`` butterfly it in place and apply the same MIRROR_TOL to
+its 12 off-diagonal blocks, relative to ||H||_F, and solve the whole
+transformed matrix otherwise, with the same exact result.
 """
 
 import sys
@@ -202,56 +234,84 @@ def _smoothed(cfg):
 
 
 def _hermitian_low_rank(Hs, W, Y):
-    """Hs + W Y + (W Y)^H for sparse Hermitian Hs, N x N_c W and dense N_c x N Y."""
-    X = add_adjoint(W @ Y)  # the one N x N_c x N product
+    """Hs + W Y + (W Y)^H for sparse Hermitian Hs, dense or sparse W and dense Y."""
+    X = add_adjoint(W @ Y)  # the one product of the factors
     Hs = Hs.tocoo()
     Hs.sum_duplicates()
     X[Hs.row, Hs.col] += Hs.data  # the sparse part, entry by entry
     return X
 
 
-def _gamma_form(MA, W, Y):
-    """X^H + X - X^H X for X = MA + W Y: G_s + F + F^H.
+def _gamma_factors(MA, W, Y):
+    """(G_s, U) with X^H + X - X^H X = G_s + U Y + (U Y)^H for X = MA + W Y.
 
-    G_s = MA^H + MA - MA^H MA is sparse and F = U Y with
-    U = (I - MA^H) W - 1/2 Y^H W^H W.  W = P gives Gamma-tilde, W = S P
-    gives Gamma.
+    G_s = MA^H + MA - MA^H MA is sparse and U = (I - MA^H) W - 1/2 Y^H W^H W
+    dense N x N_c.  W = P gives Gamma-tilde, W = S P gives Gamma.
     """
     MAh = MA.conj().T.tocsr()
     U = (W - MAh @ W).toarray() - 0.5 * ((W.conj().T @ W) @ Y).conj().T
-    return _hermitian_low_rank(MAh + MA - MAh @ MA, U, Y)
+    return MAh + MA - MAh @ MA, U
 
 
-#: Largest off-block Frobenius norm, relative to ||H||_F, at which
-#: ``_grid_norm2`` takes lambda_max(H), and ``_grid_inverse`` H^-1, from the
-#: four mirror blocks.  Dropping the off-blocks E moves no eigenvalue by more
-#: than ||E||_2 <= ||E||_F (Weyl's inequality), so below the gate the block
-#: maximum is within MIRROR_TOL * ||H||_F of lambda_max(H).  The inverse
-#: moves by about kappa_2(H) ||E||_2 / ||H||_2 relative, the order of a full
-#: inversion's own rounding error while E is rounding.  Constant-k matrices
-#: read about 1e-15 (rounding), variable-k ones 0.05 and more.
+def _gamma_form(MA, W, Y):
+    """The full N x N Gamma form X^H + X - X^H X of X = MA + W Y."""
+    Hs, U = _gamma_factors(MA, W, Y)
+    return _hermitian_low_rank(Hs, U, Y)
+
+
+#: Largest dropped-part Frobenius norm at which the mirror blocks stand for
+#: the whole matrix: relative to the kept blocks in the factor gate of
+#: ``_gamma_blocks``, and to ||H||_F in the off-block gate of ``_grid_norm2``
+#: and ``_grid_inverse``.  Dropping E moves no eigenvalue by more than
+#: ||E||_2 <= ||E||_F (Weyl's inequality), so below the gate the block
+#: maximum is within MIRROR_TOL times the kept norm of lambda_max.  The
+#: inverse moves by about kappa_2(H) ||E||_2 / ||H||_2 relative, the order of
+#: a full inversion's own rounding error while E is rounding.  Constant-k
+#: forms read about 1e-14 (rounding), variable-k ones 0.05 and more.
 MIRROR_TOL = 1e-13
 
 
-def _butterfly(H):
-    """Apply H <- Q H Q^T in place for the mirror basis Q = Q1 (x) Q1.
+def _odd_side(N):
+    """n with n^2 = N for an odd n >= 3, else None."""
+    n = int(round(np.sqrt(N)))
+    return n if n * n == N and n >= 3 and n % 2 == 1 else None
 
-    H is an N x N C-contiguous matrix on an n x n grid, N = n^2, n odd.
-    Q1 maps x to (x_i + x_j)/sqrt(2) at i and (x_i - x_j)/sqrt(2) at j
-    for each mirror pair i < j = n-1-i, and keeps the centre x_m,
-    m = (n-1)/2: indices 0..m of an axis are even, m+1..n-1 odd.  Q is
-    orthogonal, so ||H||_F and the spectrum are unchanged.  Returns the
-    (n, n, n, n) view of H and the four (x, y) parity slice pairs, or
-    None, leaving H untouched, when N is not the square of an odd n >= 3.
-    """
-    n = int(round(np.sqrt(H.shape[0])))
-    if n * n != H.shape[0] or n < 3 or n % 2 == 0 or not H.flags.c_contiguous:
-        return None
+
+def _parities(n):
+    """The four (x, y) parity slice pairs of the n x n mirror basis, n odd:
+    indices 0..m of an axis are even, m+1..n-1 odd, m = (n-1)/2."""
     m = (n - 1) // 2
+    halves = (slice(0, m + 1), slice(m + 1, n))
+    return [(a, b) for a in halves for b in halves]
+
+
+def _butterfly(H):
+    """Apply H <- Q_r H Q_c^T in place for the mirror bases of rows and columns.
+
+    H is a C-contiguous N_r x N_c matrix whose rows and columns are the
+    unknowns of an n_r x n_r and an n_c x n_c grid, N = n^2, n odd.
+    Q = Q1 (x) Q1, and Q1 maps x to (x_i + x_j)/sqrt(2) at i and
+    (x_i - x_j)/sqrt(2) at j for each mirror pair i < j = n-1-i, and keeps
+    the centre x_m.  Q is symmetric and orthogonal, so ||H||_F is unchanged
+    and a square H keeps its spectrum.  Returns the (n_r, n_r, n_c, n_c)
+    view of H with the row and the column parity slice pairs, or None,
+    leaving H untouched, when a side is not the square of an odd n >= 3.
+    """
+    sides = [_odd_side(N) for N in H.shape]
+    if None in sides or not H.flags.c_contiguous:
+        return None
+    nr, nc = sides
+    H4 = H.reshape(nr, nr, nc, nc)
+    _reflect(H4, range(4))
+    return H4, _parities(nr), _parities(nc)
+
+
+def _reflect(H4, axes):
+    """Apply Q1 along each of the given (odd-length) axes of H4, in place."""
     s = np.sqrt(0.5)
-    H4 = H.reshape(n, n, n, n)
-    for axis in range(4):
+    for axis in axes:
         V = np.moveaxis(H4, axis, 0)
+        m = (V.shape[0] - 1) // 2
         lo, hi = V[:m], V[:m:-1]  # hi[i] is node n-1-i
         # the difference first, so a (near-)symmetric pair leaves an odd
         # part accurate to its own size, not to the size of the sum
@@ -259,20 +319,102 @@ def _butterfly(H):
         hi *= s
         lo *= 2.0 * s
         lo -= hi
-    halves = (slice(0, m + 1), slice(m + 1, n))
-    return H4, [(a, b) for a in halves for b in halves]
+
+
+def _block(H4, r, c):
+    """The mirror block of rows r and columns c of a butterflied H4, as a matrix."""
+    B = H4[r + c]
+    return B.reshape(B.shape[0] * B.shape[1], -1)
+
+
+def _sq(B):
+    """||B||_F^2."""
+    return np.vdot(B, B).real
 
 
 def _off_block_ratio(H4, parities):
-    """||off-diagonal mirror blocks||_F / ||H||_F of a butterflied H.
+    """||off-diagonal mirror blocks||_F / ||H||_F of a butterflied square H.
 
     The off-block norm is summed block by block, not taken as
     ||H||_F^2 minus the diagonal blocks, which cancels.
     """
-    blocks = (H4[r + c].ravel() for r in parities for c in parities if r != c)
-    off = sum(np.vdot(B, B).real for B in blocks)
-    total = np.vdot(H4, H4).real
+    off = sum(_sq(H4[r + c]) for r in parities for c in parities if r != c)
+    total = _sq(H4)
     return float(np.sqrt(off / total)) if total > 0.0 else 0.0
+
+
+def _mirror_factor(X):
+    """Butterfly the dense thin factor X in place and split it.
+
+    Returns (the four blocks that pair row parity p with column parity p,
+    ||those blocks||_F, ||the 12 other blocks||_F), or None when a side of
+    X is not an odd grid.
+    """
+    split = _butterfly(X)
+    if split is None:
+        return None
+    X4, rows, cols = split
+    diag = [_block(X4, r, c) for r, c in zip(rows, cols)]
+    off = sum(_sq(X4[r + c]) for a, r in enumerate(rows)
+              for b, c in enumerate(cols) if a != b)
+    return diag, np.sqrt(sum(_sq(B) for B in diag)), np.sqrt(off)
+
+
+def _mirror_sparse(Hs):
+    """(the four diagonal mirror blocks of Q Hs Q, sparse, and ||its 12
+    off-blocks||_F) for a sparse Hs on an odd grid, Q of ``_butterfly``."""
+    n = _odd_side(Hs.shape[0])
+    m = (n - 1) // 2
+    i = np.arange(m)
+    j = n - 1 - i
+    s = np.full(m, np.sqrt(0.5))
+    Q1 = sp.csr_matrix((np.concatenate([s, s, s, -s, [1.0]]),
+                        (np.concatenate([i, i, j, j, [m]]),
+                         np.concatenate([i, j, i, j, [m]]))), shape=(n, n))
+    # the rows of Q in block order: the four parities in turn, each
+    # row-major, as ``_block`` lays a block out
+    grid = np.arange(n * n).reshape(n, n)
+    order = [grid[p].ravel() for p in _parities(n)]
+    Q = sp.kron(Q1, Q1, format="csr")[np.concatenate(order)]
+    Hb = (Q @ Hs @ Q.T).tocoo()
+    sizes = [len(o) for o in order]
+    start = np.cumsum([0] + sizes)
+    label = np.repeat(np.arange(4), sizes)
+    row, col = label[Hb.row], label[Hb.col]
+    blocks = []
+    for p, size in enumerate(sizes):
+        k = (row == p) & (col == p)
+        blocks.append(sp.coo_matrix((Hb.data[k], (Hb.row[k] - start[p], Hb.col[k] - start[p])),
+                                    shape=(size, size)))
+    return blocks, float(np.linalg.norm(Hb.data[row != col]))
+
+
+def _mirror_blocks(Hs, U, Ym):
+    """(the four mirror blocks K_p of H = Hs + U Y + (U Y)^H, gate ratio).
+
+    Ym is ``_mirror_factor`` of the N_c x N factor Y; the N x N_c U is
+    butterflied in place.  Block p pairs fine parity p with coarse parity
+    p: K_p = (Q Hs Q)_pp + U_p Y_p + (U_p Y_p)^H, four N/4 x N_c/4 x N/4
+    products.  The ratio is the module docstring's bound on the dropped
+    part, over ||K||_F.
+    """
+    Ud, ud, uo = _mirror_factor(U)
+    Yd, yd, yo = Ym
+    Hd, ho = _mirror_sparse(Hs)
+    K = [_hermitian_low_rank(H, Up, Yp) for H, Up, Yp in zip(Hd, Ud, Yd)]
+    dropped = ho + 2.0 * (ud * yo + uo * np.hypot(yd, yo))
+    kept = np.sqrt(sum(_sq(B) for B in K))
+    return K, float(dropped / kept) if kept > 0.0 else np.inf
+
+
+def _gamma_blocks(MA, W, Y, Ym):
+    """The four mirror blocks of the Gamma form of X = MA + W Y, built from
+    its thin factors, or None when Y has no mirror split (Ym is None) or the
+    factor gate fails; the caller then forms the full matrix."""
+    if Ym is None:
+        return None
+    K, ratio = _mirror_blocks(*_gamma_factors(MA, W, Y), Ym)
+    return K if ratio <= MIRROR_TOL else None
 
 
 def _grid_norm2(H):
@@ -286,18 +428,48 @@ def _grid_norm2(H):
     split = _butterfly(H)
     if split is None:
         return norm2_from_gram(H)
-    H4, parities = split
+    H4, parities, _ = split
     if _off_block_ratio(H4, parities) > MIRROR_TOL:
         return norm2_from_gram(H)
-    blocks = (H4[p + p] for p in parities)
-    return max(norm2_from_gram(B.reshape(B.shape[0] * B.shape[1], -1)) for B in blocks)
+    return max(norm2_from_gram(_block(H4, p, p)) for p in parities)
 
 
 def _norm_T0(G):
-    """||T0||_2 from Gamma, overwriting G."""
-    G *= -1.0
-    G[np.diag_indices_from(G)] += 1.0
-    return _grid_norm2(G)
+    """||T0||_2 = sqrt(lambda_max(I - Gamma)), overwriting G: the full Gamma,
+    or the list of its four mirror blocks (the largest block maximum)."""
+    blocks = G if isinstance(G, list) else [G]
+    for B in blocks:
+        B *= -1.0
+        B[np.diag_indices_from(B)] += 1.0
+    return max(norm2_from_gram(B) for B in G) if G is blocks else _grid_norm2(G)
+
+
+def _mirror_norm1(blocks):
+    """||H||_1 of H = Q blockdiag(blocks) Q, the four mirror blocks of an odd
+    n x n grid.
+
+    H commutes with both reflections, so a column and its mirror images
+    have the same absolute sum, and the (m+1)^2 columns (x, y), x, y <= m,
+    suffice.  Along an axis, Q1 e_x is s e_x + s e_{n-1-x} (e_m at the
+    centre): it reaches index x of the even half and index m-1-x of the odd
+    half.  So those columns are Q Z, Z gathered from the blocks with the
+    coefficients c(x) c(y), and only the two row passes of the butterfly
+    run, on N x (m+1)^2 entries.
+    """
+    n = _odd_side(sum(B.shape[0] for B in blocks))
+    m = (n - 1) // 2
+    s = np.sqrt(0.5)
+    # per parity of an axis: the quadrant indices it reaches, their order
+    # in the block, and their coefficients
+    even = (slice(0, m + 1), slice(None), np.append(np.full(m, s), 1.0))
+    odd = (slice(0, m), slice(None, None, -1), np.full(m, s))
+    Z = np.zeros((n, n, m + 1, m + 1), dtype=complex)
+    for (a, b), B in zip(_parities(n), blocks):
+        (xa, ra, ca), (yb, rb, cb) = (even if h.start == 0 else odd for h in (a, b))
+        B4 = B.reshape(Z[a, b, xa, yb].shape[:2] * 2)
+        Z[a, b, xa, yb] = B4[:, :, ra, rb] * np.outer(ca, cb)
+    _reflect(Z, (0, 1))
+    return norm1(Z.reshape(n * n, -1))
 
 
 def _grid_inverse(H):
@@ -312,13 +484,12 @@ def _grid_inverse(H):
     split = _butterfly(H)
     if split is None:
         return inverse(H, "Gamma-tilde")
-    H4, parities = split
+    H4, parities, _ = split
     if _off_block_ratio(H4, parities) > MIRROR_TOL:
         H = inverse(H, "Gamma-tilde")
     else:
         blocks = [H4[p + p] for p in parities]
-        inv = [inverse(B.reshape(B.shape[0] * B.shape[1], -1), "Gamma-tilde mirror block")
-               for B in blocks]
+        inv = [inverse(_block(H4, p, p), "Gamma-tilde mirror block") for p in parities]
         H4[...] = 0.0
         for B, Binv in zip(blocks, inv):
             B[...] = Binv.reshape(B.shape)
@@ -327,9 +498,13 @@ def _grid_inverse(H):
 
 
 def _ratio(Gt):
-    """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1, overwriting Gt; NaN when Gt is
-    singular (rank <= 2 N_c at nu = 0)."""
+    """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1, overwriting Gt: the full
+    Gamma-tilde, or the list of its four mirror blocks B_p (then Gt^-1 =
+    Q blockdiag(B_p^-1) Q).  NaN when Gt is singular (rank <= 2 N_c at
+    nu = 0)."""
     try:
+        if isinstance(Gt, list):
+            return 1.0 / _mirror_norm1([inverse(B, "Gamma-tilde mirror block") for B in Gt])
         return 1.0 / norm1(_grid_inverse(Gt))
     except np.linalg.LinAlgError:
         return np.nan
@@ -356,7 +531,10 @@ def certify(cfg, log=None):
     P = cfg.pair.P
     SP = P - MA @ P
     # DA = I - T0 = MA + S P Y and (DA)^H DA = DA + DA^H - Gamma; each dense
-    # matrix is freed once its results are taken, and Gamma-tilde comes last
+    # matrix is freed once its results are taken, and Gamma-tilde comes last.
+    # The full Gamma and Gamma-tilde carry the residual, the verdicts and
+    # the screen; ||T0||_2 and the ratio come from the mirror blocks when
+    # the factor gate passes, as in table_entry and omega_sweep
     G = _gamma_form(MA, SP, Y)
     DA_gram = _hermitian_low_rank(MA + MA.conj().T, SP, Y)
     DA_gram -= G
@@ -364,13 +542,16 @@ def certify(cfg, log=None):
     del DA_gram
     herm = _hermiticity_residual(G)
     hpd_g = cholesky_hpd_test(G)
-    norm_T0 = _norm_T0(G)
+    Ym = _mirror_factor(Y.copy())
+    blocks = _gamma_blocks(MA, SP, Y, Ym)
+    norm_T0 = _norm_T0(G if blocks is None else blocks)
     lam_min = 1.0 - norm_T0**2  # lambda_max(T0^H T0) = 1 - lambda_min(Gamma)
-    del G
+    del G, blocks
     Gt = _gamma_form(MA, P, Y)
     hpd_gt = cholesky_hpd_test(Gt)
     screen = quick_pd_screen(Gt)
-    ratio = _ratio(Gt)
+    blocks = _gamma_blocks(MA, P, Y, Ym)
+    ratio = _ratio(Gt if blocks is None else blocks)
     bound = float(np.sqrt(abs(1.0 - ratio)))
 
     warnings = []
@@ -409,14 +590,17 @@ def table_entry(cfg):
     Computes only what the published verdict table shows; skips the
     lambda_min, sigma_max(DA) and optimality-ratio machinery so large
     (k = 30) configurations stay tractable.  Gamma-tilde and Gamma are
-    Gamma forms with W = P and W = S P; ||T0||_2 is the root of
-    lambda_max(I - Gamma), as in ``certify``.
+    Gamma forms with W = P and W = S P.  The verdict is taken on the full
+    Gamma-tilde; ||T0||_2 is the root of lambda_max(I - Gamma), from the
+    mirror blocks of Gamma when the factor gate passes, as in ``certify``.
     """
     Y = _coarse_correction(cfg, cfg.A)
     MA = _smoothed(cfg)
     P = cfg.pair.P
+    SP = P - MA @ P
     hpd = cholesky_hpd_test(_gamma_form(MA, P, Y))
-    return hpd, _norm_T0(_gamma_form(MA, P - MA @ P, Y))
+    blocks = _gamma_blocks(MA, SP, Y, _mirror_factor(Y.copy()))
+    return hpd, _norm_T0(_gamma_form(MA, SP, Y) if blocks is None else blocks)
 
 
 def omega_sweep(make_cfg, omegas, nus):
@@ -424,16 +608,21 @@ def omega_sweep(make_cfg, omegas, nus):
 
     ``make_cfg(omega, nu)`` must return a TwoGridConfig that varies only
     omega and nu: Y = A_c^{-1} R A is computed once, from
-    ``make_cfg(omegas[0], nus[0])``, and each cell forms only Gamma-tilde.
-    nu = 0 rows are flagged; a singular Gamma-tilde reads 0.0, flagged.
+    ``make_cfg(omegas[0], nus[0])`` and butterflied once, and each cell
+    forms only the four mirror blocks of Gamma-tilde (the full Gamma-tilde
+    when the factor gate fails).  nu = 0 rows are flagged; a singular
+    Gamma-tilde reads 0.0, flagged.
     """
     cfg = make_cfg(omegas[0], nus[0])
     Y = _coarse_correction(cfg, cfg.A)
+    Ym = _mirror_factor(Y.copy())
     rows = []
     for omega in omegas:
         for nu in nus:
             cell = make_cfg(omega, nu)
-            val = _ratio(_gamma_form(_smoothed(cell), cell.pair.P, Y))
+            MA, P = _smoothed(cell), cell.pair.P
+            blocks = _gamma_blocks(MA, P, Y, Ym)
+            val = _ratio(_gamma_form(MA, P, Y) if blocks is None else blocks)
             flag = "degenerate-no-smoothing" if nu == 0 else ""
             if np.isnan(val):
                 val, flag = 0.0, flag or "singular-gamma-tilde"

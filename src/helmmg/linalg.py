@@ -31,6 +31,21 @@ class Verdict:
         return self.ok
 
 
+#: Edge of the square tiles (and height of the row stripes) the kernels
+#: below walk a dense matrix in, instead of building N x N temporaries.
+_ADJOINT_TILE = 96
+
+
+def _tiles(n):
+    """Slices of at most _ADJOINT_TILE consecutive indices covering range(n)."""
+    return [slice(i, i + _ADJOINT_TILE) for i in range(0, n, _ADJOINT_TILE)]
+
+
+def _abs_max(M):
+    """max |m_ij| of a dense matrix, one stripe of rows at a time."""
+    return max(np.abs(M[I]).max() for I in _tiles(M.shape[0]))
+
+
 def lu_factor_checked(M, what):
     """Partially pivoted LU factors ``(lu, piv)`` of the dense square M.
 
@@ -42,7 +57,7 @@ def lu_factor_checked(M, what):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(M)
-    tol = 1e-14 * max(np.abs(M).max(), 1e-300)
+    tol = 1e-14 * max(_abs_max(M), 1e-300)
     bad = np.nonzero(np.abs(np.diag(lu)) < tol)[0]
     if bad.size:
         raise np.linalg.LinAlgError(
@@ -57,10 +72,26 @@ HERMITIAN_TOL = 1e-12
 
 
 def _hermiticity_residual(M):
+    """||M - M^H||_F / ||M||_F of a square M, one pair of tiles at a time.
+
+    The tile (I, J) of M - M^H is minus the adjoint of the tile (J, I), so
+    each pair above the diagonal counts twice; the extra memory is one
+    tile.  An exactly Hermitian M reads exactly 0.0.
+    """
     nrm = sla.norm(M, "fro")
     if nrm == 0.0:
         return 0.0
-    return sla.norm(M - M.conj().T, "fro") / nrm
+    n = M.shape[0]
+    buf = np.empty(min(n, _ADJOINT_TILE) ** 2, dtype=M.dtype)
+    sq = 0.0
+    tiles = _tiles(n)
+    for a, I in enumerate(tiles):
+        for J in tiles[a:]:
+            upper, lower = M[I, J], M[J, I]
+            diff = np.conjugate(lower.T, out=buf[:upper.size].reshape(upper.shape))
+            np.subtract(upper, diff, out=diff)
+            sq += (1.0 if J == I else 2.0) * np.vdot(diff, diff).real
+    return float(np.sqrt(sq)) / nrm
 
 
 def _hpd_cholesky(M):
@@ -115,13 +146,21 @@ def quick_pd_screen(M):
     d = np.real(np.diag(M))
     if np.any(d <= 0):
         return Verdict(False, "condition 1: nonpositive diagonal entry")
-    off = M - np.diag(np.diag(M))
-    # condition 2: d_i + d_j > 2|Re m_ij| for all i != j
-    bad = 2.0 * np.abs(np.real(off)) >= d[:, None] + d[None, :]
-    np.fill_diagonal(bad, False)
-    if bad.any():
+    # conditions 2 (d_i + d_j > 2|Re m_ij| for all i != j) and 3 (max |m_ij|,
+    # i != j, at most max d_i), one stripe of rows at a time
+    bad, big = False, 0.0
+    for I in _tiles(n):
+        S = M[I]
+        diag = (np.arange(S.shape[0]), np.arange(I.start, I.start + S.shape[0]))
+        hit = 2.0 * np.abs(S.real) >= d[I, None] + d[None, :]
+        hit[diag] = False
+        bad = bad or bool(hit.any())
+        mod = np.abs(S)
+        mod[diag] = 0.0
+        big = max(big, mod.max())
+    if bad:
         return Verdict(False, "condition 2: off-diagonal real part too large")
-    if np.abs(off).max(initial=0.0) > d.max():
+    if big > d.max():
         return Verdict(False, "condition 3: largest modulus off the diagonal")
     if n * n > DENSE_LIMIT:
         return Verdict(True, "pass (condition 4 skipped: dense limit)")
@@ -154,10 +193,6 @@ def norm1(M):
     return float(np.abs(np.asarray(M)).sum(axis=0).max())
 
 
-#: Edge of the square tiles ``add_adjoint`` adds at a time.
-_ADJOINT_TILE = 96
-
-
 def add_adjoint(X):
     """X <- X + X^H in place for a square X, one pair of tiles at a time.
 
@@ -168,13 +203,12 @@ def add_adjoint(X):
     n = X.shape[0]
     t = min(n, _ADJOINT_TILE)
     buf = np.empty((t, t), dtype=X.dtype)
-    for i in range(0, n, _ADJOINT_TILE):
-        I = slice(i, i + _ADJOINT_TILE)
-        for j in range(i, n, _ADJOINT_TILE):
-            J = slice(j, j + _ADJOINT_TILE)
+    tiles = _tiles(n)
+    for a, I in enumerate(tiles):
+        for J in tiles[a:]:
             upper, lower = X[I, J], X[J, I]
             lower_h = np.conjugate(lower.T, out=buf[:upper.shape[0], :upper.shape[1]])
-            if j > i:
+            if J != I:
                 lower += upper.T.conj()
             upper += lower_h
     return X

@@ -10,8 +10,12 @@ from helmmg.certificate import (
     TwoGridConfig,
     _butterfly,
     _coarse_correction,
+    _gamma_blocks,
+    _gamma_factors,
     _gamma_form,
     _grid_norm2,
+    _mirror_blocks,
+    _mirror_factor,
     _smoothed,
     assemble_D,
     certify,
@@ -349,27 +353,46 @@ def mirror_Q1(n):
     return Q
 
 
+def mirror_Q(n):
+    """Dense 2-D butterfly Q = Q1 (x) Q1 of ``_butterfly``."""
+    return np.kron(mirror_Q1(n), mirror_Q1(n))
+
+
 def mirror_parity(n):
     """Block label 0..3 (x parity, y parity) of each unknown in the mirror basis."""
     odd = np.arange(n) > (n - 1) // 2
     return (2 * odd[:, None] + odd[None, :]).ravel()
 
 
+def record_gates(monkeypatch, ratios):
+    """Append the ratio of every mirror gate to ``ratios``: the factor gate of
+    the Gamma blocks and the off-block gate of a full matrix."""
+    off, blocks = certificate._off_block_ratio, certificate._mirror_blocks
+
+    def record_off(H4, parities):
+        ratios.append(off(H4, parities))
+        return ratios[-1]
+
+    def record_blocks(Hs, U, Ym):
+        K, ratio = blocks(Hs, U, Ym)
+        ratios.append(ratio)
+        return K, ratio
+
+    monkeypatch.setattr(certificate, "_off_block_ratio", record_off)
+    monkeypatch.setattr(certificate, "_mirror_blocks", record_blocks)
+
+
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """Record the off-block ratios and the Gram sizes ``_grid_norm2`` hands on."""
+    """Record the gate ratios and the Gram sizes handed to ``norm2_from_gram``."""
     calls = {"ratios": [], "sizes": []}
-    ratio, norm2 = certificate._off_block_ratio, certificate.norm2_from_gram
-
-    def record_ratio(H4, parities):
-        calls["ratios"].append(ratio(H4, parities))
-        return calls["ratios"][-1]
+    norm2 = certificate.norm2_from_gram
+    record_gates(monkeypatch, calls["ratios"])
 
     def record_norm2(H):
         calls["sizes"].append(H.shape[0])
         return norm2(H)
 
-    monkeypatch.setattr(certificate, "_off_block_ratio", record_ratio)
     monkeypatch.setattr(certificate, "norm2_from_gram", record_norm2)
     return calls
 
@@ -396,9 +419,10 @@ def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls)
     assert rep.norm_T0 == t0
     want = gram_norm(np.eye(N) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
-    # one gate per norm (table_entry: ||T0||; certify: sigma_max(DA), ||T0||)
-    # and one for certify's ratio, each passed, and only the quarter-size
-    # blocks were solved
+    # one gate per norm (table_entry: ||T0||'s factor gate; certify:
+    # sigma_max(DA)'s off-block gate, ||T0||'s factor gate) and certify's
+    # ratio's factor gate, each passed, and only the quarter-size blocks
+    # were solved
     assert len(norm_calls["ratios"]) == 4
     assert max(norm_calls["ratios"]) <= MIRROR_TOL
     assert len(norm_calls["sizes"]) == 12
@@ -417,7 +441,7 @@ def smooth_medium_cfg(omega=4.5, nu=1):
 
 
 def test_grid_norm2_variable_k_takes_full_path(norm_calls):
-    # MP 2-B breaks the mirror symmetry: the gate fails and the whole
+    # MP 2-B breaks the mirror symmetry: every gate fails and the whole
     # transformed Gram is solved, still exactly
     cfg = smooth_medium_cfg()
     T0 = dense_T0(cfg)
@@ -444,7 +468,7 @@ def mirror_invariant(scale, shift=0.0):
     E += E.conj().T
     B *= same
     E *= scale * MIRROR_TOL * np.linalg.norm(B) / np.linalg.norm(E)
-    Q = np.kron(mirror_Q1(n), mirror_Q1(n))
+    Q = mirror_Q(n)
     return Q.T @ (B + E) @ Q
 
 
@@ -468,13 +492,20 @@ def test_butterfly_is_the_mirror_basis_and_keeps_frobenius():
     n = 9
     rng = np.random.default_rng(3)
     H = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-    Q = np.kron(mirror_Q1(n), mirror_Q1(n))
+    Q = mirror_Q(n)
     got = H.copy()
-    _, parities = _butterfly(got)
+    _, parities, cols = _butterfly(got)
     even, odd = slice(0, 5), slice(5, 9)
-    assert parities == [(even, even), (even, odd), (odd, even), (odd, odd)]
+    assert parities == cols == [(even, even), (even, odd), (odd, even), (odd, odd)]
     assert rel_fro(got, Q @ H @ Q.T) <= 1e-14
     assert abs(np.linalg.norm(got) - np.linalg.norm(H)) <= 1e-14 * np.linalg.norm(H)
+    # a thin factor: fine rows on n = 9, coarse columns on n_c = 5
+    X = H[:, :25].copy()
+    _, rows, cols = _butterfly(X)
+    assert rows == parities
+    assert cols == [(slice(0, 3), slice(0, 3)), (slice(0, 3), slice(3, 5)),
+                    (slice(3, 5), slice(0, 3)), (slice(3, 5), slice(3, 5))]
+    assert rel_fro(X, Q @ H[:, :25] @ mirror_Q(5).T) <= 1e-14
 
 
 @pytest.mark.parametrize("N", [64, 80])
@@ -494,13 +525,10 @@ def test_butterfly_leaves_other_grids_to_the_full_path(N, norm_calls):
 
 @pytest.fixture
 def inverse_calls(monkeypatch):
-    """Record the gate ratios, the sizes ``_grid_inverse`` inverts and the LU inputs."""
+    """Record the gate ratios, the sizes handed to ``inverse`` and the LU inputs."""
     calls = {"ratios": [], "sizes": [], "lu": []}
-    ratio, inv, lu = certificate._off_block_ratio, certificate.inverse, linalg.lu_factor_checked
-
-    def record_ratio(H4, parities):
-        calls["ratios"].append(ratio(H4, parities))
-        return calls["ratios"][-1]
+    inv, lu = certificate.inverse, linalg.lu_factor_checked
+    record_gates(monkeypatch, calls["ratios"])
 
     def record_inverse(M, what):
         calls["sizes"].append(M.shape[0])
@@ -510,7 +538,6 @@ def inverse_calls(monkeypatch):
         calls["lu"].append((what, M.shape[0]))
         return lu(M, what)
 
-    monkeypatch.setattr(certificate, "_off_block_ratio", record_ratio)
     monkeypatch.setattr(certificate, "inverse", record_inverse)
     monkeypatch.setattr(linalg, "lu_factor_checked", record_lu)
     return calls
@@ -584,6 +611,27 @@ def test_grid_inverse_gate(scale, blocks, inverse_calls):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("centre", [0.0, 50.0])
+def test_mirror_norm1_matches_dense(centre):
+    # ||Q blockdiag(B_p) Q||_1 from one quadrant of columns against numpy's
+    # over every column.  centre = 50 puts the largest column sum on the
+    # centre node, whose butterfly coefficient is 1, not sqrt(1/2)
+    n = 9
+    label = mirror_parity(n)
+    rng = np.random.default_rng(6)
+    M = np.zeros((n * n, n * n), dtype=complex)
+    blocks = []
+    for p in range(4):
+        i = label == p
+        B = rng.standard_normal((i.sum(), i.sum())) + 1j * rng.standard_normal((i.sum(), i.sum()))
+        M[np.ix_(i, i)] = B
+        blocks.append(B)
+    blocks[0][:, -1] += centre  # the even-even block's last unknown is the centre
+    M[np.ix_(label == 0, label == 0)] = blocks[0]
+    want = np.abs(mirror_Q(n) @ M @ mirror_Q(n)).sum(axis=0).max()
+    assert np.isclose(certificate._mirror_norm1(blocks), want, rtol=1e-13, atol=0.0)
+
+
 def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
     # k = 5, Bezier coarsened on A, omega = 4.5, nu = 1: Gamma-tilde is not
     # HPD; its 25 x 25 even-even block fails Cholesky and is inverted by LU,
@@ -599,3 +647,181 @@ def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
     assert inverse_calls["lu"] == [("Gamma-tilde mirror block", 25)]
     want = dense_ratio(cfg)
     assert abs(cell["ratio"] - want) <= 1e-12 * want
+
+
+# --- Gamma forms from the four mirror blocks of their thin factors ----------
+
+def dense_mirror_blocks(H, n):
+    """The four diagonal blocks of Q H Q, in ``_butterfly``'s order, by numpy."""
+    QHQ = mirror_Q(n) @ H @ mirror_Q(n)
+    label = mirror_parity(n)
+    return [QHQ[np.ix_(label == p, label == p)] for p in range(4)]
+
+
+def fro(blocks):
+    """Frobenius norm of a list of blocks taken together."""
+    return np.sqrt(sum(np.linalg.norm(B) ** 2 for B in blocks))
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+@pytest.mark.parametrize("coarsen", ["csl", "original"])
+@pytest.mark.parametrize("scheme", ["linear", "bezier"])
+@pytest.mark.parametrize("k", [5, 10])
+def test_gamma_blocks_match_dense_form(k, scheme, coarsen, nu, monkeypatch):
+    # Gamma-tilde (W = P) and Gamma (W = S P) from the butterflied factors
+    # against the mirror blocks of the dense numpy forms; both factor gates
+    # pass
+    ratios = []
+    record_gates(monkeypatch, ratios)
+    n = nodes_for_wavenumber(k)
+    cfg = make_cfg(k=float(k), n=n, scheme=scheme, coarsen=coarsen, nu=nu)
+    Y = _coarse_correction(cfg, cfg.A)
+    Ym = _mirror_factor(Y.copy())
+    MA, P = _smoothed(cfg), cfg.pair.P
+    DA = np.eye(n * n) - dense_T0(cfg)
+    for W, dense in ((P, dense_gamma_tilde(cfg)),
+                     (P - MA @ P, DA.conj().T + DA - DA.conj().T @ DA)):
+        got = _gamma_blocks(MA, W, Y, Ym)
+        want = dense_mirror_blocks(dense, n)
+        assert [B.shape for B in got] == [B.shape for B in want]
+        assert fro([g - w for g, w in zip(got, want)]) <= 1e-13 * np.linalg.norm(dense)
+    assert len(ratios) == 2 and max(ratios) <= MIRROR_TOL
+
+
+def off_parity(n_rows, n_cols, seed):
+    """A random complex matrix, rows on an n_rows grid and columns on an
+    n_cols grid, that is zero wherever the mirror parities of row and
+    column agree."""
+    rows, cols = mirror_parity(n_rows), mirror_parity(n_cols)
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((rows.size, cols.size)) + 1j * rng.standard_normal(
+        (rows.size, cols.size))
+    return Z * (rows[:, None] != cols[None, :])
+
+
+@pytest.mark.parametrize("factor", ["U", "Y"])
+@pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
+def test_factor_gate(factor, scale, blocks, monkeypatch):
+    # a reflection-breaking perturbation of U (or of Y), sized so that its
+    # share of the bound is scale * MIRROR_TOL * ||K||_F: the gate alone
+    # decides between the blocks and the full form.  k = 5, n = 9, n_c = 5
+    cfg = make_cfg(omega=3.5, nu=1)
+    Y = _coarse_correction(cfg, cfg.A)
+    MA, P = _smoothed(cfg), cfg.pair.P
+    Hs, U = _gamma_factors(MA, P, Y)
+    K, rounding = _mirror_blocks(Hs, U.copy(), _mirror_factor(Y.copy()))
+    assert rounding <= 0.05 * MIRROR_TOL
+    share = scale * MIRROR_TOL * fro(K)
+    # the perturbed factor term of the bound is 2 ||U_o|| ||Yb|| for U and
+    # 2 ||U_d|| ||Y_o|| for Y, with ||Yb|| = ||Y|| and ||U_d|| = ||U|| to
+    # rounding
+    if factor == "U":
+        E = off_parity(9, 5, seed=1)
+        E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(Y))
+        U_bad = U + mirror_Q(9) @ E @ mirror_Q(5)
+        monkeypatch.setattr(certificate, "_gamma_factors", lambda *a: (Hs, U_bad.copy()))
+        Ym = _mirror_factor(Y.copy())
+    else:
+        E = off_parity(5, 9, seed=2)
+        E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(U))
+        Ym = _mirror_factor(Y + mirror_Q(5) @ E @ mirror_Q(9))
+    ratios = []
+    record_gates(monkeypatch, ratios)
+    got = _gamma_blocks(MA, P, Y, Ym)
+    ratio, = ratios
+    assert abs(ratio - scale * MIRROR_TOL) <= 0.1 * MIRROR_TOL
+    assert (got is not None) == blocks
+    if blocks:
+        assert fro([g - k for g, k in zip(got, K)]) <= 1e-14 * fro(K)
+
+
+@pytest.mark.parametrize("diag, off, symmetric", [
+    (0.0, 1.0, True),  # no parity-diagonal factor blocks: U_o Y_o is all
+    (1.0, 0.0, False),  # parity-diagonal factors: only G_o is dropped
+    (1.0, 1.0, False),
+])
+def test_factor_bound_covers_the_dropped_part(diag, off, symmetric):
+    # synthetic factors with parity-diagonal blocks scaled by diag and the
+    # other blocks by off, and a sparse part that commutes with the
+    # reflections or not.  The kept blocks are what they claim, and the
+    # gate ratio times ||K||_F bounds all they drop, the products U_o Y_o
+    # that land inside the diagonal blocks included
+    n, nc = 9, 5
+    rng = np.random.default_rng(9)
+    parity = mirror_parity(n)[:, None] == mirror_parity(nc)[None, :]
+    Ub = (rng.standard_normal(parity.shape) + 1j * rng.standard_normal(parity.shape)) \
+        * np.where(parity, diag, off)
+    Yb = (rng.standard_normal(parity.T.shape) + 1j * rng.standard_normal(parity.T.shape)) \
+        * np.where(parity.T, diag, off)
+    Qf, Qc = mirror_Q(n), mirror_Q(nc)
+    U, Y = Qf @ Ub @ Qc, Qc @ Yb @ Qf
+    Hs = make_cfg(n=n).A if symmetric else sp.random(n * n, n * n, density=0.05,
+                                                     random_state=rng, format="csr")
+    Hs = (Hs + Hs.conj().T).tocsr()
+    K, ratio = _mirror_blocks(Hs, U.copy(), _mirror_factor(Y.copy()))
+    label, coarse = mirror_parity(n), mirror_parity(nc)
+    Hs_b = dense_mirror_blocks(Hs.toarray(), n)
+    kept = np.zeros((n * n, n * n), dtype=complex)
+    for p in range(4):
+        i, c = label == p, coarse == p
+        UY = Ub[np.ix_(i, c)] @ Yb[np.ix_(c, i)]
+        assert np.linalg.norm(K[p] - (Hs_b[p] + UY + UY.conj().T)) <= 1e-14 * fro(K)
+        kept[np.ix_(i, i)] = K[p]
+    H = Hs.toarray() + U @ Y + (U @ Y).conj().T
+    dropped = np.linalg.norm(Qf @ H @ Qf - kept)
+    assert dropped > 1e-3 * fro(K)
+    assert dropped <= ratio * fro(K) * (1.0 + 1e-12)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Record the factor shapes of every low-rank product."""
+    shapes = []
+    low_rank = certificate._hermitian_low_rank
+
+    def record(Hs, W, Y):
+        shapes.append((W.shape, Y.shape))
+        return low_rank(Hs, W, Y)
+
+    monkeypatch.setattr(certificate, "_hermitian_low_rank", record)
+    return shapes
+
+
+def test_block_path_makes_no_full_product(products):
+    # k = 10, n = 17 (N = 289), n_c = 9 (N_c = 81): omega_sweep's cells and
+    # table_entry's Gamma multiply only the quarter-size factor blocks; the
+    # one N x N_c x N product left is table_entry's Gamma-tilde, for its
+    # Cholesky verdict
+    blocks = [((81, 25), (25, 81)), ((72, 20), (20, 72)), ((72, 20), (20, 72)),
+              ((64, 16), (16, 64))]
+    omega_sweep(lambda w, nu: make_cfg(k=10.0, n=17, omega=w, nu=nu), (1.5, 4.5), (1, 2))
+    assert products == blocks * 4
+    products.clear()
+    table_entry(make_cfg(k=10.0, n=17))
+    assert products == [((289, 81), (81, 289))] + blocks
+
+
+@pytest.mark.parametrize("case", ["variable-k", "even coarse side"])
+def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
+    # a smooth variable-k medium fails the factor gate; on n = 11 the
+    # coarse grid has n_c = 6 and no centre node, so Y has no mirror split.
+    # Both form the full Gamma forms and still match the dense references
+    ratios = []
+    record_gates(monkeypatch, ratios)
+    make = smooth_medium_cfg if case == "variable-k" else (
+        lambda omega=4.5, nu=1: make_cfg(n=11, omega=omega, nu=nu))
+    cfg = make()
+    N, Nc = cfg.A.shape[0], cfg.pair.P.shape[1]
+    t0 = table_entry(cfg)[1]
+    want = gram_norm(dense_T0(cfg))
+    assert abs(t0 - want) <= 1e-13 * want
+    cell, = omega_sweep(make, (4.5,), (1,))
+    assert abs(cell["ratio"] - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
+    # Gamma-tilde's verdict, table_entry's Gamma and the sweep's Gamma-tilde
+    # (beside the blocks the failed factor gate rejected)
+    assert products.count(((N, Nc), (Nc, N))) == 3
+    if case == "variable-k":
+        # each failed factor gate is followed by the full matrix's gate
+        assert len(ratios) == 4 and min(ratios) > 1e3 * MIRROR_TOL
+    else:
+        assert Nc == 36 and len(ratios) == 2 and max(ratios) <= MIRROR_TOL

@@ -227,6 +227,33 @@ def test_add_adjoint_is_the_full_sum_bit_for_bit(tiles, extra):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [5, linalg._ADJOINT_TILE, 2 * linalg._ADJOINT_TILE + 17])
+def test_hermiticity_residual_by_tiles(n):
+    # within a tile, exactly one, and a ragged last tile pair: the tile sum
+    # is the full-matrix residual, and an exactly Hermitian matrix reads 0.0
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = np.linalg.norm(X - X.conj().T) / np.linalg.norm(X)
+    assert np.isclose(linalg._hermiticity_residual(X), want, rtol=1e-13, atol=0.0)
+    assert linalg._hermiticity_residual(add_adjoint(X)) == 0.0
+
+
+def test_quick_screen_walks_every_stripe():
+    # conditions 2 and 3 read in the last, ragged stripe of rows
+    n = 2 * linalg._ADJOINT_TILE + 5
+    rng = np.random.default_rng(2)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M = add_adjoint(B @ B.conj().T / (2 * n)) + np.eye(n)
+    assert quick_pd_screen(M) == Verdict(True, "pass")
+    i, j = n - 1, 3
+    M2 = M.copy()
+    M2[i, j] = M2[j, i] = 10.0
+    assert quick_pd_screen(M2).reason == "condition 2: off-diagonal real part too large"
+    M3 = M.copy()
+    M3[i, j], M3[j, i] = 10j, -10j
+    assert quick_pd_screen(M3).reason == "condition 3: largest modulus off the diagonal"
+
+
 def test_inverse_hpd_through_cholesky(small_spd, lu_calls):
     got = inverse(small_spd, "spd")
     want = np.linalg.inv(small_spd)
