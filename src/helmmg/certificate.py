@@ -40,23 +40,25 @@ matrices are one Gamma form of X = MA + W Y, in sparse-plus-rank-N_c form:
                                       U = (I - MA^H) W - 1/2 Y^H W^H W;
 
 W = P gives Gamma-tilde, W = S P gives Gamma, and T0^H T0 = I - Gamma.
-The full N x N form (``_gamma_form``) costs one N x N_c x N product; the
-Gram matrix (DA)^H DA = DA + DA^H - Gamma is built the same way, and D
-itself is formed only in ``assemble_D``.  Reported 2-norms are exact
-(LAPACK eigenvalues of these Gram matrices), and lambda_min(Gamma) =
-1 - lambda_max(T0^H T0) comes from the same one eigenvalue as ||T0||_2.
+The full N x N form (``_gamma_form``) costs one N x N_c x N product, and
+D itself is formed only in ``assemble_D``.  The Gram matrix (DA)^H DA =
+DA + DA^H - Gamma is one more such form, of the sparse MA + MA^H - G_s and
+the thin S P - U.  Reported 2-norms are exact (LAPACK eigenvalues of these
+Gram matrices), and lambda_min(Gamma) = 1 - lambda_max(T0^H T0) comes from
+the same one eigenvalue as ||T0||_2.
 
 MP 2-A has constant k and the same Sommerfeld rows on all four sides, so
 its two-grid operator commutes with the grid reflections x -> 1-x and
 y -> 1-y (both transfer schemes, both coarsenings, omega-Jacobi).  In the
 orthogonal even/odd mirror basis Q = Q1 (x) Q1, Q1 the butterfly
-(x_i +- x_{n-1-i})/sqrt(2) with the centre node even, both Gram matrices
-are block diagonal with four blocks of about N/4 (289, 272, 272 and 256
-at n = 33), and lambda_max is the largest block maximum.
+(x_i +- x_{n-1-i})/sqrt(2) with the centre node of an odd side even (an
+even side has no centre node), the Gram matrices are block diagonal with
+four blocks of about N/4 (289, 272, 272 and 256 at n = 33), and
+lambda_max is the largest block maximum.
 
 The blocks are built from the factors, and no N x N matrix is formed.
-The fine and coarse reflections commute with P, R, A, the CSL and M_nu,
-and the fine centre node is a coarse node when n_c = (n+1)/2 is odd.  So
+The fine and coarse reflections commute with P, R, A, the CSL and M_nu
+(fine node 2i is coarse node i on either parity of n_c = (n+1)/2).  So
 the butterflied factors Ub = Q_f U Q_c and Yb = Q_c Y Q_f are
 parity-block diagonal, fine parity p paired with coarse parity p, and so
 is Q_f G_s Q_f.  ``_mirror_blocks`` forms block p as
@@ -82,23 +84,20 @@ takes the blocks when this bound is at most MIRROR_TOL = 1e-13 times
 ||K||_F; by Weyl's inequality no eigenvalue of the kept matrix is then
 more than that from the form's.  The table rows read at most 4e-15
 (k = 5), 1e-14 (k = 10), 3e-14 (k = 20) and 5.5e-14 (k = 30, Bezier
-coarsened on A); a smooth variable-k medium reads about 1.6, and a grid
-with n_c even has no split, so both take the full form, unchanged.
+coarsened on A); a smooth variable-k medium reads about 1.6 and takes
+the full form, unchanged.
 
-``omega_sweep`` and ``table_entry``'s Gamma use the blocks: Y is
+``certify``, ``table_entry`` and ``omega_sweep`` use the blocks: Y is
 butterflied once per configuration, ||T0||_2 is the root of the largest
-lambda_max(I - K_p), and the optimality ratio ||Gamma-tilde||_1 /
-kappa_1 = 1 / ||Gamma-tilde^-1||_1 comes from Gamma-tilde^-1 =
-Q blockdiag(K_p^-1) Q (``linalg.inverse`` on each block: Cholesky and
-``zpotri`` for an HPD block, LU otherwise).  The 1-norm is not
-orthogonally invariant, but that matrix commutes with both reflections,
-so the column sums of one quadrant of columns give it (``_mirror_norm1``).
-The Cholesky verdicts, the Hermiticity residual and the quick screen are
-taken on the untransformed full matrices, and ``certify`` takes ||T0||_2
-and the ratio from the same blocks.  On a full matrix, ``_grid_norm2`` and
-``_grid_inverse`` butterfly it in place and apply the same MIRROR_TOL to
-its 12 off-diagonal blocks, relative to ||H||_F, and solve the whole
-transformed matrix otherwise, with the same exact result.
+lambda_max(I - K_p), sigma_max(DA) that of the largest lambda_max of the
+(DA)^H DA blocks, and the optimality ratio ||Gamma-tilde||_1 / kappa_1 =
+1 / ||Gamma-tilde^-1||_1 comes from Gamma-tilde^-1 = Q blockdiag(K_p^-1) Q
+(``linalg.inverse`` on each block: Cholesky and ``zpotri`` for an HPD
+block, LU otherwise).  The 1-norm is not orthogonally invariant, but that
+matrix commutes with both reflections, so the column sums of one quadrant
+of columns give it (``_mirror_norm1``).  The Cholesky verdicts, the
+Hermiticity residual and the quick screen are taken on the untransformed
+full matrices, whose pivot indices the verdicts report.
 """
 
 import sys
@@ -242,14 +241,18 @@ def _hermitian_low_rank(Hs, W, Y):
     return X
 
 
-def _gamma_factors(MA, W, Y):
+def _gamma_factors(MA, W, Y, WWY=None):
     """(G_s, U) with X^H + X - X^H X = G_s + U Y + (U Y)^H for X = MA + W Y.
 
-    G_s = MA^H + MA - MA^H MA is sparse and U = (I - MA^H) W - 1/2 Y^H W^H W
-    dense N x N_c.  W = P gives Gamma-tilde, W = S P gives Gamma.
+    G_s = MA^H + MA - MA^H MA is sparse and U = (I - MA^H) W - WWY dense
+    N x N_c, WWY = 1/2 ((W^H W) Y)^H.  W = P gives Gamma-tilde, W = S P
+    gives Gamma.  For W = P, WWY depends on neither omega nor nu, so
+    ``omega_sweep`` passes it in once per sweep; otherwise it is computed.
     """
+    if WWY is None:
+        WWY = 0.5 * ((W.conj().T @ W) @ Y).conj().T
     MAh = MA.conj().T.tocsr()
-    U = (W - MAh @ W).toarray() - 0.5 * ((W.conj().T @ W) @ Y).conj().T
+    U = (W - MAh @ W).toarray() - WWY
     return MAh + MA - MAh @ MA, U
 
 
@@ -259,11 +262,10 @@ def _gamma_form(MA, W, Y):
     return _hermitian_low_rank(Hs, U, Y)
 
 
-#: Largest dropped-part Frobenius norm at which the mirror blocks stand for
-#: the whole matrix: relative to the kept blocks in the factor gate of
-#: ``_gamma_blocks``, and to ||H||_F in the off-block gate of ``_grid_norm2``
-#: and ``_grid_inverse``.  Dropping E moves no eigenvalue by more than
-#: ||E||_2 <= ||E||_F (Weyl's inequality), so below the gate the block
+#: Largest bound on the dropped part, relative to ||K||_F of the kept
+#: blocks, at which the factor gate of ``_form_blocks`` takes the four
+#: mirror blocks for the whole form.  Dropping E moves no eigenvalue by more
+#: than ||E||_2 <= ||E||_F (Weyl's inequality), so below the gate the block
 #: maximum is within MIRROR_TOL times the kept norm of lambda_max.  The
 #: inverse moves by about kappa_2(H) ||E||_2 / ||H||_2 relative, the order of
 #: a full inversion's own rounding error while E is rounding.  Constant-k
@@ -271,17 +273,16 @@ def _gamma_form(MA, W, Y):
 MIRROR_TOL = 1e-13
 
 
-def _odd_side(N):
-    """n with n^2 = N for an odd n >= 3, else None."""
+def _grid_side(N):
+    """n with n^2 = N for an n >= 2, else None."""
     n = int(round(np.sqrt(N)))
-    return n if n * n == N and n >= 3 and n % 2 == 1 else None
+    return n if n * n == N and n >= 2 else None
 
 
 def _parities(n):
-    """The four (x, y) parity slice pairs of the n x n mirror basis, n odd:
-    indices 0..m of an axis are even, m+1..n-1 odd, m = (n-1)/2."""
-    m = (n - 1) // 2
-    halves = (slice(0, m + 1), slice(m + 1, n))
+    """The four (x, y) parity slice pairs of the n x n mirror basis: the
+    first n - n//2 indices of an axis are even, the other n//2 odd."""
+    halves = (slice(0, n - n // 2), slice(n - n // 2, n))
     return [(a, b) for a in halves for b in halves]
 
 
@@ -289,15 +290,16 @@ def _butterfly(H):
     """Apply H <- Q_r H Q_c^T in place for the mirror bases of rows and columns.
 
     H is a C-contiguous N_r x N_c matrix whose rows and columns are the
-    unknowns of an n_r x n_r and an n_c x n_c grid, N = n^2, n odd.
-    Q = Q1 (x) Q1, and Q1 maps x to (x_i + x_j)/sqrt(2) at i and
-    (x_i - x_j)/sqrt(2) at j for each mirror pair i < j = n-1-i, and keeps
-    the centre x_m.  Q is symmetric and orthogonal, so ||H||_F is unchanged
-    and a square H keeps its spectrum.  Returns the (n_r, n_r, n_c, n_c)
-    view of H with the row and the column parity slice pairs, or None,
-    leaving H untouched, when a side is not the square of an odd n >= 3.
+    unknowns of an n_r x n_r and an n_c x n_c grid, N = n^2.  Q = Q1 (x) Q1,
+    and Q1 maps x to (x_i + x_j)/sqrt(2) at i and (x_i - x_j)/sqrt(2) at j
+    for each mirror pair i < j = n-1-i, and keeps the centre x_m of an odd
+    n (an even n has none).  Q is symmetric and orthogonal, so ||H||_F is
+    unchanged, a square H keeps its spectrum, and a second call undoes the
+    first.  Returns the (n_r, n_r, n_c, n_c) view of H with the row and the
+    column parity slice pairs, or None, leaving H untouched, when a side is
+    not the square of an n >= 2.
     """
-    sides = [_odd_side(N) for N in H.shape]
+    sides = [_grid_side(N) for N in H.shape]
     if None in sides or not H.flags.c_contiguous:
         return None
     nr, nc = sides
@@ -307,12 +309,12 @@ def _butterfly(H):
 
 
 def _reflect(H4, axes):
-    """Apply Q1 along each of the given (odd-length) axes of H4, in place."""
+    """Apply Q1 along each of the given axes of H4, in place."""
     s = np.sqrt(0.5)
     for axis in axes:
         V = np.moveaxis(H4, axis, 0)
-        m = (V.shape[0] - 1) // 2
-        lo, hi = V[:m], V[:m:-1]  # hi[i] is node n-1-i
+        h = V.shape[0] // 2
+        lo, hi = V[:h], V[::-1][:h]  # hi[i] is node n-1-i
         # the difference first, so a (near-)symmetric pair leaves an odd
         # part accurate to its own size, not to the size of the sum
         np.subtract(lo, hi, out=hi)
@@ -332,28 +334,13 @@ def _sq(B):
     return np.vdot(B, B).real
 
 
-def _off_block_ratio(H4, parities):
-    """||off-diagonal mirror blocks||_F / ||H||_F of a butterflied square H.
-
-    The off-block norm is summed block by block, not taken as
-    ||H||_F^2 minus the diagonal blocks, which cancels.
-    """
-    off = sum(_sq(H4[r + c]) for r in parities for c in parities if r != c)
-    total = _sq(H4)
-    return float(np.sqrt(off / total)) if total > 0.0 else 0.0
-
-
 def _mirror_factor(X):
     """Butterfly the dense thin factor X in place and split it.
 
     Returns (the four blocks that pair row parity p with column parity p,
-    ||those blocks||_F, ||the 12 other blocks||_F), or None when a side of
-    X is not an odd grid.
+    ||those blocks||_F, ||the 12 other blocks||_F).
     """
-    split = _butterfly(X)
-    if split is None:
-        return None
-    X4, rows, cols = split
+    X4, rows, cols = _butterfly(X)
     diag = [_block(X4, r, c) for r, c in zip(rows, cols)]
     off = sum(_sq(X4[r + c]) for a, r in enumerate(rows)
               for b, c in enumerate(cols) if a != b)
@@ -362,15 +349,15 @@ def _mirror_factor(X):
 
 def _mirror_sparse(Hs):
     """(the four diagonal mirror blocks of Q Hs Q, sparse, and ||its 12
-    off-blocks||_F) for a sparse Hs on an odd grid, Q of ``_butterfly``."""
-    n = _odd_side(Hs.shape[0])
-    m = (n - 1) // 2
-    i = np.arange(m)
+    off-blocks||_F) for a sparse Hs on a square grid, Q of ``_butterfly``."""
+    n = _grid_side(Hs.shape[0])
+    i = np.arange(n // 2)
     j = n - 1 - i
-    s = np.full(m, np.sqrt(0.5))
-    Q1 = sp.csr_matrix((np.concatenate([s, s, s, -s, [1.0]]),
-                        (np.concatenate([i, i, j, j, [m]]),
-                         np.concatenate([i, j, i, j, [m]]))), shape=(n, n))
+    c = np.arange(n // 2, n - n // 2)  # the centre of an odd n
+    s = np.full(i.size, np.sqrt(0.5))
+    Q1 = sp.csr_matrix((np.concatenate([s, s, s, -s, np.ones(c.size)]),
+                        (np.concatenate([i, i, j, j, c]),
+                         np.concatenate([i, j, i, j, c]))), shape=(n, n))
     # the rows of Q in block order: the four parities in turn, each
     # row-major, as ``_block`` lays a block out
     grid = np.arange(n * n).reshape(n, n)
@@ -407,41 +394,33 @@ def _mirror_blocks(Hs, U, Ym):
     return K, float(dropped / kept) if kept > 0.0 else np.inf
 
 
-def _gamma_blocks(MA, W, Y, Ym):
-    """The four mirror blocks of the Gamma form of X = MA + W Y, built from
-    its thin factors, or None when Y has no mirror split (Ym is None) or the
-    factor gate fails; the caller then forms the full matrix."""
-    if Ym is None:
-        return None
-    K, ratio = _mirror_blocks(*_gamma_factors(MA, W, Y), Ym)
-    return K if ratio <= MIRROR_TOL else None
+def _form_blocks(Hs, U, Y, Ym):
+    """The four mirror blocks of H = Hs + U Y + (U Y)^H from its factors,
+    when the factor gate passes, else [H], the full matrix (variable k).
 
-
-def _grid_norm2(H):
-    """Exact 2-norm of any X with X^H X = H on the certificate grid; overwrites H.
-
-    lambda_max(H) is the largest maximum of the four mirror blocks of the
-    butterflied H when its off-blocks pass the MIRROR_TOL gate, and that of
-    the whole butterflied H otherwise (variable k, or a grid that is not
-    an odd square).
+    Ym is ``_mirror_factor`` of Y.  U is butterflied in place, and back
+    (the butterfly is its own inverse) when the gate fails.
     """
-    split = _butterfly(H)
-    if split is None:
-        return norm2_from_gram(H)
-    H4, parities, _ = split
-    if _off_block_ratio(H4, parities) > MIRROR_TOL:
-        return norm2_from_gram(H)
-    return max(norm2_from_gram(_block(H4, p, p)) for p in parities)
+    K, ratio = _mirror_blocks(Hs, U, Ym)
+    if ratio <= MIRROR_TOL:
+        return K
+    _butterfly(U)
+    return [_hermitian_low_rank(Hs, U, Y)]
 
 
-def _norm_T0(G):
-    """||T0||_2 = sqrt(lambda_max(I - Gamma)), overwriting G: the full Gamma,
-    or the list of its four mirror blocks (the largest block maximum)."""
-    blocks = G if isinstance(G, list) else [G]
+def _gram_norm2(blocks):
+    """Exact 2-norm of any X with X^H X = H, from ``_form_blocks`` of H:
+    the largest block maximum of lambda_max."""
+    return max(norm2_from_gram(B) for B in blocks)
+
+
+def _norm_T0(blocks):
+    """||T0||_2 = sqrt(lambda_max(I - Gamma)) from ``_form_blocks`` of
+    Gamma, overwriting them."""
     for B in blocks:
         B *= -1.0
         B[np.diag_indices_from(B)] += 1.0
-    return max(norm2_from_gram(B) for B in G) if G is blocks else _grid_norm2(G)
+    return _gram_norm2(blocks)
 
 
 def _mirror_norm1(blocks):
@@ -456,7 +435,7 @@ def _mirror_norm1(blocks):
     coefficients c(x) c(y), and only the two row passes of the butterfly
     run, on N x (m+1)^2 entries.
     """
-    n = _odd_side(sum(B.shape[0] for B in blocks))
+    n = _grid_side(sum(B.shape[0] for B in blocks))
     m = (n - 1) // 2
     s = np.sqrt(0.5)
     # per parity of an axis: the quadrant indices it reaches, their order
@@ -472,42 +451,15 @@ def _mirror_norm1(blocks):
     return norm1(Z.reshape(n * n, -1))
 
 
-def _grid_inverse(H):
-    """H^-1 of a dense matrix on the certificate grid, overwriting H.
-
-    The butterflied Q H Q is inverted block by block (``linalg.inverse`` on
-    each of the four mirror blocks) when its off-blocks pass the MIRROR_TOL
-    gate, and whole otherwise (variable k).  Q is symmetric and orthogonal,
-    so one more butterfly turns (Q H Q)^-1 into H^-1 = Q (Q H Q)^-1 Q.  A
-    grid that is not an odd square is inverted as it stands.
-    """
-    split = _butterfly(H)
-    if split is None:
-        return inverse(H, "Gamma-tilde")
-    H4, parities, _ = split
-    if _off_block_ratio(H4, parities) > MIRROR_TOL:
-        H = inverse(H, "Gamma-tilde")
-    else:
-        blocks = [H4[p + p] for p in parities]
-        inv = [inverse(_block(H4, p, p), "Gamma-tilde mirror block") for p in parities]
-        H4[...] = 0.0
-        for B, Binv in zip(blocks, inv):
-            B[...] = Binv.reshape(B.shape)
-    _butterfly(H)
-    return H
-
-
-def _ratio(Gt):
-    """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1, overwriting Gt: the full
-    Gamma-tilde, or the list of its four mirror blocks B_p (then Gt^-1 =
-    Q blockdiag(B_p^-1) Q).  NaN when Gt is singular (rank <= 2 N_c at
-    nu = 0)."""
+def _ratio(blocks):
+    """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1 from ``_form_blocks`` of
+    Gamma-tilde: Gt^-1 = Q blockdiag(B_p^-1) Q for the four mirror blocks
+    B_p.  NaN when Gt is singular (rank <= 2 N_c at nu = 0)."""
     try:
-        if isinstance(Gt, list):
-            return 1.0 / _mirror_norm1([inverse(B, "Gamma-tilde mirror block") for B in Gt])
-        return 1.0 / norm1(_grid_inverse(Gt))
+        inv = [inverse(B, "Gamma-tilde") for B in blocks]
     except np.linalg.LinAlgError:
         return np.nan
+    return 1.0 / (norm1(inv[0]) if len(inv) == 1 else _mirror_norm1(inv))
 
 
 def assemble_D(cfg):
@@ -530,28 +482,26 @@ def certify(cfg, log=None):
     MA = _smoothed(cfg)
     P = cfg.pair.P
     SP = P - MA @ P
-    # DA = I - T0 = MA + S P Y and (DA)^H DA = DA + DA^H - Gamma; each dense
-    # matrix is freed once its results are taken, and Gamma-tilde comes last.
     # The full Gamma and Gamma-tilde carry the residual, the verdicts and
-    # the screen; ||T0||_2 and the ratio come from the mirror blocks when
-    # the factor gate passes, as in table_entry and omega_sweep
+    # the screen, each freed once they are taken; the norms and the ratio
+    # come from the mirror blocks of the factors, as in table_entry and
+    # omega_sweep.  DA = I - T0 = MA + S P Y, so (DA)^H DA = DA + DA^H -
+    # Gamma is the form of the sparse MA + MA^H - G_s and the thin S P - U
     G = _gamma_form(MA, SP, Y)
-    DA_gram = _hermitian_low_rank(MA + MA.conj().T, SP, Y)
-    DA_gram -= G
-    sigma_DA = _grid_norm2(DA_gram)
-    del DA_gram
     herm = _hermiticity_residual(G)
     hpd_g = cholesky_hpd_test(G)
+    del G
     Ym = _mirror_factor(Y.copy())
-    blocks = _gamma_blocks(MA, SP, Y, Ym)
-    norm_T0 = _norm_T0(G if blocks is None else blocks)
+    Gs, U = _gamma_factors(MA, SP, Y)
+    sigma_DA = _gram_norm2(_form_blocks(MA + MA.conj().T - Gs, SP.toarray() - U, Y, Ym))
+    norm_T0 = _norm_T0(_form_blocks(Gs, U, Y, Ym))
     lam_min = 1.0 - norm_T0**2  # lambda_max(T0^H T0) = 1 - lambda_min(Gamma)
-    del G, blocks
+    del Gs, U
     Gt = _gamma_form(MA, P, Y)
     hpd_gt = cholesky_hpd_test(Gt)
     screen = quick_pd_screen(Gt)
-    blocks = _gamma_blocks(MA, P, Y, Ym)
-    ratio = _ratio(Gt if blocks is None else blocks)
+    del Gt
+    ratio = _ratio(_form_blocks(*_gamma_factors(MA, P, Y), Y, Ym))
     bound = float(np.sqrt(abs(1.0 - ratio)))
 
     warnings = []
@@ -599,30 +549,30 @@ def table_entry(cfg):
     P = cfg.pair.P
     SP = P - MA @ P
     hpd = cholesky_hpd_test(_gamma_form(MA, P, Y))
-    blocks = _gamma_blocks(MA, SP, Y, _mirror_factor(Y.copy()))
-    return hpd, _norm_T0(_gamma_form(MA, SP, Y) if blocks is None else blocks)
+    blocks = _form_blocks(*_gamma_factors(MA, SP, Y), Y, _mirror_factor(Y.copy()))
+    return hpd, _norm_T0(blocks)
 
 
 def omega_sweep(make_cfg, omegas, nus):
     """Grid of ||Gamma-tilde||_1 / kappa_1(Gamma-tilde) over (omega, nu).
 
     ``make_cfg(omega, nu)`` must return a TwoGridConfig that varies only
-    omega and nu: Y = A_c^{-1} R A is computed once, from
-    ``make_cfg(omegas[0], nus[0])`` and butterflied once, and each cell
-    forms only the four mirror blocks of Gamma-tilde (the full Gamma-tilde
-    when the factor gate fails).  nu = 0 rows are flagged; a singular
-    Gamma-tilde reads 0.0, flagged.
+    omega and nu: Y = A_c^{-1} R A and 1/2 ((P^H P) Y)^H are computed
+    once, from ``make_cfg(omegas[0], nus[0])``, Y is butterflied once, and
+    each cell forms only the four mirror blocks of Gamma-tilde (the full
+    Gamma-tilde when the factor gate fails).  nu = 0 rows are flagged; a
+    singular Gamma-tilde reads 0.0, flagged.
     """
     cfg = make_cfg(omegas[0], nus[0])
     Y = _coarse_correction(cfg, cfg.A)
     Ym = _mirror_factor(Y.copy())
+    P = cfg.pair.P
+    PPY = 0.5 * ((P.conj().T @ P) @ Y).conj().T
     rows = []
     for omega in omegas:
         for nu in nus:
-            cell = make_cfg(omega, nu)
-            MA, P = _smoothed(cell), cell.pair.P
-            blocks = _gamma_blocks(MA, P, Y, Ym)
-            val = _ratio(_gamma_form(MA, P, Y) if blocks is None else blocks)
+            MA = _smoothed(make_cfg(omega, nu))
+            val = _ratio(_form_blocks(*_gamma_factors(MA, P, Y, PPY), Y, Ym))
             flag = "degenerate-no-smoothing" if nu == 0 else ""
             if np.isnan(val):
                 val, flag = 0.0, flag or "singular-gamma-tilde"

@@ -10,10 +10,9 @@ from helmmg.certificate import (
     TwoGridConfig,
     _butterfly,
     _coarse_correction,
-    _gamma_blocks,
+    _form_blocks,
     _gamma_factors,
     _gamma_form,
-    _grid_norm2,
     _mirror_blocks,
     _mirror_factor,
     _smoothed,
@@ -342,11 +341,12 @@ class FakeBig:
 # --- ||.||_2 from the four mirror blocks ------------------------------------
 
 def mirror_Q1(n):
-    """Dense 1-D butterfly of ``_butterfly``: (x_i +- x_j)/sqrt(2) at i and j = n-1-i."""
-    m = (n - 1) // 2
+    """Dense 1-D butterfly of ``_butterfly``: (x_i +- x_j)/sqrt(2) at i and
+    j = n-1-i, and x_m at the centre m of an odd n."""
     Q = np.zeros((n, n))
-    Q[m, m] = 1.0
-    for i in range(m):
+    if n % 2:
+        Q[n // 2, n // 2] = 1.0
+    for i in range(n // 2):
         j = n - 1 - i
         Q[i, i] = Q[i, j] = Q[j, i] = np.sqrt(0.5)
         Q[j, j] = -np.sqrt(0.5)
@@ -365,20 +365,14 @@ def mirror_parity(n):
 
 
 def record_gates(monkeypatch, ratios):
-    """Append the ratio of every mirror gate to ``ratios``: the factor gate of
-    the Gamma blocks and the off-block gate of a full matrix."""
-    off, blocks = certificate._off_block_ratio, certificate._mirror_blocks
-
-    def record_off(H4, parities):
-        ratios.append(off(H4, parities))
-        return ratios[-1]
+    """Append the ratio of every factor gate to ``ratios``."""
+    blocks = certificate._mirror_blocks
 
     def record_blocks(Hs, U, Ym):
         K, ratio = blocks(Hs, U, Ym)
         ratios.append(ratio)
         return K, ratio
 
-    monkeypatch.setattr(certificate, "_off_block_ratio", record_off)
     monkeypatch.setattr(certificate, "_mirror_blocks", record_blocks)
 
 
@@ -405,10 +399,11 @@ def gram_norm(X):
 @pytest.mark.parametrize("nu", [1, 3])
 @pytest.mark.parametrize("coarsen", ["csl", "original"])
 @pytest.mark.parametrize("scheme", ["linear", "bezier"])
-@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls):
     # constant k: table_entry's ||T0||_2 and certify's sigma_max(DA) come
-    # from the four mirror blocks, and match the dense Gram's spectrum
+    # from the four mirror blocks, and match the dense Gram's spectrum.
+    # k = 6 and 8 (n = 11 and 15) have an even coarse side
     cfg = make_cfg(k=float(k), n=nodes_for_wavenumber(k), scheme=scheme,
                    coarsen=coarsen, nu=nu)
     T0 = dense_T0(cfg)
@@ -419,10 +414,9 @@ def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls)
     assert rep.norm_T0 == t0
     want = gram_norm(np.eye(N) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
-    # one gate per norm (table_entry: ||T0||'s factor gate; certify:
-    # sigma_max(DA)'s off-block gate, ||T0||'s factor gate) and certify's
-    # ratio's factor gate, each passed, and only the quarter-size blocks
-    # were solved
+    # one factor gate per norm (table_entry: ||T0||; certify: sigma_max(DA)
+    # and ||T0||) and one for certify's ratio, each passed, and only the
+    # quarter-size blocks were solved
     assert len(norm_calls["ratios"]) == 4
     assert max(norm_calls["ratios"]) <= MIRROR_TOL
     assert len(norm_calls["sizes"]) == 12
@@ -441,8 +435,8 @@ def smooth_medium_cfg(omega=4.5, nu=1):
 
 
 def test_grid_norm2_variable_k_takes_full_path(norm_calls):
-    # MP 2-B breaks the mirror symmetry: every gate fails and the whole
-    # transformed Gram is solved, still exactly
+    # MP 2-B breaks the mirror symmetry: every factor gate fails and the
+    # whole Gram is solved, still exactly
     cfg = smooth_medium_cfg()
     T0 = dense_T0(cfg)
     rep = certify(cfg, log=io.StringIO())
@@ -451,41 +445,6 @@ def test_grid_norm2_variable_k_takes_full_path(norm_calls):
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
     assert min(norm_calls["ratios"]) > 1e3 * MIRROR_TOL
     assert norm_calls["sizes"] == [17 * 17, 17 * 17]
-
-
-def mirror_invariant(scale, shift=0.0):
-    """H = Q^T (B + E) Q on n = 9: B Hermitian PSD plus shift * I and block
-    diagonal in the mirror basis, E an off-block Hermitian perturbation of
-    ||E||_F = scale * MIRROR_TOL * ||B||_F."""
-    n = 9
-    N = n * n
-    rng = np.random.default_rng(7)
-    Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    B = Z @ Z.conj().T + shift * np.eye(N)
-    label = mirror_parity(n)
-    same = label[:, None] == label[None, :]
-    E = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) * ~same
-    E += E.conj().T
-    B *= same
-    E *= scale * MIRROR_TOL * np.linalg.norm(B) / np.linalg.norm(E)
-    Q = mirror_Q(n)
-    return Q.T @ (B + E) @ Q
-
-
-@pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
-def test_grid_norm2_gate(scale, blocks, norm_calls):
-    # a reflection-invariant Hermitian PSD H = Q^T B Q plus an off-block
-    # perturbation E of ||E||_F = scale * MIRROR_TOL * ||B||_F: the gate
-    # alone decides the path, and either path is exact to ||E||_2
-    H = mirror_invariant(scale)
-    N = H.shape[0]
-    want = np.sqrt(np.linalg.eigvalsh(H).max())
-    got = _grid_norm2(H.copy())
-    ratio, = norm_calls["ratios"]
-    assert (ratio <= MIRROR_TOL) == blocks
-    assert abs(ratio - scale * MIRROR_TOL) <= 0.1 * MIRROR_TOL
-    assert sorted(norm_calls["sizes"]) == ([16, 20, 20, 25] if blocks else [N])
-    assert abs(got - want) <= 1e-12 * want
 
 
 def test_butterfly_is_the_mirror_basis_and_keeps_frobenius():
@@ -506,19 +465,29 @@ def test_butterfly_is_the_mirror_basis_and_keeps_frobenius():
     assert cols == [(slice(0, 3), slice(0, 3)), (slice(0, 3), slice(3, 5)),
                     (slice(3, 5), slice(0, 3)), (slice(3, 5), slice(3, 5))]
     assert rel_fro(X, Q @ H[:, :25] @ mirror_Q(5).T) <= 1e-14
+    # an even coarse side: fine rows on n = 11, coarse columns on n_c = 6,
+    # which has no centre node; a second butterfly undoes the first
+    Z = rng.standard_normal((121, 36)) + 1j * rng.standard_normal((121, 36))
+    X = Z.copy()
+    _, rows, cols = _butterfly(X)
+    assert rows == [(a, b) for a in (slice(0, 6), slice(6, 11))
+                    for b in (slice(0, 6), slice(6, 11))]
+    assert cols == [(a, b) for a in (slice(0, 3), slice(3, 6))
+                    for b in (slice(0, 3), slice(3, 6))]
+    assert rel_fro(X, mirror_Q(11) @ Z @ mirror_Q(6).T) <= 1e-14
+    assert abs(np.linalg.norm(X) - np.linalg.norm(Z)) <= 1e-14 * np.linalg.norm(Z)
+    _butterfly(X)
+    assert rel_fro(X, Z) <= 1e-14
 
 
-@pytest.mark.parametrize("N", [64, 80])
-def test_butterfly_leaves_other_grids_to_the_full_path(N, norm_calls):
-    # an even n or a non-square N has no centre-symmetric butterfly
+@pytest.mark.parametrize("N", [80])
+def test_butterfly_leaves_other_grids_to_the_full_path(N):
+    # a non-square N is no grid: no butterfly, and H is left as it was
     rng = np.random.default_rng(4)
-    Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    H = Z.conj().T @ Z
+    H = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     keep = H.copy()
     assert _butterfly(H) is None
     assert np.array_equal(H, keep)
-    assert np.isclose(_grid_norm2(H), np.linalg.norm(Z, 2), rtol=1e-13, atol=0.0)
-    assert norm_calls["sizes"] == [N] and norm_calls["ratios"] == []
 
 
 # --- 1 / ||Gamma-tilde^-1||_1 from the four mirror blocks ---------------------
@@ -568,11 +537,11 @@ def sweep_and_certify_ratio(make, omega, nu, calls):
 @pytest.mark.parametrize("nu", [1, 2])
 @pytest.mark.parametrize("coarsen", ["csl", "original"])
 @pytest.mark.parametrize("scheme", ["linear", "bezier"])
-@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_ratio_block_path_matches_dense_inverse(k, scheme, coarsen, nu, inverse_calls):
-    # constant k: omega_sweep's and certify's ratio invert only the four
-    # quarter-size mirror blocks, and match numpy's inverse of the dense
-    # Gamma-tilde
+    # constant k, the even coarse sides of k = 6 and 8 included:
+    # omega_sweep's and certify's ratio invert only the four quarter-size
+    # mirror blocks, and match numpy's inverse of the dense Gamma-tilde
     n = nodes_for_wavenumber(k)
 
     def make(omega, nu):
@@ -587,28 +556,13 @@ def test_ratio_block_path_matches_dense_inverse(k, scheme, coarsen, nu, inverse_
 
 
 def test_ratio_variable_k_takes_full_path(inverse_calls):
-    # MP 2-B: the gate fails and the whole butterflied Gamma-tilde is inverted
+    # MP 2-B: the factor gate fails and the whole Gamma-tilde is inverted
     want = dense_ratio(smooth_medium_cfg())
     for got, gate, sizes in sweep_and_certify_ratio(smooth_medium_cfg, 4.5, 1,
                                                    inverse_calls):
         assert abs(got - want) <= 1e-12 * want
         assert gate > 1e3 * MIRROR_TOL
         assert sizes == [17 * 17]
-
-
-@pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
-def test_grid_inverse_gate(scale, blocks, inverse_calls):
-    # the gate alone decides the path of the inverse too, and either path
-    # returns H^-1 in the original ordering.  B + 81 I keeps kappa_2 near 4,
-    # so dropping E moves H^-1 by about 4 * scale * MIRROR_TOL; the 1e6
-    # scale makes any E left beside the block inverses stand out
-    H = 1e6 * mirror_invariant(scale, shift=81.0)
-    want = np.linalg.inv(H)
-    got = certificate._grid_inverse(H.copy())
-    ratio, = inverse_calls["ratios"]
-    assert (ratio <= MIRROR_TOL) == blocks
-    assert sorted(inverse_calls["sizes"]) == ([16, 20, 20, 25] if blocks else [81])
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("centre", [0.0, 50.0])
@@ -644,7 +598,7 @@ def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
                         (4.5,), (1,))
     assert inverse_calls["ratios"][-1] <= MIRROR_TOL
     assert sorted(inverse_calls["sizes"]) == mirror_block_sizes(9)
-    assert inverse_calls["lu"] == [("Gamma-tilde mirror block", 25)]
+    assert inverse_calls["lu"] == [("Gamma-tilde", 25)]
     want = dense_ratio(cfg)
     assert abs(cell["ratio"] - want) <= 1e-12 * want
 
@@ -666,11 +620,11 @@ def fro(blocks):
 @pytest.mark.parametrize("nu", [1, 2])
 @pytest.mark.parametrize("coarsen", ["csl", "original"])
 @pytest.mark.parametrize("scheme", ["linear", "bezier"])
-@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_gamma_blocks_match_dense_form(k, scheme, coarsen, nu, monkeypatch):
     # Gamma-tilde (W = P) and Gamma (W = S P) from the butterflied factors
     # against the mirror blocks of the dense numpy forms; both factor gates
-    # pass
+    # pass, on the even coarse sides of k = 6 and 8 too
     ratios = []
     record_gates(monkeypatch, ratios)
     n = nodes_for_wavenumber(k)
@@ -681,7 +635,7 @@ def test_gamma_blocks_match_dense_form(k, scheme, coarsen, nu, monkeypatch):
     DA = np.eye(n * n) - dense_T0(cfg)
     for W, dense in ((P, dense_gamma_tilde(cfg)),
                      (P - MA @ P, DA.conj().T + DA - DA.conj().T @ DA)):
-        got = _gamma_blocks(MA, W, Y, Ym)
+        got = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
         want = dense_mirror_blocks(dense, n)
         assert [B.shape for B in got] == [B.shape for B in want]
         assert fro([g - w for g, w in zip(got, want)]) <= 1e-13 * np.linalg.norm(dense)
@@ -704,7 +658,8 @@ def off_parity(n_rows, n_cols, seed):
 def test_factor_gate(factor, scale, blocks, monkeypatch):
     # a reflection-breaking perturbation of U (or of Y), sized so that its
     # share of the bound is scale * MIRROR_TOL * ||K||_F: the gate alone
-    # decides between the blocks and the full form.  k = 5, n = 9, n_c = 5
+    # decides between the blocks and the full form, which the un-butterflied
+    # U then builds.  k = 5, n = 9, n_c = 5
     cfg = make_cfg(omega=3.5, nu=1)
     Y = _coarse_correction(cfg, cfg.A)
     MA, P = _smoothed(cfg), cfg.pair.P
@@ -718,21 +673,22 @@ def test_factor_gate(factor, scale, blocks, monkeypatch):
     if factor == "U":
         E = off_parity(9, 5, seed=1)
         E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(Y))
-        U_bad = U + mirror_Q(9) @ E @ mirror_Q(5)
-        monkeypatch.setattr(certificate, "_gamma_factors", lambda *a: (Hs, U_bad.copy()))
-        Ym = _mirror_factor(Y.copy())
+        U_bad, Y_bad = U + mirror_Q(9) @ E @ mirror_Q(5), Y
     else:
         E = off_parity(5, 9, seed=2)
         E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(U))
-        Ym = _mirror_factor(Y + mirror_Q(5) @ E @ mirror_Q(9))
+        U_bad, Y_bad = U, Y + mirror_Q(5) @ E @ mirror_Q(9)
     ratios = []
     record_gates(monkeypatch, ratios)
-    got = _gamma_blocks(MA, P, Y, Ym)
+    got = _form_blocks(Hs, U_bad.copy(), Y_bad, _mirror_factor(Y_bad.copy()))
     ratio, = ratios
     assert abs(ratio - scale * MIRROR_TOL) <= 0.1 * MIRROR_TOL
-    assert (got is not None) == blocks
+    assert len(got) == (4 if blocks else 1)
     if blocks:
         assert fro([g - k for g, k in zip(got, K)]) <= 1e-14 * fro(K)
+    else:
+        UY = U_bad @ Y_bad
+        assert rel_fro(got[0], Hs.toarray() + UY + UY.conj().T) <= 1e-14
 
 
 @pytest.mark.parametrize("diag, off, symmetric", [
@@ -791,21 +747,28 @@ def test_block_path_makes_no_full_product(products):
     # k = 10, n = 17 (N = 289), n_c = 9 (N_c = 81): omega_sweep's cells and
     # table_entry's Gamma multiply only the quarter-size factor blocks; the
     # one N x N_c x N product left is table_entry's Gamma-tilde, for its
-    # Cholesky verdict
+    # Cholesky verdict.  certify makes two, the full Gamma and Gamma-tilde
+    # for their verdicts: sigma_max(DA), ||T0||_2 and the ratio come from
+    # the blocks, and no (DA)^H DA is formed
     blocks = [((81, 25), (25, 81)), ((72, 20), (20, 72)), ((72, 20), (20, 72)),
               ((64, 16), (16, 64))]
+    full = [((289, 81), (81, 289))]
     omega_sweep(lambda w, nu: make_cfg(k=10.0, n=17, omega=w, nu=nu), (1.5, 4.5), (1, 2))
     assert products == blocks * 4
     products.clear()
     table_entry(make_cfg(k=10.0, n=17))
-    assert products == [((289, 81), (81, 289))] + blocks
+    assert products == full + blocks
+    products.clear()
+    certify(make_cfg(k=10.0, n=17), log=io.StringIO())
+    assert products == full + blocks * 2 + full + blocks
 
 
 @pytest.mark.parametrize("case", ["variable-k", "even coarse side"])
 def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
-    # a smooth variable-k medium fails the factor gate; on n = 11 the
-    # coarse grid has n_c = 6 and no centre node, so Y has no mirror split.
-    # Both form the full Gamma forms and still match the dense references
+    # a smooth variable-k medium fails the factor gate and forms the full
+    # Gamma forms; on n = 11 the coarse grid has n_c = 6 and no centre node,
+    # and the factors still split into the four mirror blocks.  Both match
+    # the dense references
     ratios = []
     record_gates(monkeypatch, ratios)
     make = smooth_medium_cfg if case == "variable-k" else (
@@ -817,11 +780,19 @@ def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
     assert abs(t0 - want) <= 1e-13 * want
     cell, = omega_sweep(make, (4.5,), (1,))
     assert abs(cell["ratio"] - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
-    # Gamma-tilde's verdict, table_entry's Gamma and the sweep's Gamma-tilde
-    # (beside the blocks the failed factor gate rejected)
-    assert products.count(((N, Nc), (Nc, N))) == 3
+    # Gamma-tilde's verdict, and for variable k table_entry's Gamma and the
+    # sweep's Gamma-tilde (beside the blocks the failed factor gate rejected)
+    assert len(ratios) == 2
     if case == "variable-k":
-        # each failed factor gate is followed by the full matrix's gate
-        assert len(ratios) == 4 and min(ratios) > 1e3 * MIRROR_TOL
+        assert products.count(((N, Nc), (Nc, N))) == 3
+        assert min(ratios) > 1e3 * MIRROR_TOL
     else:
-        assert Nc == 36 and len(ratios) == 2 and max(ratios) <= MIRROR_TOL
+        assert products.count(((N, Nc), (Nc, N))) == 1
+        assert Nc == 36 and max(ratios) <= MIRROR_TOL
+
+
+def test_benchmark_entry_points_exist():
+    # perfbench/harness.py calls or traces these names on helmmg.certificate
+    for name in ("TwoGridConfig", "table_entry", "omega_sweep", "assemble_D",
+                 "smoother_correction", "cholesky_hpd_test", "norm1"):
+        assert callable(getattr(certificate, name, None)), name
