@@ -128,7 +128,7 @@ from .problem import (
     build_wavenumber_field,
     nodes_for_wavenumber,
 )
-from .smoothing import SmootherConfig
+from .smoothing import SmootherConfig, reciprocal_diagonal
 from .transfer import build_transfer_2d, galerkin_coarse
 
 
@@ -212,7 +212,7 @@ class CertificateReport:
 def smoother_correction(A, omega, nu):
     """Sparse M_nu with I - M_nu A = (I - X^{-1} A)^nu, X = omega * Lambda_A:
     nu Horner steps M <- M + X^{-1} (I - A M) from M = 0."""
-    Xinv = sp.diags(1.0 / (omega * A.diagonal()), format="csr")
+    Xinv = sp.diags(reciprocal_diagonal(A) * (1.0 / omega), format="csr")
     M = sp.csr_matrix(A.shape, dtype=complex)
     for _ in range(nu):
         M = M + Xinv @ (sp.identity(A.shape[0], format="csr") - A @ M)

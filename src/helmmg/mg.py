@@ -20,15 +20,13 @@ smoothers update it instead of forming b - A u again.  The level above the
 coarsest visits it once whatever gamma is, since an exact solve repeated
 on the same right-hand side returns the same vector.
 
-The GMRES smoother's Krylov basis lives in one workspace per hierarchy,
-(m+1) x N_0 complex entries, allocated by the first GMRES cycle and grown
-only when a later cycle asks for a larger m.  Level j smooths on the
-leading (m+1) x N_j view of it.  One workspace serves every level
-because a level post-smooths only after the coarser recursion has
-returned, so no two levels hold the basis at once.  Two solves must not
-run on one hierarchy at the same time, since they would share it.
-``solve`` drops the workspace when it returns, so hierarchies kept
-between solves hold none.
+A hierarchy is not changed after ``build_hierarchy`` returns, so solves
+may share one, from several threads too.  Each GMRES solve owns its
+smoother's Krylov basis: one flat buffer of (m+1) x N_0 complex entries,
+allocated before the first cycle and handed down the recursion, with
+level j smoothing on the leading (m+1) x N_j view of it.  One buffer
+serves every level because a level post-smooths only after the coarser
+recursion has returned, so no two levels hold the basis at once.
 """
 
 from dataclasses import dataclass, field
@@ -56,12 +54,11 @@ class Level:
 
 @dataclass
 class Hierarchy:
-    """Levels (fine to coarse), coarsest dense LU, shared GMRES workspace."""
+    """Levels (fine to coarse) and the coarsest dense LU."""
 
     levels: list
     coarse_lu: tuple
     spec: object = None
-    workspace: np.ndarray = None  # GMRES basis, see gmres_basis
 
     @property
     def fine_operator(self):
@@ -70,18 +67,6 @@ class Hierarchy:
     @property
     def nlevels(self):
         return len(self.levels)
-
-    def gmres_basis(self, m, N):
-        """The (m+1) x N GMRES basis view of the shared workspace.
-
-        The workspace holds (m+1) * N_0 entries for the N_0 fine-level
-        unknowns and is reallocated only when m exceeds the m it was
-        allocated for.
-        """
-        size = (m + 1) * self.levels[0].n ** 2
-        if self.workspace is None or self.workspace.size < size:
-            self.workspace = np.empty(size, dtype=complex)
-        return self.workspace[:(m + 1) * N].reshape(m + 1, N)
 
 
 @dataclass
@@ -148,11 +133,13 @@ def build_hierarchy(spec, scheme="bezier", coarsen_on="csl"):
     return Hierarchy(levels=levels, coarse_lu=coarse_lu, spec=spec)
 
 
-def cycle(h, level, u, r, cfg):
+def cycle(h, level, u, r, cfg, work=None):
     """One multigrid cycle at ``level`` on the residual r = b - A u.
 
     Returns the updated pair (u, r).  The coarsest level solves exactly
-    and returns a zero residual.
+    and returns a zero residual.  ``work`` is the solve's flat GMRES basis
+    buffer, at least (m+1) x N entries for this level's N unknowns;
+    without it each GMRES step allocates its own basis.
     """
     if level == h.nlevels - 1:
         return u + sla.lu_solve(h.coarse_lu, r), np.zeros_like(r)
@@ -160,11 +147,11 @@ def cycle(h, level, u, r, cfg):
     rc = L.pair.R @ r
     ec = np.zeros(rc.shape[0], dtype=complex)
     for _ in range(1 if level + 2 == h.nlevels else cfg.gamma):
-        ec, rc = cycle(h, level + 1, ec, rc, cfg)
+        ec, rc = cycle(h, level + 1, ec, rc, cfg, work)
     d = L.pair.P @ ec
     sm = cfg.smoother
-    # size from r: the level operator need not expose a shape
-    basis = h.gmres_basis(sm.m, r.shape[0]) if sm.kind == "gmres" else None
+    N = r.shape[0]  # from r: the level operator need not expose a shape
+    basis = None if work is None else work[:(sm.m + 1) * N].reshape(sm.m + 1, N)
     return apply_smoother(L.op, u + d, r - L.op @ d, sm, inv_diag=L.inv_diag,
                           basis=basis)
 
@@ -218,22 +205,22 @@ def solve(h, b, cfg, u0=None):
     if r0 == 0.0:
         return SolveResult(u=u, cycles=0, residual_history=history, status="converged")
     best = 1.0
-    try:
-        for it in range(1, cfg.max_cycles + 1):
-            u, r = cycle(h, 0, u, r, cfg)
+    sm = cfg.smoother
+    work = (np.empty((sm.m + 1) * b.shape[0], dtype=complex)
+            if sm.kind == "gmres" else None)
+    for it in range(1, cfg.max_cycles + 1):
+        u, r = cycle(h, 0, u, r, cfg, work)
+        rel = float(np.linalg.norm(r) / r0)
+        status = _stop_status(rel, best, cfg.tol)
+        if status or it == cfg.max_cycles:
+            r = b - A @ u
             rel = float(np.linalg.norm(r) / r0)
             status = _stop_status(rel, best, cfg.tol)
-            if status or it == cfg.max_cycles:
-                r = b - A @ u
-                rel = float(np.linalg.norm(r) / r0)
-                status = _stop_status(rel, best, cfg.tol)
-            history.append(rel)
-            if status:
-                return SolveResult(u=u, cycles=it, residual_history=history,
-                                   status=status)
-            best = min(best, rel)
-    finally:
-        h.workspace = None  # a hierarchy kept between solves holds no basis
+        history.append(rel)
+        if status:
+            return SolveResult(u=u, cycles=it, residual_history=history,
+                               status=status)
+        best = min(best, rel)
     return SolveResult(u=u, cycles=cfg.max_cycles, residual_history=history,
                        status="max-cycles")
 

@@ -21,11 +21,11 @@ step.
 
 The Krylov basis V is an (m+1) x N array, one row per basis vector,
 that the caller may own: the multigrid cycle passes a view of one
-workspace per hierarchy, shared by all levels, so a step allocates no
-basis.  Classical Gram-Schmidt runs through BLAS level 2 on the
-F-contiguous view V^T: ``zgemv(trans=2)`` forms V^* w and an in-place
-``zgemv`` subtracts V^T h from w, with no conjugated copies; norms come
-from ``vdot``.  The (m+1) x m least-squares solve stays with
+buffer per solve, shared by all levels, so a step allocates no basis.
+Classical Gram-Schmidt runs through BLAS level 2 on the F-contiguous
+view V^T: ``zgemv(trans=2)`` forms V^* w and an in-place ``zgemv``
+subtracts V^T h from w, with no conjugated copies; norms come from
+``vdot``.  The (m+1) x m least-squares solve stays with
 ``np.linalg.lstsq``: LAPACK's zgels is faster on so small a matrix, but
 has no answer when H is rank-deficient at breakdown, where lstsq returns
 the minimum-norm solution.
@@ -144,8 +144,8 @@ def apply_smoother(A, u, r, cfg, inv_diag=None, basis=None):
     """Apply ``cfg.nu`` steps of the configured smoother; returns (u, r).
 
     ``inv_diag`` is the Jacobi scaling handed to every sweep (see
-    ``jacobi_sweep``) and ``basis`` the GMRES workspace handed to every
-    step (see ``gmres_smooth``); each smoother ignores the other's.
+    ``jacobi_sweep``) and ``basis`` the GMRES basis buffer handed to
+    every step (see ``gmres_smooth``); each smoother ignores the other's.
     """
     for _ in range(cfg.nu):
         if cfg.kind == "jacobi":

@@ -89,6 +89,14 @@ def test_smoother_correction_identity():
         assert np.linalg.norm(got - want) / max(np.linalg.norm(want), 1) <= 1e-11
 
 
+def test_smoother_correction_zero_diagonal_names_node():
+    # the certificate's Jacobi scaling is the solver's reciprocal_diagonal,
+    # which refuses a zero entry instead of dividing by it
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 0.0]], dtype=complex))
+    with pytest.raises(ZeroDivisionError, match="node 1"):
+        smoother_correction(A, 4.5, 1)
+
+
 @pytest.mark.parametrize("nu", [1, 2, 3])
 def test_I_minus_DA_equals_dense_T0(nu):
     # the Lemma's claim T0 = I - D A against the explicit product and
