@@ -95,13 +95,20 @@ lambda_max(I - K_p), sigma_max(DA) that of the largest lambda_max of the
 (``linalg.inverse`` on each block: Cholesky and ``zpotri`` for an HPD
 block, LU otherwise).  The 1-norm is not orthogonally invariant, but that
 matrix commutes with both reflections, so the column sums of one quadrant
-of columns give it (``_mirror_norm1``).  The Cholesky verdicts, the
-Hermiticity residual and the quick screen are taken on the untransformed
-full matrices, whose pivot indices the verdicts report.
+of columns give it (``_mirror_norm1``).  Q is orthogonal, so a form is
+HPD exactly when each of its blocks is: the Cholesky verdicts of Gamma
+and Gamma-tilde (``_hpd_verdict``) run on the blocks, and a failing
+verdict names the block and the row of the mirror basis, not a node.
+Gamma's Hermiticity residual is that of blockdiag(K_p).  Only the quick
+screen, whose conditions test entries in the node basis, still forms the
+full N x N Gamma-tilde.  The sparse basis Q of each grid side is built
+once (``_mirror_basis``).  For variable k every step takes the one full
+form instead, and a verdict reports its node's pivot index.
 """
 
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -347,10 +354,14 @@ def _mirror_factor(X):
     return diag, np.sqrt(sum(_sq(B) for B in diag)), np.sqrt(off)
 
 
-def _mirror_sparse(Hs):
-    """(the four diagonal mirror blocks of Q Hs Q, sparse, and ||its 12
-    off-blocks||_F) for a sparse Hs on a square grid, Q of ``_butterfly``."""
-    n = _grid_side(Hs.shape[0])
+@cache
+def _mirror_basis(n):
+    """(Q, block sizes, block starts, block label of each row) of the sparse
+    mirror basis on an n x n grid, built once per n and read-only.
+
+    The rows of Q = Q1 (x) Q1 of ``_butterfly`` come in block order: the
+    four parities in turn, each row-major, as ``_block`` lays a block out.
+    """
     i = np.arange(n // 2)
     j = n - 1 - i
     c = np.arange(n // 2, n - n // 2)  # the centre of an odd n
@@ -358,15 +369,21 @@ def _mirror_sparse(Hs):
     Q1 = sp.csr_matrix((np.concatenate([s, s, s, -s, np.ones(c.size)]),
                         (np.concatenate([i, i, j, j, c]),
                          np.concatenate([i, j, i, j, c]))), shape=(n, n))
-    # the rows of Q in block order: the four parities in turn, each
-    # row-major, as ``_block`` lays a block out
     grid = np.arange(n * n).reshape(n, n)
     order = [grid[p].ravel() for p in _parities(n)]
     Q = sp.kron(Q1, Q1, format="csr")[np.concatenate(order)]
-    Hb = (Q @ Hs @ Q.T).tocoo()
     sizes = [len(o) for o in order]
-    start = np.cumsum([0] + sizes)
     label = np.repeat(np.arange(4), sizes)
+    for a in (Q.data, Q.indices, Q.indptr, label):
+        a.flags.writeable = False
+    return Q, tuple(sizes), tuple(np.cumsum([0] + sizes[:-1]).tolist()), label
+
+
+def _mirror_sparse(Hs):
+    """(the four diagonal mirror blocks of Q Hs Q, sparse, and ||its 12
+    off-blocks||_F) for a sparse Hs on a square grid, Q of ``_butterfly``."""
+    Q, sizes, start, label = _mirror_basis(_grid_side(Hs.shape[0]))
+    Hb = (Q @ Hs @ Q.T).tocoo()
     row, col = label[Hb.row], label[Hb.col]
     blocks = []
     for p, size in enumerate(sizes):
@@ -406,6 +423,28 @@ def _form_blocks(Hs, U, Y, Ym):
         return K
     _butterfly(U)
     return [_hermitian_low_rank(Hs, U, Y)]
+
+
+#: The parities of the four mirror blocks in ``_parities`` order; the first
+#: grid axis is y and the second x (x runs fastest).
+_BLOCK_PARITY = ("x even, y even", "x odd, y even", "x even, y odd", "x odd, y odd")
+
+
+def _hpd_verdict(blocks):
+    """HPD verdict of H from ``_form_blocks`` of H.
+
+    Q is orthogonal, so H is HPD exactly when Q H Q = blockdiag(blocks)
+    is, that is when every block passes ``cholesky_hpd_test``.  The first
+    failing block, in ``_parities`` order, decides, and its reason names
+    the block and its row.  The one block [H] of variable k is H's own
+    verdict.
+    """
+    for p, B in enumerate(blocks):
+        verdict = cholesky_hpd_test(B)
+        if not verdict:
+            where = f" of mirror block {p} ({_BLOCK_PARITY[p]})" if len(blocks) > 1 else ""
+            return Verdict(False, verdict.reason + where)
+    return verdict
 
 
 def _gram_norm2(blocks):
@@ -479,30 +518,29 @@ def certify(cfg, log=None):
     silent and never fatal.
     """
     Y = _coarse_correction(cfg, cfg.A)
+    Ym = _mirror_factor(Y.copy())
     MA = _smoothed(cfg)
     P = cfg.pair.P
     SP = P - MA @ P
-    # The full Gamma and Gamma-tilde carry the residual, the verdicts and
-    # the screen, each freed once they are taken; the norms and the ratio
-    # come from the mirror blocks of the factors, as in table_entry and
-    # omega_sweep.  DA = I - T0 = MA + S P Y, so (DA)^H DA = DA + DA^H -
-    # Gamma is the form of the sparse MA + MA^H - G_s and the thin S P - U
-    G = _gamma_form(MA, SP, Y)
-    herm = _hermiticity_residual(G)
-    hpd_g = cholesky_hpd_test(G)
-    del G
-    Ym = _mirror_factor(Y.copy())
+    # Everything but the quick screen comes from the mirror blocks of the
+    # factors, as in table_entry and omega_sweep.  DA = I - T0 = MA + S P Y,
+    # so (DA)^H DA = DA + DA^H - Gamma is the form of the sparse
+    # MA + MA^H - G_s and the thin S P - U.  Gamma's residual and verdict
+    # are taken before _norm_T0 overwrites its blocks
     Gs, U = _gamma_factors(MA, SP, Y)
     sigma_DA = _gram_norm2(_form_blocks(MA + MA.conj().T - Gs, SP.toarray() - U, Y, Ym))
-    norm_T0 = _norm_T0(_form_blocks(Gs, U, Y, Ym))
+    G = _form_blocks(Gs, U, Y, Ym)
+    herm = _hermiticity_residual(*G)
+    hpd_g = _hpd_verdict(G)
+    norm_T0 = _norm_T0(G)
     lam_min = 1.0 - norm_T0**2  # lambda_max(T0^H T0) = 1 - lambda_min(Gamma)
-    del Gs, U
-    Gt = _gamma_form(MA, P, Y)
-    hpd_gt = cholesky_hpd_test(Gt)
-    screen = quick_pd_screen(Gt)
-    del Gt
-    ratio = _ratio(_form_blocks(*_gamma_factors(MA, P, Y), Y, Ym))
+    del Gs, U, G
+    Gt = _form_blocks(*_gamma_factors(MA, P, Y), Y, Ym)
+    hpd_gt = _hpd_verdict(Gt)
+    ratio = _ratio(Gt)
     bound = float(np.sqrt(abs(1.0 - ratio)))
+    del Gt
+    screen = quick_pd_screen(_gamma_form(MA, P, Y))  # the one N x N matrix of constant k
 
     warnings = []
     if hpd_gt.ok and not hpd_g.ok:
@@ -540,17 +578,19 @@ def table_entry(cfg):
     Computes only what the published verdict table shows; skips the
     lambda_min, sigma_max(DA) and optimality-ratio machinery so large
     (k = 30) configurations stay tractable.  Gamma-tilde and Gamma are
-    Gamma forms with W = P and W = S P.  The verdict is taken on the full
-    Gamma-tilde; ||T0||_2 is the root of lambda_max(I - Gamma), from the
-    mirror blocks of Gamma when the factor gate passes, as in ``certify``.
+    Gamma forms with W = P and W = S P, each as ``_form_blocks``: the four
+    mirror blocks when the factor gate passes, else the full form.  The
+    verdict is ``_hpd_verdict`` of Gamma-tilde's, and ||T0||_2 the root of
+    lambda_max(I - Gamma) from Gamma's, as in ``certify``; no N x N
+    matrix is formed for constant k.
     """
     Y = _coarse_correction(cfg, cfg.A)
+    Ym = _mirror_factor(Y.copy())
     MA = _smoothed(cfg)
     P = cfg.pair.P
     SP = P - MA @ P
-    hpd = cholesky_hpd_test(_gamma_form(MA, P, Y))
-    blocks = _form_blocks(*_gamma_factors(MA, SP, Y), Y, _mirror_factor(Y.copy()))
-    return hpd, _norm_T0(blocks)
+    hpd = _hpd_verdict(_form_blocks(*_gamma_factors(MA, P, Y), Y, Ym))
+    return hpd, _norm_T0(_form_blocks(*_gamma_factors(MA, SP, Y), Y, Ym))
 
 
 def omega_sweep(make_cfg, omegas, nus):

@@ -71,26 +71,28 @@ def lu_factor_checked(M, what):
 HERMITIAN_TOL = 1e-12
 
 
-def _hermiticity_residual(M):
-    """||M - M^H||_F / ||M||_F of a square M, one pair of tiles at a time.
+def _hermiticity_residual(*blocks):
+    """||M - M^H||_F / ||M||_F of M = blockdiag(blocks), square blocks, one
+    pair of tiles at a time; one block is M itself.
 
     The tile (I, J) of M - M^H is minus the adjoint of the tile (J, I), so
     each pair above the diagonal counts twice; the extra memory is one
     tile.  An exactly Hermitian M reads exactly 0.0.
     """
-    nrm = sla.norm(M, "fro")
+    nrm = np.linalg.norm([sla.norm(M, "fro") for M in blocks])
     if nrm == 0.0:
         return 0.0
-    n = M.shape[0]
-    buf = np.empty(min(n, _ADJOINT_TILE) ** 2, dtype=M.dtype)
     sq = 0.0
-    tiles = _tiles(n)
-    for a, I in enumerate(tiles):
-        for J in tiles[a:]:
-            upper, lower = M[I, J], M[J, I]
-            diff = np.conjugate(lower.T, out=buf[:upper.size].reshape(upper.shape))
-            np.subtract(upper, diff, out=diff)
-            sq += (1.0 if J == I else 2.0) * np.vdot(diff, diff).real
+    for M in blocks:
+        n = M.shape[0]
+        buf = np.empty(min(n, _ADJOINT_TILE) ** 2, dtype=M.dtype)
+        tiles = _tiles(n)
+        for a, I in enumerate(tiles):
+            for J in tiles[a:]:
+                upper, lower = M[I, J], M[J, I]
+                diff = np.conjugate(lower.T, out=buf[:upper.size].reshape(upper.shape))
+                np.subtract(upper, diff, out=diff)
+                sq += (1.0 if J == I else 2.0) * np.vdot(diff, diff).real
     return float(np.sqrt(sq)) / nrm
 
 

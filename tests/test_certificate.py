@@ -13,6 +13,7 @@ from helmmg.certificate import (
     _form_blocks,
     _gamma_factors,
     _gamma_form,
+    _hpd_verdict,
     _mirror_blocks,
     _mirror_factor,
     _smoothed,
@@ -23,7 +24,7 @@ from helmmg.certificate import (
     smoother_correction,
     table_entry,
 )
-from helmmg.linalg import DenseLimitError, _hermiticity_residual
+from helmmg.linalg import DenseLimitError, _hermiticity_residual, cholesky_hpd_test
 from helmmg.mg import CycleConfig, build_hierarchy, cycle
 from helmmg.problem import (
     ProblemSpec,
@@ -239,9 +240,9 @@ def test_certify_report_pinned_not_hpd():
     cfg = make_cfg(scheme="linear", coarsen="original", omega=3.5, nu=2)
     assert pinned_lines(cfg) == [
         "Gamma HPD                  : False (not positive definite: pivot failure "
-        "at index 22)",
+        "at index 14 of mirror block 0 (x even, y even))",
         "Gamma-tilde HPD            : False (not positive definite: pivot failure "
-        "at index 21)",
+        "at index 13 of mirror block 0 (x even, y even))",
         "quick PD screen            : False (condition 4: determinant not positive)",
         "lambda_min(Gamma)          : -1.37731",
         "||T0||_2                   : 1.54185",
@@ -367,7 +368,8 @@ def mirror_Q(n):
 
 
 def mirror_parity(n):
-    """Block label 0..3 (x parity, y parity) of each unknown in the mirror basis."""
+    """Block label 0..3, 2 (y parity) + (x parity), of each unknown in the
+    mirror basis; x runs fastest."""
     odd = np.arange(n) > (n - 1) // 2
     return (2 * odd[:, None] + odd[None, :]).ravel()
 
@@ -423,23 +425,25 @@ def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls)
     want = gram_norm(np.eye(N) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
     # one factor gate per norm (table_entry: ||T0||; certify: sigma_max(DA)
-    # and ||T0||) and one for certify's ratio, each passed, and only the
-    # quarter-size blocks were solved
-    assert len(norm_calls["ratios"]) == 4
+    # and ||T0||) and one per Gamma-tilde (table_entry's verdict, certify's
+    # verdict and ratio), each passed, and only the quarter-size blocks were
+    # solved
+    assert len(norm_calls["ratios"]) == 5
     assert max(norm_calls["ratios"]) <= MIRROR_TOL
     assert len(norm_calls["sizes"]) == 12
     assert sum(norm_calls["sizes"]) == 3 * N
 
 
-def smooth_medium_cfg(omega=4.5, nu=1):
-    """MP 2-B, smooth medium with k from 5 to 10 on n = 17, Bezier/CSL."""
+def smooth_medium_cfg(omega=4.5, nu=1, scheme="bezier", coarsen="csl"):
+    """MP 2-B, smooth medium with k from 5 to 10 on n = 17, Bezier/CSL by default."""
     spec = ProblemSpec(kind="variable-k", k_min=5.0, k_max=10.0, profile="smooth",
                        seed=1, nodes_per_dim=17,
                        shift=ShiftSpec(kind="fixed", beta2=0.7))
     f = build_wavenumber_field(spec)
     A = assemble_helmholtz(spec, f, shift_on=False)
-    return TwoGridConfig(A=A, coarse_build_op=assemble_helmholtz(spec, f, shift_on=True),
-                         pair=build_transfer_2d(17, "bezier"), omega=omega, nu=nu)
+    B = assemble_helmholtz(spec, f, shift_on=True) if coarsen == "csl" else A
+    return TwoGridConfig(A=A, coarse_build_op=B, pair=build_transfer_2d(17, scheme),
+                         omega=omega, nu=nu)
 
 
 def test_grid_norm2_variable_k_takes_full_path(norm_calls):
@@ -753,11 +757,12 @@ def products(monkeypatch):
 
 def test_block_path_makes_no_full_product(products):
     # k = 10, n = 17 (N = 289), n_c = 9 (N_c = 81): omega_sweep's cells and
-    # table_entry's Gamma multiply only the quarter-size factor blocks; the
-    # one N x N_c x N product left is table_entry's Gamma-tilde, for its
-    # Cholesky verdict.  certify makes two, the full Gamma and Gamma-tilde
-    # for their verdicts: sigma_max(DA), ||T0||_2 and the ratio come from
-    # the blocks, and no (DA)^H DA is formed
+    # table_entry's Gamma-tilde (for its verdict) and Gamma (for ||T0||_2)
+    # multiply only the quarter-size factor blocks.  certify takes
+    # sigma_max(DA), Gamma's residual, verdict and ||T0||_2, and
+    # Gamma-tilde's verdict and ratio from the blocks too; its one
+    # N x N_c x N product is the full Gamma-tilde of the quick screen, and
+    # no (DA)^H DA is formed
     blocks = [((81, 25), (25, 81)), ((72, 20), (20, 72)), ((72, 20), (20, 72)),
               ((64, 16), (16, 64))]
     full = [((289, 81), (81, 289))]
@@ -765,10 +770,10 @@ def test_block_path_makes_no_full_product(products):
     assert products == blocks * 4
     products.clear()
     table_entry(make_cfg(k=10.0, n=17))
-    assert products == full + blocks
+    assert products == blocks * 2
     products.clear()
     certify(make_cfg(k=10.0, n=17), log=io.StringIO())
-    assert products == full + blocks * 2 + full + blocks
+    assert products == blocks * 3 + full
 
 
 @pytest.mark.parametrize("case", ["variable-k", "even coarse side"])
@@ -788,15 +793,101 @@ def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
     assert abs(t0 - want) <= 1e-13 * want
     cell, = omega_sweep(make, (4.5,), (1,))
     assert abs(cell["ratio"] - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
-    # Gamma-tilde's verdict, and for variable k table_entry's Gamma and the
-    # sweep's Gamma-tilde (beside the blocks the failed factor gate rejected)
-    assert len(ratios) == 2
+    # table_entry's Gamma-tilde and Gamma and the sweep's Gamma-tilde: for
+    # variable k each is the full form (beside the blocks the failed factor
+    # gate rejected), on the even coarse side none is
+    assert len(ratios) == 3
     if case == "variable-k":
         assert products.count(((N, Nc), (Nc, N))) == 3
         assert min(ratios) > 1e3 * MIRROR_TOL
     else:
-        assert products.count(((N, Nc), (Nc, N))) == 1
+        assert products.count(((N, Nc), (Nc, N))) == 0
         assert Nc == 36 and max(ratios) <= MIRROR_TOL
+
+
+# --- HPD verdicts from the mirror blocks -------------------------------------
+
+def verdict_pairs(cfg):
+    """(blocks, block verdict, full-form verdict) of Gamma-tilde and of Gamma."""
+    Y = _coarse_correction(cfg, cfg.A)
+    Ym = _mirror_factor(Y.copy())
+    MA, P = _smoothed(cfg), cfg.pair.P
+    for W in (P, P - MA @ P):
+        blocks = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
+        yield blocks, _hpd_verdict(blocks), cholesky_hpd_test(_gamma_form(MA, W, Y))
+
+
+def test_block_verdicts_match_full_verdicts():
+    # Q is orthogonal, so a form is HPD exactly when its four mirror blocks
+    # are: Gamma-tilde and Gamma over k in {5, 10}, both schemes and
+    # coarsenings, omega in {1.5, 3.5, 4.5} and nu in {1, 2} (96 forms)
+    oks, mismatches = [], []
+    for k in (5, 10):
+        for scheme in ("linear", "bezier"):
+            for coarsen in ("csl", "original"):
+                for omega in (1.5, 3.5, 4.5):
+                    for nu in (1, 2):
+                        cfg = make_cfg(k=float(k), n=nodes_for_wavenumber(k), scheme=scheme,
+                                       coarsen=coarsen, omega=omega, nu=nu)
+                        for blocks, got, want in verdict_pairs(cfg):
+                            assert len(blocks) == 4
+                            oks.append(want.ok)
+                            if got.ok != want.ok:
+                                mismatches.append((k, scheme, coarsen, omega, nu))
+    assert mismatches == []
+    assert len(oks) == 96 and 0 < sum(oks) < 96
+
+
+@pytest.mark.parametrize("scheme, coarsen, ok", [("bezier", "csl", True),
+                                                 ("linear", "original", False)])
+def test_variable_k_verdict_is_the_full_verdict(scheme, coarsen, ok):
+    # the failed factor gate leaves one block, the full form: its verdict,
+    # the reason with the pivot index of a node included, is the full
+    # form's own, byte for byte
+    for blocks, got, want in verdict_pairs(smooth_medium_cfg(3.5, 2, scheme, coarsen)):
+        assert len(blocks) == 1
+        assert got == want and got.ok == ok
+
+
+@pytest.mark.parametrize("make, sizes", [(lambda: make_cfg(omega=3.5), [25, 20, 20, 16]),
+                                         (smooth_medium_cfg, [17 * 17])])
+def test_verdict_goes_through_cholesky_hpd_test(make, sizes, monkeypatch):
+    # perfbench times the verdict under the module name
+    # certificate.cholesky_hpd_test: one call per mirror block of an HPD
+    # Gamma-tilde for constant k, one on the full form for variable k
+    seen = []
+    test = certificate.cholesky_hpd_test
+
+    def record(M):
+        seen.append(M.shape[0])
+        return test(M)
+
+    monkeypatch.setattr(certificate, "cholesky_hpd_test", record)
+    hpd, _ = table_entry(make())
+    assert hpd.ok and seen == sizes
+
+
+@pytest.mark.parametrize("k, n", [(5, 9), (5, 11), (10, 17), (20, 33)])
+def test_mirror_basis_built_once_and_read_only(k, n, monkeypatch):
+    # the cached sparse basis of side n gives the blocks and off-norm of a
+    # fresh build, bit for bit (n = 11 has an even coarse side), and cannot
+    # be written to
+    MA = _smoothed(make_cfg(k=float(k), n=n))
+    Hs = (MA + MA.conj().T).tocsr()
+    cached = certificate._mirror_sparse(Hs)
+    Q, sizes, _, label = certificate._mirror_basis(n)
+    assert certificate._mirror_basis(n)[0] is Q
+    for a in (Q.data, Q.indices, Q.indptr, label):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        label[0] = 1
+    monkeypatch.setattr(certificate, "_mirror_basis", certificate._mirror_basis.__wrapped__)
+    fresh = certificate._mirror_sparse(Hs)
+    assert len(cached[0]) == len(fresh[0]) == 4
+    for a, b in zip(cached[0], fresh[0]):
+        assert np.array_equal(a.toarray(), b.toarray())
+    assert cached[1] == fresh[1]
+    assert list(sizes) == [B.shape[0] for B in fresh[0]]
 
 
 def test_benchmark_entry_points_exist():

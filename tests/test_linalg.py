@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from helmmg import linalg
@@ -236,6 +237,18 @@ def test_hermiticity_residual_by_tiles(n):
     want = np.linalg.norm(X - X.conj().T) / np.linalg.norm(X)
     assert np.isclose(linalg._hermiticity_residual(X), want, rtol=1e-13, atol=0.0)
     assert linalg._hermiticity_residual(add_adjoint(X)) == 0.0
+
+
+def test_hermiticity_residual_of_blocks():
+    # the residual of blockdiag(blocks) from the blocks, ragged tiles
+    # included, is that of the assembled matrix
+    rng = np.random.default_rng(4)
+    sizes = (3, linalg._ADJOINT_TILE + 5, 7)
+    blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in sizes]
+    M = sla.block_diag(*blocks)
+    want = np.linalg.norm(M - M.conj().T) / np.linalg.norm(M)
+    assert np.isclose(linalg._hermiticity_residual(*blocks), want, rtol=1e-13, atol=0.0)
+    assert linalg._hermiticity_residual(*[add_adjoint(B) for B in blocks]) == 0.0
 
 
 def test_quick_screen_walks_every_stripe():
