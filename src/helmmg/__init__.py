@@ -10,7 +10,6 @@ from .linalg import (
     DENSE_LIMIT,
     Verdict,
     cholesky_hpd_test,
-    condition_number_p1,
     norm1,
     quick_pd_screen,
 )

@@ -245,12 +245,3 @@ def inverse(M, what):
                            np.eye(M.shape[0], dtype=complex, order="F"), overwrite_b=True)
     return np.ascontiguousarray(inv)
 
-
-def condition_number_p1(M):
-    """kappa_1(M) = ||M||_1 ||M^-1||_1, M^-1 from ``inverse``.
-
-    Raises ``np.linalg.LinAlgError`` ("condition_number_p1 input singular to
-    tolerance at pivot index i") when M is singular to LU's tolerance.
-    """
-    M = np.asarray(M, dtype=complex)
-    return norm1(M) * norm1(inverse(M, "condition_number_p1 input"))

@@ -20,15 +20,13 @@ smoothers update it instead of forming b - A u again.  The level above the
 coarsest visits it once whatever gamma is, since an exact solve repeated
 on the same right-hand side returns the same vector.
 
-A hierarchy is not changed after ``build_hierarchy`` returns, so solves
-may share one, from several threads too.  Each GMRES solve owns its
-smoother's Krylov basis: one flat buffer of (m+1) x N_0 complex entries,
-allocated before the first cycle and handed down the recursion, with
-level j smoothing on the leading (m+1) x N_j view of it.  One buffer
-serves every level because a level post-smooths only after the coarser
-recursion has returned, so no two levels hold the basis at once.
+A hierarchy is not changed after ``build_hierarchy`` returns, and a
+cycle keeps no state outside its arguments, so solves may share one
+hierarchy, from several threads too; their coarsest-level solves take
+turns (``_COARSE_SOLVE``).
 """
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +38,11 @@ from .smoothing import SmootherConfig, apply_smoother, reciprocal_diagonal
 from .transfer import build_transfer_2d, galerkin_coarse
 
 COARSEST_NODES = 10  # stop coarsening when nodes-per-dim drops below this
+
+#: the zgetrs of OpenBLAS 0.3.30, which scipy bundles and ``lu_solve``
+#: calls, corrupts the heap when two threads call it at once, so concurrent
+#: solves take turns at the coarsest level
+_COARSE_SOLVE = threading.Lock()
 
 
 @dataclass
@@ -133,27 +136,24 @@ def build_hierarchy(spec, scheme="bezier", coarsen_on="csl"):
     return Hierarchy(levels=levels, coarse_lu=coarse_lu, spec=spec)
 
 
-def cycle(h, level, u, r, cfg, work=None):
+def cycle(h, level, u, r, cfg):
     """One multigrid cycle at ``level`` on the residual r = b - A u.
 
     Returns the updated pair (u, r).  The coarsest level solves exactly
-    and returns a zero residual.  ``work`` is the solve's flat GMRES basis
-    buffer, at least (m+1) x N entries for this level's N unknowns;
-    without it each GMRES step allocates its own basis.
+    and returns a zero residual.
     """
     if level == h.nlevels - 1:
-        return u + sla.lu_solve(h.coarse_lu, r), np.zeros_like(r)
+        with _COARSE_SOLVE:
+            e = sla.lu_solve(h.coarse_lu, r)
+        return u + e, np.zeros_like(r)
     L = h.levels[level]
     rc = L.pair.R @ r
     ec = np.zeros(rc.shape[0], dtype=complex)
     for _ in range(1 if level + 2 == h.nlevels else cfg.gamma):
-        ec, rc = cycle(h, level + 1, ec, rc, cfg, work)
+        ec, rc = cycle(h, level + 1, ec, rc, cfg)
     d = L.pair.P @ ec
-    sm = cfg.smoother
-    N = r.shape[0]  # from r: the level operator need not expose a shape
-    basis = None if work is None else work[:(sm.m + 1) * N].reshape(sm.m + 1, N)
-    return apply_smoother(L.op, u + d, r - L.op @ d, sm, inv_diag=L.inv_diag,
-                          basis=basis)
+    return apply_smoother(L.op, u + d, r - L.op @ d, cfg.smoother,
+                          inv_diag=L.inv_diag)
 
 
 #: a run stops as diverged once its relative residual exceeds this multiple
@@ -205,11 +205,8 @@ def solve(h, b, cfg, u0=None):
     if r0 == 0.0:
         return SolveResult(u=u, cycles=0, residual_history=history, status="converged")
     best = 1.0
-    sm = cfg.smoother
-    work = (np.empty((sm.m + 1) * b.shape[0], dtype=complex)
-            if sm.kind == "gmres" else None)
     for it in range(1, cfg.max_cycles + 1):
-        u, r = cycle(h, 0, u, r, cfg, work)
+        u, r = cycle(h, 0, u, r, cfg)
         rel = float(np.linalg.norm(r) / r0)
         status = _stop_status(rel, best, cfg.tol)
         if status or it == cfg.max_cycles:

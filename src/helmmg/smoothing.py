@@ -20,12 +20,11 @@ matvec.  It acts as a degree-(m-1) polynomial smoother at m matvecs per
 step.
 
 The Krylov basis V is an (m+1) x N array, one row per basis vector,
-that the caller may own: the multigrid cycle passes a view of one
-buffer per solve, shared by all levels, so a step allocates no basis.
-Classical Gram-Schmidt runs through BLAS level 2 on the F-contiguous
-view V^T: ``zgemv(trans=2)`` forms V^* w and an in-place ``zgemv``
-subtracts V^T h from w, with no conjugated copies; norms come from
-``vdot``.  The (m+1) x m least-squares solve stays with
+that each step allocates for itself, so a step shares no state with any
+other.  Classical Gram-Schmidt runs through BLAS level 2 on the
+F-contiguous view V^T: ``zgemv(trans=2)`` forms V^* w and an in-place
+``zgemv`` subtracts V^T h from w, with no conjugated copies; norms come
+from ``vdot``.  The (m+1) x m least-squares solve stays with
 ``np.linalg.lstsq``: LAPACK's zgels is faster on so small a matrix, but
 has no answer when H is rank-deficient at breakdown, where lstsq returns
 the minimum-norm solution.
@@ -87,7 +86,7 @@ def _norm(x):
     return np.sqrt(np.vdot(x, x).real)
 
 
-def gmres_smooth(A, u, r, m=3, V=None):
+def gmres_smooth(A, u, r, m=3):
     """One GMRES(m) smoothing step on the residual r = b - A u.
 
     Returns (u + c, r - A c) where c minimizes ||r - A c|| over the
@@ -95,16 +94,13 @@ def gmres_smooth(A, u, r, m=3, V=None):
     Arnoldi relation, not from a matvec.  Arnoldi breakdown means the
     Krylov space is invariant and the correction is exact.
 
-    ``V`` is an optional complex (m+1) x N workspace for the basis; its
-    contents on entry are ignored and overwritten.  Without it a fresh
-    one is allocated.  The returned arrays never share memory with ``V``,
-    ``u`` or ``r``, and ``u`` and ``r`` are left unchanged.
+    ``u`` and ``r`` are left unchanged; unless r is zero, the returned
+    arrays share no memory with them.
     """
     rn = _norm(r)
     if rn == 0.0:
         return u, r
-    if V is None:
-        V = np.empty((m + 1, r.shape[0]), dtype=complex)  # basis, one row each
+    V = np.empty((m + 1, r.shape[0]), dtype=complex)  # basis, one row each
     H = np.zeros((m + 1, m), dtype=complex)
     np.multiply(r, 1.0 / rn, out=V[0])
     filled = m + 1  # basis rows written
@@ -126,8 +122,8 @@ def gmres_smooth(A, u, r, m=3, V=None):
         H[j + 1, j] = hb
         if hb <= 1e-14 * wn0:
             # breakdown: Krylov space invariant, correction exact; row
-            # V[j + 1] is not written and may hold stale data, so the
-            # residual uses V[:j + 1] only
+            # V[j + 1] is not written and holds whatever np.empty left
+            # there, so the residual uses V[:j + 1] only
             filled = j + 1
             break
         np.multiply(w, 1.0 / hb, out=V[j + 1])
@@ -140,16 +136,15 @@ def gmres_smooth(A, u, r, m=3, V=None):
             blas.zgemv(-1.0, V[:filled].T, H[:filled, :k] @ y, beta=1.0, y=r))
 
 
-def apply_smoother(A, u, r, cfg, inv_diag=None, basis=None):
+def apply_smoother(A, u, r, cfg, inv_diag=None):
     """Apply ``cfg.nu`` steps of the configured smoother; returns (u, r).
 
     ``inv_diag`` is the Jacobi scaling handed to every sweep (see
-    ``jacobi_sweep``) and ``basis`` the GMRES basis buffer handed to
-    every step (see ``gmres_smooth``); each smoother ignores the other's.
+    ``jacobi_sweep``); the GMRES smoother does not use it.
     """
     for _ in range(cfg.nu):
         if cfg.kind == "jacobi":
             u, r = jacobi_sweep(A, u, r, cfg.omega, inv_diag=inv_diag)
         else:
-            u, r = gmres_smooth(A, u, r, cfg.m, V=basis)
+            u, r = gmres_smooth(A, u, r, cfg.m)
     return u, r

@@ -8,7 +8,6 @@ from helmmg.linalg import (
     Verdict,
     add_adjoint,
     cholesky_hpd_test,
-    condition_number_p1,
     inverse,
     lu_factor_checked,
     norm1,
@@ -151,9 +150,8 @@ def test_norm1_and_condition(rng):
     M = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
     M += 10 * np.eye(10)
     assert np.isclose(norm1(M), np.abs(M).sum(axis=0).max())
-    kappa = condition_number_p1(M)
     want = norm1(M) * norm1(np.linalg.inv(M))
-    assert np.isclose(kappa, want, rtol=1e-10)
+    assert np.isclose(kappa1(M, "M"), want, rtol=1e-10)
 
 
 @pytest.fixture
@@ -169,9 +167,14 @@ def lu_calls(monkeypatch):
     return calls
 
 
+def kappa1(M, what):
+    """kappa_1(M) = ||M||_1 ||M^-1||_1 with M^-1 from ``inverse``."""
+    return norm1(M) * norm1(inverse(M, what))
+
+
 def test_condition_hpd_through_cholesky(small_spd, lu_calls):
     want = norm1(small_spd) * norm1(np.linalg.inv(small_spd))
-    assert np.isclose(condition_number_p1(small_spd), want, rtol=1e-12, atol=0.0)
+    assert np.isclose(kappa1(small_spd, "spd"), want, rtol=1e-12, atol=0.0)
     assert lu_calls == []
 
 
@@ -179,38 +182,37 @@ def test_condition_hermitian_indefinite_through_lu(small_spd, lu_calls):
     M = small_spd - 30 * np.eye(12)
     assert np.linalg.eigvalsh(M).min() < 0 < np.linalg.eigvalsh(M).max()
     want = norm1(M) * norm1(np.linalg.inv(M))
-    assert np.isclose(condition_number_p1(M), want, rtol=1e-12, atol=0.0)
-    assert lu_calls == ["condition_number_p1 input"]
+    assert np.isclose(kappa1(M, "indefinite"), want, rtol=1e-12, atol=0.0)
+    assert lu_calls == ["indefinite"]
 
 
 def test_condition_singular_raises(lu_calls):
     # the rank-8 12x12 Gram matrix of test_quick_screen_fails_singular_gram_matrix
     rng = np.random.default_rng(0)
     B = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
-    with pytest.raises(np.linalg.LinAlgError, match="condition_number_p1 input"):
-        condition_number_p1(B @ B.conj().T)
+    with pytest.raises(np.linalg.LinAlgError, match="Gram matrix singular to tolerance"):
+        kappa1(B @ B.conj().T, "Gram matrix")
     # Cholesky completes here, but c_11^2 = 1e-15 is below the verdict's
     # 1e-12 max diag floor: LU takes over and its u_11 = 1e-15 is below
     # 1e-14 max|M|
     lu_calls.clear()
     with pytest.raises(np.linalg.LinAlgError,
-                       match="condition_number_p1 input singular to tolerance "
-                             "at pivot index 1"):
-        condition_number_p1(np.diag([1.0, 1e-15, 1.0]).astype(complex))
-    assert lu_calls == ["condition_number_p1 input"]
+                       match="tiny pivot singular to tolerance at pivot index 1"):
+        kappa1(np.diag([1.0, 1e-15, 1.0]).astype(complex), "tiny pivot")
+    assert lu_calls == ["tiny pivot"]
 
 
 def test_one_hermitian_tolerance(small_spd, lu_calls):
     # a residual between 1e-12 and 1e-10 is non-Hermitian to the verdict,
-    # to kappa_1 and to the quick screen alike
+    # to ``inverse`` and to the quick screen alike
     M = small_spd.copy()
     M[0, 1] += 1e-10 * np.abs(M).max()
     assert 1e-12 < linalg._hermiticity_residual(M) < 1e-10
     v = cholesky_hpd_test(M)
     assert not v.ok and v.reason.startswith("non-hermitian")
     want = norm1(M) * norm1(np.linalg.inv(M))
-    assert np.isclose(condition_number_p1(M), want, rtol=1e-12, atol=0.0)
-    assert lu_calls == ["condition_number_p1 input"]
+    assert np.isclose(kappa1(M, "near-hermitian"), want, rtol=1e-12, atol=0.0)
+    assert lu_calls == ["near-hermitian"]
     with pytest.raises(ValueError, match="requires a Hermitian matrix"):
         quick_pd_screen(M)
 

@@ -1,5 +1,6 @@
 import inspect
 import io
+import sys
 import threading
 
 import numpy as np
@@ -354,6 +355,40 @@ def test_concurrent_solves_share_a_hierarchy():
     assert got == want
 
 
+def test_concurrent_coarsest_solves():
+    # the coarsest level's LAPACK solve corrupts the heap when two threads
+    # run it at once; four threads, more than the cores, each run many
+    # coarsest-level cycles on one hierarchy with thread switches forced
+    # often, and every result must equal the one-thread result
+    h = two_level(n=17)
+    top = h.nlevels - 1
+    N = h.levels[top].op.shape[0]
+    rng = np.random.default_rng(3)
+    rs = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(4)]
+    cfg = CycleConfig()
+    zero = np.zeros(N, dtype=complex)
+    want = [cycle(h, top, zero, r, cfg)[0] for r in rs]
+    done = [0] * len(rs)
+
+    def run(i):
+        for _ in range(2000):
+            if np.array_equal(cycle(h, top, zero, rs[i], cfg)[0], want[i]):
+                done[i] += 1
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(rs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert done == [2000] * len(rs)
+
+
 class CountingOp:
     """A level operator that counts its applications through ``@``."""
 
@@ -384,9 +419,9 @@ def test_cycle_operator_applications(monkeypatch, gamma):
     visits = {}
     inner = mg.cycle
 
-    def counted(h, level, u, r, cfg, work=None):
+    def counted(h, level, u, r, cfg):
         visits[level] = visits.get(level, 0) + 1
-        return inner(h, level, u, r, cfg, work)
+        return inner(h, level, u, r, cfg)
 
     monkeypatch.setattr(mg, "cycle", counted)
     u, r = mg.cycle(h, 0, np.zeros_like(b), b, cfg)
@@ -412,8 +447,8 @@ def test_history_matches_true_residual(monkeypatch, smoother, gamma):
     iterates = []
     inner = mg.cycle
 
-    def record(h, level, u, r, cfg, work=None):
-        out = inner(h, level, u, r, cfg, work)
+    def record(h, level, u, r, cfg):
+        out = inner(h, level, u, r, cfg)
         if level == 0:
             iterates.append(out[0])
         return out
