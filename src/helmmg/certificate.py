@@ -106,7 +106,6 @@ once (``_mirror_basis``).  For variable k every step takes the one full
 form instead, and a verdict reports its node's pivot index.
 """
 
-import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -116,11 +115,10 @@ import scipy.sparse as sp
 
 from . import presets
 from .linalg import (
-    DENSE_LIMIT,
-    DenseLimitError,
     Verdict,
     _hermiticity_residual,
     add_adjoint,
+    check_dense_limit,
     cholesky_hpd_test,
     inverse,
     lu_factor_checked,
@@ -157,15 +155,6 @@ class TwoGridConfig:
     def __post_init__(self):
         # the smoother's own omega and nu checks and messages
         SmootherConfig(kind="jacobi", omega=self.omega, nu=self.nu)
-
-
-def check_dense_limit(N):
-    """Raise DenseLimitError when a certificate of N unknowns exceeds DENSE_LIMIT."""
-    if N * N > DENSE_LIMIT:
-        raise DenseLimitError(
-            f"certificate needs a dense {N}x{N} matrix "
-            f"({N * N} entries > limit {DENSE_LIMIT})"
-        )
 
 
 @dataclass
@@ -297,26 +286,27 @@ def _butterfly(H):
     """Apply H <- Q_r H Q_c^T in place for the mirror bases of rows and columns.
 
     H is a C-contiguous N_r x N_c matrix whose rows and columns are the
-    unknowns of an n_r x n_r and an n_c x n_c grid, N = n^2.  Q = Q1 (x) Q1,
-    and Q1 maps x to (x_i + x_j)/sqrt(2) at i and (x_i - x_j)/sqrt(2) at j
-    for each mirror pair i < j = n-1-i, and keeps the centre x_m of an odd
-    n (an even n has none).  Q is symmetric and orthogonal, so ||H||_F is
+    unknowns of an n_r x n_r and an n_c x n_c grid, N = n^2: every caller
+    passes a fresh dense factor between an odd n x n grid and its
+    ((n+1)/2)^2 coarse grid, either way round.  Q = Q1 (x) Q1, Q1 of
+    ``_reflect``.  Q is symmetric and orthogonal, so ||H||_F is
     unchanged, a square H keeps its spectrum, and a second call undoes the
     first.  Returns the (n_r, n_r, n_c, n_c) view of H with the row and the
-    column parity slice pairs, or None, leaving H untouched, when a side is
-    not the square of an n >= 2.
+    column parity slice pairs.
     """
-    sides = [_grid_side(N) for N in H.shape]
-    if None in sides or not H.flags.c_contiguous:
-        return None
-    nr, nc = sides
+    nr, nc = (_grid_side(N) for N in H.shape)
     H4 = H.reshape(nr, nr, nc, nc)
     _reflect(H4, range(4))
     return H4, _parities(nr), _parities(nc)
 
 
 def _reflect(H4, axes):
-    """Apply Q1 along each of the given axes of H4, in place."""
+    """Apply Q1 along each of the given axes of H4, in place.
+
+    Q1 maps x to (x_i + x_j)/sqrt(2) at i and (x_i - x_j)/sqrt(2) at j for
+    each mirror pair i < j = n-1-i, and keeps the centre x_m of an odd n
+    (an even n has none); this is the one definition of the butterfly.
+    """
     s = np.sqrt(0.5)
     for axis in axes:
         V = np.moveaxis(H4, axis, 0)
@@ -328,12 +318,6 @@ def _reflect(H4, axes):
         hi *= s
         lo *= 2.0 * s
         lo -= hi
-
-
-def _block(H4, r, c):
-    """The mirror block of rows r and columns c of a butterflied H4, as a matrix."""
-    B = H4[r + c]
-    return B.reshape(B.shape[0] * B.shape[1], -1)
 
 
 def _sq(B):
@@ -348,7 +332,8 @@ def _mirror_factor(X):
     ||those blocks||_F, ||the 12 other blocks||_F).
     """
     X4, rows, cols = _butterfly(X)
-    diag = [_block(X4, r, c) for r, c in zip(rows, cols)]
+    diag = [B.reshape(B.shape[0] * B.shape[1], -1)
+            for B in (X4[r + c] for r, c in zip(rows, cols))]
     off = sum(_sq(X4[r + c]) for a, r in enumerate(rows)
               for b, c in enumerate(cols) if a != b)
     return diag, np.sqrt(sum(_sq(B) for B in diag)), np.sqrt(off)
@@ -360,15 +345,12 @@ def _mirror_basis(n):
     mirror basis on an n x n grid, built once per n and read-only.
 
     The rows of Q = Q1 (x) Q1 of ``_butterfly`` come in block order: the
-    four parities in turn, each row-major, as ``_block`` lays a block out.
+    four parities in turn, each row-major, as ``_mirror_factor`` lays a
+    block out.  Q1 is ``_reflect`` applied to the identity.
     """
-    i = np.arange(n // 2)
-    j = n - 1 - i
-    c = np.arange(n // 2, n - n // 2)  # the centre of an odd n
-    s = np.full(i.size, np.sqrt(0.5))
-    Q1 = sp.csr_matrix((np.concatenate([s, s, s, -s, np.ones(c.size)]),
-                        (np.concatenate([i, i, j, j, c]),
-                         np.concatenate([i, j, i, j, c]))), shape=(n, n))
+    Q1 = np.eye(n)
+    _reflect(Q1, (0,))
+    Q1 = sp.csr_matrix(Q1)
     grid = np.arange(n * n).reshape(n, n)
     order = [grid[p].ravel() for p in _parities(n)]
     Q = sp.kron(Q1, Q1, format="csr")[np.concatenate(order)]
@@ -509,13 +491,13 @@ def assemble_D(cfg):
     return np.asarray(M + CC) - M @ (cfg.A @ CC)
 
 
-def certify(cfg, log=None):
+def certify(cfg):
     """Full certificate for one two-grid configuration.
 
     The theory-consistency implications (Gamma-tilde HPD => Gamma HPD,
-    and the HPD => norm-bound assertions) are checked and logged;
-    violations are reportable findings recorded in the report, never
-    silent and never fatal.
+    and the HPD => norm-bound assertions) are checked; violations are
+    reportable findings recorded in ``consistency_warnings``, which
+    ``to_text`` prints as WARNING lines, never silent and never fatal.
     """
     Y = _coarse_correction(cfg, cfg.A)
     Ym = _mirror_factor(Y.copy())
@@ -555,8 +537,6 @@ def certify(cfg, log=None):
             )
         if not sigma_DA < 2.0 + 1e-8:
             warnings.append(f"sigma_max(DA) = {sigma_DA:.6g} >= 2 (theory violation)")
-    for w in warnings:
-        print(f"certificate consistency: {w}", file=log or sys.stderr)
 
     return CertificateReport(
         hermiticity_residual_gamma=float(herm),

@@ -13,16 +13,11 @@ import sys
 import numpy as np
 
 from . import presets
-from .certificate import (
-    TwoGridConfig,
-    certify,
-    check_dense_limit,
-    conv1_row,
-    opt1_row,
-)
-from .linalg import DenseLimitError
+from .certificate import TwoGridConfig, certify, conv1_row, opt1_row
+from .linalg import DenseLimitError, check_dense_limit
 from .mg import CycleConfig, build_hierarchy, history_csv, solve
 from .problem import (
+    PPW_RULE,
     ProblemSpec,
     ShiftSpec,
     assemble_helmholtz,
@@ -49,8 +44,10 @@ def _add_problem_args(p):
                    help="spatial profile of the MP 2-B wavenumber field")
     p.add_argument("--seed", type=int, default=1,
                    help="seed for the reproducible MP 2-B wavenumber field")
-    p.add_argument("--ppw", type=float, default=None,
-                   help="resolution rule as max k*h (default 0.625)")
+    p.add_argument("--ppw", type=float, default=PPW_RULE,
+                   help=f"resolution rule as max k*h (default {PPW_RULE}); it "
+                        f"can only refine the grid, since a grid with k*h above "
+                        f"{PPW_RULE} is refused as under-resolved")
     p.add_argument("--n", type=int, default=None,
                    help="nodes per dimension (odd); overrides the ppw rule")
     p.add_argument("--shift", default="0.7",
@@ -97,7 +94,6 @@ def _problem_spec(args):
     shift = _shift_spec(args.shift)
     if args.n is not None:
         _refuse_set(args, ("ppw",), "a grid set by --n")
-    ppw = args.ppw if args.ppw is not None else 0.625
     if args.k is not None:
         if args.k_min is not None or args.k_max is not None:
             raise ValueError("give either --k or --k-min/--k-max, not both")
@@ -109,7 +105,7 @@ def _problem_spec(args):
     else:
         raise ValueError("a problem needs --k or both --k-min and --k-max")
     k_top = args.k if args.k is not None else args.k_max
-    n = nodes_for_wavenumber(k_top, ppw) if args.n is None else args.n
+    n = nodes_for_wavenumber(k_top, args.ppw) if args.n is None else args.n
     return ProblemSpec(nodes_per_dim=n, shift=shift, **kwargs)
 
 

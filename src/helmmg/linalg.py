@@ -20,6 +20,15 @@ class DenseLimitError(RuntimeError):
     """Raised when a dense computation would exceed DENSE_LIMIT entries."""
 
 
+def check_dense_limit(N):
+    """Raise DenseLimitError when a certificate of N unknowns exceeds DENSE_LIMIT."""
+    if N * N > DENSE_LIMIT:
+        raise DenseLimitError(
+            f"certificate needs a dense {N}x{N} matrix "
+            f"({N * N} entries > limit {DENSE_LIMIT})"
+        )
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a definiteness test: ``ok`` plus a human-readable reason."""
@@ -136,8 +145,8 @@ def quick_pd_screen(M):
     Checks, in order: (1) positive diagonal, (2) b_ii + b_jj > 2|Re b_ij|
     for i != j, (3) the element of largest modulus lies on the diagonal,
     (4) det(M) > 0, its sign from ``lu_factor_checked`` (a singular M fails).
-    Condition (4) is skipped with a warning in the reason string when the
-    matrix exceeds DENSE_LIMIT.  Returns the first failing condition.
+    Returns the first failing condition.  Before the LU of condition (4),
+    ``check_dense_limit`` raises DenseLimitError for an M over DENSE_LIMIT.
     """
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
@@ -164,8 +173,7 @@ def quick_pd_screen(M):
         return Verdict(False, "condition 2: off-diagonal real part too large")
     if big > d.max():
         return Verdict(False, "condition 3: largest modulus off the diagonal")
-    if n * n > DENSE_LIMIT:
-        return Verdict(True, "pass (condition 4 skipped: dense limit)")
+    check_dense_limit(n)
     try:
         lu, piv = lu_factor_checked(M, "quick_pd_screen input")
     except np.linalg.LinAlgError:

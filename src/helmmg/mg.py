@@ -47,12 +47,13 @@ _COARSE_SOLVE = threading.Lock()
 
 @dataclass
 class Level:
-    """One hierarchy level: operator, grid size, transfer to next level."""
+    """One hierarchy level: operator, grid size, its cached Jacobi scaling
+    ``reciprocal_diagonal(op)``, transfer to next level."""
 
     op: object  # ComplexSparseMatrix (CSR)
     n: int
+    inv_diag: np.ndarray  # cached 1 / diag(op), the Jacobi scaling
     pair: object = None  # TransferPair, absent on the coarsest level
-    inv_diag: np.ndarray = None  # cached 1 / diag(op), the Jacobi scaling
 
 
 @dataclass
@@ -152,8 +153,7 @@ def cycle(h, level, u, r, cfg):
     for _ in range(1 if level + 2 == h.nlevels else cfg.gamma):
         ec, rc = cycle(h, level + 1, ec, rc, cfg)
     d = L.pair.P @ ec
-    return apply_smoother(L.op, u + d, r - L.op @ d, cfg.smoother,
-                          inv_diag=L.inv_diag)
+    return apply_smoother(L.op, u + d, r - L.op @ d, cfg.smoother, L.inv_diag)
 
 
 #: a run stops as diverged once its relative residual exceeds this multiple

@@ -1,13 +1,16 @@
 """Experiment presets and bundled reference iteration counts.
 
-Every reference value carries a ``source`` provenance tag quoting the
-caption of the published table it was transcribed from; the regression
-harness refuses entries without a tag.  Tolerance bands: Jacobi tables
-+-25% or +-3 cycles (whichever is larger), GMRES tables +-30% or +-3
-cycles, certificate tables +-15%.  Reference counts were measured with
-an unpublished Sommerfeld discretization and start/stop convention; they
-are compared against solves from ``reference_start`` (see README for the
-reproduction analysis).
+Every cycle-count case carries a ``source`` provenance tag quoting the
+caption of the published table it was transcribed from; ``_case`` refuses
+a case without a tag.  The certificate tables CONV1_REFERENCE and
+OPT1_REFERENCE carry no tag, and nothing reads their captions CAP_CONV1
+and CAP_OPT1: those two constants are kept as their provenance record.
+Tolerance bands: Jacobi tables +-25% or +-3 cycles (whichever is
+larger), GMRES tables +-30% or +-3 cycles, certificate tables +-15%.
+Reference counts were measured with an unpublished Sommerfeld
+discretization and start/stop convention; they are compared against
+solves from ``reference_start`` (see README for the reproduction
+analysis).
 """
 
 from functools import partial

@@ -67,15 +67,12 @@ def reciprocal_diagonal(A):
     return 1.0 / diag
 
 
-def jacobi_sweep(A, u, r, omega, inv_diag=None):
+def jacobi_sweep(A, u, r, omega, inv_diag):
     """One damped Jacobi sweep on the residual r = b - A u.
 
-    Returns (u + d, r - A d) with d = (1/omega) Lambda^-1 r.  ``inv_diag``
-    is a cached ``reciprocal_diagonal(A)``; without it the sweep computes
-    (and checks) its own.
+    Returns (u + d, r - A d) with d = (1/omega) Lambda^-1 r, where
+    ``inv_diag`` is the cached ``reciprocal_diagonal(A)``.
     """
-    if inv_diag is None:
-        inv_diag = reciprocal_diagonal(A)
     d = r * inv_diag
     d *= 1.0 / omega
     return u + d, r - A @ d
@@ -136,15 +133,15 @@ def gmres_smooth(A, u, r, m=3):
             blas.zgemv(-1.0, V[:filled].T, H[:filled, :k] @ y, beta=1.0, y=r))
 
 
-def apply_smoother(A, u, r, cfg, inv_diag=None):
+def apply_smoother(A, u, r, cfg, inv_diag):
     """Apply ``cfg.nu`` steps of the configured smoother; returns (u, r).
 
-    ``inv_diag`` is the Jacobi scaling handed to every sweep (see
-    ``jacobi_sweep``); the GMRES smoother does not use it.
+    ``inv_diag`` is ``reciprocal_diagonal(A)``, the Jacobi scaling handed
+    to every sweep; the GMRES smoother does not use it.
     """
     for _ in range(cfg.nu):
         if cfg.kind == "jacobi":
-            u, r = jacobi_sweep(A, u, r, cfg.omega, inv_diag=inv_diag)
+            u, r = jacobi_sweep(A, u, r, cfg.omega, inv_diag)
         else:
             u, r = gmres_smooth(A, u, r, cfg.m)
     return u, r

@@ -109,6 +109,7 @@ def test_usage_errors(capsys, tmp_path):
         (["solve", "--k", "nan", "--n", "33"], "k must be finite"),
         (["solve", "--k", "10", "--ppw", "nan"], "ppw"),
         (["solve", "--k", "10", "--ppw", "0"], "ppw"),
+        (["solve", "--k", "10", "--ppw", "1.0"], "under-resolved grid"),
         (["solve", "--k", "10", "--tol", "inf"], "tol"),
         (["solve", "--k", "10", "--tol", "nan"], "tol"),
         (["solve", "--k", "10", "--omega", "nan"], "omega"),

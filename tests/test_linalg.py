@@ -5,6 +5,7 @@ import scipy.sparse as sp
 
 from helmmg import linalg
 from helmmg.linalg import (
+    DenseLimitError,
     Verdict,
     add_adjoint,
     cholesky_hpd_test,
@@ -294,11 +295,13 @@ def test_inverse_singular_names_the_input(lu_calls):
 
 
 def test_quick_screen_dense_limit_skips_determinant(monkeypatch, lu_calls):
+    # a matrix past the limit is refused before the LU of condition 4
     monkeypatch.setattr(linalg, "DENSE_LIMIT", 8)
     M = np.array([[2.0, 0.5, 0.0],
                   [0.5, 2.0, 0.5],
                   [0.0, 0.5, 2.0]], dtype=complex)
-    assert quick_pd_screen(M) == Verdict(True, "pass (condition 4 skipped: dense limit)")
+    with pytest.raises(DenseLimitError, match="dense 3x3 matrix"):
+        quick_pd_screen(M)
     assert lu_calls == []
 
 

@@ -5,7 +5,13 @@ import scipy.sparse.linalg as spla
 
 from helmmg import smoothing
 from helmmg.problem import ProblemSpec, assemble_helmholtz, build_wavenumber_field
-from helmmg.smoothing import SmootherConfig, apply_smoother, gmres_smooth, jacobi_sweep
+from helmmg.smoothing import (
+    SmootherConfig,
+    apply_smoother,
+    gmres_smooth,
+    jacobi_sweep,
+    reciprocal_diagonal,
+)
 
 
 def random_system(n, seed, shift=6.0):
@@ -22,10 +28,12 @@ def test_jacobi_matches_dense_iteration_matrix():
     omega = 4.5
     Ad = A.toarray()
     S = np.eye(20) - (1.0 / omega) * (Ad / np.diag(Ad)[:, None])
+    inv_diag = reciprocal_diagonal(A)
     rng = np.random.default_rng(1)
     for _ in range(20):
         e = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        out = jacobi_sweep(A, e.copy(), np.zeros(20, dtype=complex) - A @ e, omega)[0]
+        out = jacobi_sweep(A, e.copy(), np.zeros(20, dtype=complex) - A @ e, omega,
+                           inv_diag)[0]
         assert np.allclose(out, S @ e, rtol=1e-12)
 
 
@@ -33,7 +41,7 @@ def test_jacobi_3x3_dense_oracle():
     A = sp.csr_matrix(np.diag([2.0, 4.0, 8.0]).astype(complex))
     u = np.array([1.0, 1.0, 1.0], dtype=complex)
     b = np.array([2.0, 2.0, 2.0], dtype=complex)
-    out = jacobi_sweep(A, u, b - A @ u, omega=2.0)[0]
+    out = jacobi_sweep(A, u, b - A @ u, omega=2.0, inv_diag=reciprocal_diagonal(A))[0]
     # u + (1/2) * diag^-1 (b - A u) = u + (1/2) * (b/d - u)
     want = u + 0.5 * (b / np.array([2.0, 4.0, 8.0]) - u)
     assert np.allclose(out, want)
@@ -44,16 +52,18 @@ def test_jacobi_is_affine_linear():
     u1 = np.zeros(15, dtype=complex)
     rng = np.random.default_rng(3)
     e = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-    base = jacobi_sweep(A, u1, b - A @ u1, 4.5)[0]
-    shifted = jacobi_sweep(A, u1 + e, b - A @ (u1 + e), 4.5)[0]
-    homog = jacobi_sweep(A, e.copy(), np.zeros(15, dtype=complex) - A @ e, 4.5)[0]
+    inv_diag = reciprocal_diagonal(A)
+    base = jacobi_sweep(A, u1, b - A @ u1, 4.5, inv_diag)[0]
+    shifted = jacobi_sweep(A, u1 + e, b - A @ (u1 + e), 4.5, inv_diag)[0]
+    homog = jacobi_sweep(A, e.copy(), np.zeros(15, dtype=complex) - A @ e, 4.5, inv_diag)[0]
     assert np.allclose(shifted - base, homog, rtol=1e-12)
 
 
 def test_jacobi_zero_diagonal_names_node():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ZeroDivisionError, match="node 1"):
-        jacobi_sweep(A, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), 1.0)
+        jacobi_sweep(A, np.zeros(2, dtype=complex), np.ones(2, dtype=complex), 1.0,
+                     reciprocal_diagonal(A))
 
 
 def test_gmres_residual_never_increases():
@@ -166,9 +176,10 @@ def test_gmres_matches_scipy_restart_cycle(m):
 def test_apply_smoother_steps():
     A, b = random_system(10, 7)
     cfg = SmootherConfig(kind="jacobi", omega=4.5, nu=2)
-    u2 = apply_smoother(A, np.zeros(10, dtype=complex), b, cfg)[0]
-    u_manual = jacobi_sweep(A, np.zeros(10, dtype=complex), b, 4.5)[0]
-    u_manual = jacobi_sweep(A, u_manual, b - A @ u_manual, 4.5)[0]
+    inv_diag = reciprocal_diagonal(A)
+    u2 = apply_smoother(A, np.zeros(10, dtype=complex), b, cfg, inv_diag)[0]
+    u_manual = jacobi_sweep(A, np.zeros(10, dtype=complex), b, 4.5, inv_diag)[0]
+    u_manual = jacobi_sweep(A, u_manual, b - A @ u_manual, 4.5, inv_diag)[0]
     assert np.allclose(u2, u_manual, rtol=1e-13)
 
 
@@ -180,7 +191,7 @@ def test_apply_smoother_returns_true_residual(kind):
     rng = np.random.default_rng(10)
     u = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     cfg = SmootherConfig(kind=kind, omega=4.5, m=3, nu=5)
-    u, r = apply_smoother(A, u, b - A @ u, cfg)
+    u, r = apply_smoother(A, u, b - A @ u, cfg, reciprocal_diagonal(A))
     true = b - A @ u
     assert np.linalg.norm(r - true) <= 1e-12 * np.linalg.norm(true)
 
