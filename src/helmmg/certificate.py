@@ -88,24 +88,62 @@ coarsened on A); a smooth variable-k medium reads about 1.6 and takes
 the full form, unchanged.
 
 ``certify``, ``table_entry`` and ``omega_sweep`` use the blocks: Y is
-butterflied once per configuration, ||T0||_2 is the root of the largest
-lambda_max(I - K_p), sigma_max(DA) that of the largest lambda_max of the
-(DA)^H DA blocks, and the optimality ratio ||Gamma-tilde||_1 / kappa_1 =
-1 / ||Gamma-tilde^-1||_1 comes from Gamma-tilde^-1 = Q blockdiag(K_p^-1) Q
-(``linalg.inverse`` on each block: Cholesky and ``zpotri`` for an HPD
-block, LU otherwise).  The 1-norm is not orthogonally invariant, but that
-matrix commutes with both reflections, so the column sums of one quadrant
-of columns give it (``_mirror_norm1``).  Q is orthogonal, so a form is
-HPD exactly when each of its blocks is: the Cholesky verdicts of Gamma
-and Gamma-tilde (``_hpd_verdict``) run on the blocks, and a failing
-verdict names the block and the row of the mirror basis, not a node.
-Gamma's Hermiticity residual is that of blockdiag(K_p).  Only the quick
-screen, whose conditions test entries in the node basis, still forms the
-full N x N Gamma-tilde.  The sparse basis Q of each grid side is built
-once (``_mirror_basis``).  For variable k every step takes the one full
-form instead, and a verdict reports its node's pivot index.
+butterflied once per configuration or sweep, ||T0||_2 is the root of the
+largest lambda_max(I - K_p), sigma_max(DA) that of the largest
+lambda_max of the (DA)^H DA blocks, and the optimality ratio
+||Gamma-tilde||_1 / kappa_1 = 1 / ||Gamma-tilde^-1||_1 comes from
+Gamma-tilde^-1 = Q blockdiag(K_p^-1) Q (``linalg.inverse`` on each block:
+Cholesky and ``zpotri`` for an HPD block, LU otherwise).  The 1-norm is
+not orthogonally invariant, but that matrix commutes with both
+reflections, so the column sums of one quadrant of columns give it
+(``_mirror_norm1``).  Q is orthogonal, so a form is HPD exactly when each
+of its blocks is: the Cholesky verdicts of Gamma and Gamma-tilde
+(``_hpd_verdict``) run on the four blocks, and a failing verdict names
+the block and the row of the mirror basis, not a node.  Gamma's
+Hermiticity residual is that of blockdiag(K_p).  Only the quick screen,
+whose conditions test entries in the node basis, still forms the full
+N x N Gamma-tilde.  The sparse basis Q of each grid side is built once
+(``_mirror_basis``).  For variable k every step takes the one full form
+instead, and a verdict reports its node's pivot index.
+
+MP 2-A also commutes with the diagonal swap x <-> y (the same Sommerfeld
+rows on all four sides, P = P1 (x) P1); with the reflections it makes
+the dihedral group D4 of the square (Faessler & Stiefel, Group
+Theoretical Methods and Their Applications, Birkhauser 1992; Bossavit,
+CMAME 56, 1986).  The swap maps the mirror basis onto itself: the
+even-even and the odd-odd block onto themselves, the even-odd block onto
+the odd-even one.  So the LAPACK consumers of the blocks, ``_gram_norm2``
+and ``_ratio``, work on the five blocks of ``_swap_split``: the
+swap-symmetric and swap-antisymmetric halves of the even-even and of the
+odd-odd block, taken by index gathers, and the even-odd block, whose
+permutation stands for the odd-even one, with the same spectrum and the
+permuted inverse (153/136/272/136/120 at n = 33 against
+289/272/272/256).  What the five drop, the swap-odd parts of the two
+split blocks and the odd-even block's difference from the permuted
+even-odd one, is measured; the swap gate adds its Frobenius norm to the
+factor bound and takes the five blocks when the sum is at most
+MIRROR_TOL times ||K||_F, else the four.  No table cell falls back: the
+sums read at most 8.4e-14 (k = 30, I - Gamma of Bezier coarsened on A).
+Gamma-tilde^-1 then commutes with the swap too, so a triangle of the
+quadrant's columns gives its 1-norm.
+
+``omega_sweep`` forms no Gamma form per cell.  With L = Lambda_A^-1 A,
+M_nu A = I - (I - L/omega)^nu = sum_i a_i L^i, a_i =
+-binom(nu, i) (-1/omega)^i, and so
+
+    Gamma-tilde(omega, nu) = C_0 + sum_i a_i C_i + sum_{i<=j} a_i a_j C_ij
+
+over fixed Hermitian forms: C_0 = U_0 Y + (U_0 Y)^H with
+U_0 = P - 1/2 ((P^H P) Y)^H, C_i = L^i + L^iH - (L^iH P Y + (L^iH P Y)^H)
+and the sparse C_ij = -(L^iH L^j + L^jH L^i), -L^iH L^i for i = j.  The
+four mirror blocks of each C_c and its factor bound b_c are built once
+per sweep (``_sweep_terms``), the blocks of the C_ij sparse.  A cell adds
+up the blocks; its dropped part is at most sum_c |coef_c| b_c, and the
+cell takes the blocks when that is at most MIRROR_TOL ||K||_F.  Otherwise
+(variable k) the full C_c, built once, give the full Gamma-tilde.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -231,24 +269,31 @@ def _smoothed(cfg):
 def _hermitian_low_rank(Hs, W, Y):
     """Hs + W Y + (W Y)^H for sparse Hermitian Hs, dense or sparse W and dense Y."""
     X = add_adjoint(W @ Y)  # the one product of the factors
-    Hs = Hs.tocoo()
-    Hs.sum_duplicates()
+    Hs = _coo(Hs)
     X[Hs.row, Hs.col] += Hs.data  # the sparse part, entry by entry
     return X
 
 
-def _gamma_factors(MA, W, Y, WWY=None):
+def _coo(H):
+    """H as a COO matrix without duplicate entries, ready to add into a dense one."""
+    H = H.tocoo()
+    H.sum_duplicates()
+    return H
+
+
+def _gamma_factors(MA, W, Y):
     """(G_s, U) with X^H + X - X^H X = G_s + U Y + (U Y)^H for X = MA + W Y.
 
-    G_s = MA^H + MA - MA^H MA is sparse and U = (I - MA^H) W - WWY dense
-    N x N_c, WWY = 1/2 ((W^H W) Y)^H.  W = P gives Gamma-tilde, W = S P
-    gives Gamma.  For W = P, WWY depends on neither omega nor nu, so
-    ``omega_sweep`` passes it in once per sweep; otherwise it is computed.
+    G_s = MA^H + MA - MA^H MA is sparse and U = (I - MA^H) W -
+    1/2 ((W^H W) Y)^H dense N x N_c.  W = P gives Gamma-tilde, W = S P
+    gives Gamma.
     """
-    if WWY is None:
-        WWY = 0.5 * ((W.conj().T @ W) @ Y).conj().T
     MAh = MA.conj().T.tocsr()
-    U = (W - MAh @ W).toarray() - WWY
+    WWY = (W.conj().T @ W) @ Y  # in place from here: no other N x N_c temporary
+    np.conjugate(WWY, out=WWY)
+    WWY *= 0.5
+    U = (W - MAh @ W).toarray()
+    U -= WWY.T
     return MAh + MA - MAh @ MA, U
 
 
@@ -259,14 +304,22 @@ def _gamma_form(MA, W, Y):
 
 
 #: Largest bound on the dropped part, relative to ||K||_F of the kept
-#: blocks, at which the factor gate of ``_form_blocks`` takes the four
-#: mirror blocks for the whole form.  Dropping E moves no eigenvalue by more
-#: than ||E||_2 <= ||E||_F (Weyl's inequality), so below the gate the block
-#: maximum is within MIRROR_TOL times the kept norm of lambda_max.  The
-#: inverse moves by about kappa_2(H) ||E||_2 / ||H||_2 relative, the order of
-#: a full inversion's own rounding error while E is rounding.  Constant-k
-#: forms read about 1e-14 (rounding), variable-k ones 0.05 and more.
+#: blocks, at which a mirror gate (``_gate``) takes the blocks for the
+#: whole form.  Dropping E moves no eigenvalue by more than ||E||_2 <=
+#: ||E||_F (Weyl's inequality), so below the gate the block maximum is
+#: within MIRROR_TOL times the kept norm of lambda_max.  The inverse moves
+#: by about kappa_2(H) ||E||_2 / ||H||_2 relative, the order of a full
+#: inversion's own rounding error while E is rounding.  Constant-k forms
+#: read about 1e-14 (rounding), variable-k ones 0.05 and more.
 MIRROR_TOL = 1e-13
+
+
+def _gate(blocks, dropped):
+    """The ratio every mirror gate compares with MIRROR_TOL: ``dropped``, a
+    bound on ||E||_F of what the dense blocks drop from a form, over
+    ||blockdiag(blocks)||_F."""
+    kept = np.sqrt(sum(_sq(B) for B in blocks))
+    return float(dropped / kept) if kept > 0.0 else np.inf
 
 
 def _grid_side(N):
@@ -363,7 +416,8 @@ def _mirror_basis(n):
 
 def _mirror_sparse(Hs):
     """(the four diagonal mirror blocks of Q Hs Q, sparse, and ||its 12
-    off-blocks||_F) for a sparse Hs on a square grid, Q of ``_butterfly``."""
+    off-blocks||_F) for a sparse Hs on a square grid, Q of ``_butterfly``.
+    The blocks hold no duplicate entries: Q Hs Q is a CSR product."""
     Q, sizes, start, label = _mirror_basis(_grid_side(Hs.shape[0]))
     Hb = (Q @ Hs @ Q.T).tocoo()
     row, col = label[Hb.row], label[Hb.col]
@@ -376,35 +430,34 @@ def _mirror_sparse(Hs):
 
 
 def _mirror_blocks(Hs, U, Ym):
-    """(the four mirror blocks K_p of H = Hs + U Y + (U Y)^H, gate ratio).
+    """(the four mirror blocks K_p of H = Hs + U Y + (U Y)^H, bound on
+    ||E||_F of the part they drop).
 
     Ym is ``_mirror_factor`` of the N_c x N factor Y; the N x N_c U is
     butterflied in place.  Block p pairs fine parity p with coarse parity
     p: K_p = (Q Hs Q)_pp + U_p Y_p + (U_p Y_p)^H, four N/4 x N_c/4 x N/4
-    products.  The ratio is the module docstring's bound on the dropped
-    part, over ||K||_F.
+    products.  The bound is the module docstring's.
     """
     Ud, ud, uo = _mirror_factor(U)
     Yd, yd, yo = Ym
     Hd, ho = _mirror_sparse(Hs)
     K = [_hermitian_low_rank(H, Up, Yp) for H, Up, Yp in zip(Hd, Ud, Yd)]
-    dropped = ho + 2.0 * (ud * yo + uo * np.hypot(yd, yo))
-    kept = np.sqrt(sum(_sq(B) for B in K))
-    return K, float(dropped / kept) if kept > 0.0 else np.inf
+    return K, float(ho + 2.0 * (ud * yo + uo * np.hypot(yd, yo)))
 
 
 def _form_blocks(Hs, U, Y, Ym):
-    """The four mirror blocks of H = Hs + U Y + (U Y)^H from its factors,
-    when the factor gate passes, else [H], the full matrix (variable k).
+    """(blocks, dropped) of H = Hs + U Y + (U Y)^H from its factors: the
+    four mirror blocks and the bound on what they drop when the factor
+    gate passes, else ([H], 0.0), the full matrix (variable k).
 
     Ym is ``_mirror_factor`` of Y.  U is butterflied in place, and back
     (the butterfly is its own inverse) when the gate fails.
     """
-    K, ratio = _mirror_blocks(Hs, U, Ym)
-    if ratio <= MIRROR_TOL:
-        return K
+    K, dropped = _mirror_blocks(Hs, U, Ym)
+    if _gate(K, dropped) <= MIRROR_TOL:
+        return K, dropped
     _butterfly(U)
-    return [_hermitian_low_rank(Hs, U, Y)]
+    return [_hermitian_low_rank(Hs, U, Y)], 0.0
 
 
 #: The parities of the four mirror blocks in ``_parities`` order; the first
@@ -413,7 +466,7 @@ _BLOCK_PARITY = ("x even, y even", "x odd, y even", "x even, y odd", "x odd, y o
 
 
 def _hpd_verdict(blocks):
-    """HPD verdict of H from ``_form_blocks`` of H.
+    """HPD verdict of H from the blocks of ``_form_blocks`` of H.
 
     Q is orthogonal, so H is HPD exactly when Q H Q = blockdiag(blocks)
     is, that is when every block passes ``cholesky_hpd_test``.  The first
@@ -429,57 +482,158 @@ def _hpd_verdict(blocks):
     return verdict
 
 
-def _gram_norm2(blocks):
+def _swap_basis(s):
+    """The swap x <-> y on an s x s grid (flat index a s + b) as index maps
+    of its symmetric and its antisymmetric orthonormal basis.
+
+    The symmetric basis is e_aa and (e_ab + e_ba)/sqrt(2), the
+    antisymmetric one (e_ab - e_ba)/sqrt(2), a < b, each in
+    ``np.triu_indices`` order.  Per basis, per vector u: r_u = a s + b,
+    r'_u = b s + a and the scale g_u of ``_swap_split`` (sqrt(1/2) at e_aa,
+    else 1); per flat grid index: the vector that holds it and its
+    coefficient there (sqrt(1/2), 1 at e_aa, -sqrt(1/2) at e_ba and 0 on
+    the diagonal of the antisymmetric basis).
+    """
+    a, b = np.divmod(np.arange(s * s), s)
+    maps = []
+    for k, coef in ((0, np.where(a == b, 1.0, np.sqrt(0.5))),
+                    (1, np.sign(b - a) * np.sqrt(0.5))):
+        iu = np.triu_indices(s, k)
+        r, rs = iu[0] * s + iu[1], iu[1] * s + iu[0]
+        vector = np.zeros((s, s), dtype=np.intp)
+        vector[iu] = vector.T[iu] = np.arange(r.size)
+        maps.append((r, rs, np.where(r == rs, np.sqrt(0.5), 1.0), vector.ravel(), coef))
+    return maps
+
+
+def _swap_split(blocks, dropped):
+    """The five swap blocks of four mirror blocks when the swap gate
+    passes, else the blocks as given.
+
+    A constant-k form also commutes with the swap Pi: x <-> y, which maps
+    the mirror basis onto itself: blocks 0 and 3 (even-even, odd-odd) onto
+    themselves and block 1 (y even, x odd) onto block 2.  So block 2 is
+    block 1 permuted, and blocks 0 and 3 split into their halves in the
+    bases of ``_swap_basis``: [sym K_0, anti K_0, K_1, sym K_3, anti K_3],
+    153/136/272/136/120 at n = 33.  Gathers from the swap-even part
+    K_e = (K + Pi K Pi)/2 give the halves exactly:
+    sym[u, v] = g_u g_v (K_e[r_u, r_v] + K_e[r_u, r'_v]) and
+    anti[u, v] = K_e[r_u, r_v] - K_e[r_u, r'_v].
+    They drop the swap-odd parts K - K_e of blocks 0 and 3 and
+    K_2 - Pi K_1 Pi, measured here; the gate adds them to ``dropped``, the
+    bound on what the mirror blocks dropped.  One block (variable k) and
+    a 3 x 3 grid, whose 1 x 1 odd-odd block has no antisymmetric half,
+    are returned as given.
+    """
+    if len(blocks) != 4 or blocks[3].shape[0] < 4:
+        return blocks
+    K0, K1, K2, K3 = blocks
+    ne, no = math.isqrt(K0.shape[0]), math.isqrt(K3.shape[0])
+    halves, sq = [], _sq(K2 - K1.reshape(ne, no, ne, no).transpose(1, 0, 3, 2).reshape(K2.shape))
+    for K, s in ((K0, ne), (K3, no)):
+        K4 = K.reshape(s, s, s, s)
+        Ke = K4 - K4.transpose(1, 0, 3, 2)  # twice the swap-odd part
+        sq += 0.25 * _sq(Ke)
+        Ke *= -0.5
+        Ke += K4
+        Ke = Ke.reshape(-1)
+        at = lambda rows, cols: Ke.take(rows[:, None] * (s * s) + cols)  # Ke[ix_(rows, cols)]
+        (r, rs, g, _, _), (ra, ras, _, _, _) = _swap_basis(s)
+        halves += [(at(r, r) + at(r, rs)) * np.outer(g, g), at(ra, ra) - at(ra, ras)]
+    if _gate(blocks, dropped + np.sqrt(sq)) > MIRROR_TOL:
+        return blocks
+    return [halves[0], halves[1], K1, halves[2], halves[3]]
+
+
+def _gram_norm2(blocks, dropped):
     """Exact 2-norm of any X with X^H X = H, from ``_form_blocks`` of H:
-    the largest block maximum of lambda_max."""
-    return max(norm2_from_gram(B) for B in blocks)
+    the largest lambda_max over ``_swap_split`` of the blocks (block 2
+    has block 1's spectrum)."""
+    return max(norm2_from_gram(B) for B in _swap_split(blocks, dropped))
 
 
-def _norm_T0(blocks):
+def _norm_T0(blocks, dropped):
     """||T0||_2 = sqrt(lambda_max(I - Gamma)) from ``_form_blocks`` of
-    Gamma, overwriting them."""
+    Gamma, overwriting the blocks; I - Gamma drops what Gamma drops."""
     for B in blocks:
         B *= -1.0
         B[np.diag_indices_from(B)] += 1.0
-    return _gram_norm2(blocks)
+    return _gram_norm2(blocks, dropped)
 
 
-def _mirror_norm1(blocks):
-    """||H||_1 of H = Q blockdiag(blocks) Q, the four mirror blocks of an odd
-    n x n grid.
+def _inverse_columns(inv, p, J):
+    """Columns J of the inverse of mirror block p from the inverses of
+    ``_swap_split``'s blocks: four parity blocks, or five swap blocks.
+
+    Block 2's inverse is block 1's permuted by the swap.  Block 0's (and
+    block 3's) is W_s S^-1 W_s^T + W_a A^-1 W_a^T for its halves S and A,
+    W the orthonormal bases of ``_swap_basis``: entry (i, j) is
+    w_i w_j S^-1[v_i, v_j] + e_i e_j A^-1[u_i, u_j], v, w and u, e the
+    vectors holding i and their coefficients.
+    """
+    if len(inv) == 4:
+        return inv[p][:, J]
+    sides = [math.isqrt(inv[i].shape[0] + inv[i + 1].shape[0]) for i in (0, 3)]
+    if p in (1, 2):
+        K1 = inv[2]
+        if p == 1:
+            return K1[:, J]
+        ne, no = sides
+        t = np.arange(K1.shape[0])
+        swap = (t % ne) * no + t // ne  # block 2's (a, b) is block 1's (b, a)
+        return K1[np.ix_(swap, swap[J])]
+    S, A = inv[:2] if p == 0 else inv[3:]
+    (*_, v, w), (*_, u, e) = _swap_basis(sides[p // 3])
+    return S[np.ix_(v, v[J])] * np.outer(w, w[J]) + A[np.ix_(u, u[J])] * np.outer(e, e[J])
+
+
+def _mirror_norm1(inv):
+    """||H||_1 of H = Q blockdiag(K_p^-1) Q on an odd n x n grid, from the
+    inverses of ``_swap_split``'s blocks of the K_p.
 
     H commutes with both reflections, so a column and its mirror images
     have the same absolute sum, and the (m+1)^2 columns (x, y), x, y <= m,
     suffice.  Along an axis, Q1 e_x is s e_x + s e_{n-1-x} (e_m at the
     centre): it reaches index x of the even half and index m-1-x of the odd
-    half.  So those columns are Q Z, Z gathered from the blocks with the
-    coefficients c(x) c(y), and only the two row passes of the butterfly
-    run, on N x (m+1)^2 entries.
+    half.  So those columns are Q Z, Z gathered from the blocks' columns
+    (``_inverse_columns``) with the coefficients c(x) c(y), and only the
+    two row passes of the butterfly run.  With the five swap blocks H
+    commutes with the swap too, column (y, x) is column (x, y) permuted,
+    and the (m+1)(m+2)/2 columns with y <= x suffice: N x (m+1)(m+2)/2
+    entries.
     """
-    n = _grid_side(sum(B.shape[0] for B in blocks))
-    m = (n - 1) // 2
+    swap = len(inv) == 5
+    ne = math.isqrt(inv[0].shape[0] + (inv[1].shape[0] if swap else 0))
+    n, m = 2 * ne - 1, ne - 1
+    y, x = np.triu_indices(ne) if swap else np.divmod(np.arange(ne * ne), ne)
     s = np.sqrt(0.5)
-    # per parity of an axis: the quadrant indices it reaches, their order
-    # in the block, and their coefficients
-    even = (slice(0, m + 1), slice(None), np.append(np.full(m, s), 1.0))
-    odd = (slice(0, m), slice(None, None, -1), np.full(m, s))
-    Z = np.zeros((n, n, m + 1, m + 1), dtype=complex)
-    for (a, b), B in zip(_parities(n), blocks):
-        (xa, ra, ca), (yb, rb, cb) = (even if h.start == 0 else odd for h in (a, b))
-        B4 = B.reshape(Z[a, b, xa, yb].shape[:2] * 2)
-        Z[a, b, xa, yb] = B4[:, :, ra, rb] * np.outer(ca, cb)
+    # per parity of an axis: the block index each column coordinate c
+    # reaches and its coefficient, 0 where it reaches none (the centre)
+    reach = (lambda c: (c, np.where(c < m, s, 1.0)),
+             lambda c: (m - 1 - c, np.where(c < m, s, 0.0)))
+    Z = np.zeros((n, n, y.size), dtype=complex)
+    for p, (a, b) in enumerate(_parities(n)):
+        (iy, cy), (ix, cx) = reach[a.start > 0](y), reach[b.start > 0](x)
+        c = cy * cx
+        k = c != 0.0
+        cols = _inverse_columns(inv, p, iy[k] * (b.stop - b.start) + ix[k]) * c[k]
+        Z[a, b][..., k] = cols.reshape(a.stop - a.start, b.stop - b.start, -1)
     _reflect(Z, (0, 1))
     return norm1(Z.reshape(n * n, -1))
 
 
-def _ratio(blocks):
+def _ratio(blocks, dropped):
     """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1 from ``_form_blocks`` of
-    Gamma-tilde: Gt^-1 = Q blockdiag(B_p^-1) Q for the four mirror blocks
-    B_p.  NaN when Gt is singular (rank <= 2 N_c at nu = 0)."""
+    Gamma-tilde: Gt^-1 = Q blockdiag(K_p^-1) Q, each K_p^-1 from the
+    inverses of ``_swap_split``'s blocks.  NaN when Gt is singular
+    (rank <= 2 N_c at nu = 0).  Empties ``blocks`` once they are
+    inverted, so that they are freed before the 1-norm's gather."""
     try:
-        inv = [inverse(B, "Gamma-tilde") for B in blocks]
+        inv = [inverse(B, "Gamma-tilde") for B in _swap_split(blocks, dropped)]
     except np.linalg.LinAlgError:
         return np.nan
+    finally:
+        blocks.clear()
     return 1.0 / (norm1(inv[0]) if len(inv) == 1 else _mirror_norm1(inv))
 
 
@@ -510,16 +664,16 @@ def certify(cfg):
     # MA + MA^H - G_s and the thin S P - U.  Gamma's residual and verdict
     # are taken before _norm_T0 overwrites its blocks
     Gs, U = _gamma_factors(MA, SP, Y)
-    sigma_DA = _gram_norm2(_form_blocks(MA + MA.conj().T - Gs, SP.toarray() - U, Y, Ym))
-    G = _form_blocks(Gs, U, Y, Ym)
+    sigma_DA = _gram_norm2(*_form_blocks(MA + MA.conj().T - Gs, SP.toarray() - U, Y, Ym))
+    G, dropped = _form_blocks(Gs, U, Y, Ym)
     herm = _hermiticity_residual(*G)
     hpd_g = _hpd_verdict(G)
-    norm_T0 = _norm_T0(G)
+    norm_T0 = _norm_T0(G, dropped)
     lam_min = 1.0 - norm_T0**2  # lambda_max(T0^H T0) = 1 - lambda_min(Gamma)
     del Gs, U, G
-    Gt = _form_blocks(*_gamma_factors(MA, P, Y), Y, Ym)
+    Gt, dropped = _form_blocks(*_gamma_factors(MA, P, Y), Y, Ym)
     hpd_gt = _hpd_verdict(Gt)
-    ratio = _ratio(Gt)
+    ratio = _ratio(Gt, dropped)
     bound = float(np.sqrt(abs(1.0 - ratio)))
     del Gt
     screen = quick_pd_screen(_gamma_form(MA, P, Y))  # the one N x N matrix of constant k
@@ -569,34 +723,120 @@ def table_entry(cfg):
     MA = _smoothed(cfg)
     P = cfg.pair.P
     SP = P - MA @ P
-    hpd = _hpd_verdict(_form_blocks(*_gamma_factors(MA, P, Y), Y, Ym))
-    return hpd, _norm_T0(_form_blocks(*_gamma_factors(MA, SP, Y), Y, Ym))
+    hpd = _hpd_verdict(_form_blocks(*_gamma_factors(MA, P, Y), Y, Ym)[0])
+    G = _form_blocks(*_gamma_factors(MA, SP, Y), Y, Ym)
+    del Y, Ym  # before the swap split's temporaries
+    return hpd, _norm_T0(*G)
+
+
+def _sweep_forms(cfg, degree):
+    """The fixed Hermitian forms C_c of Gamma-tilde(omega, nu) =
+    sum_c coef_c C_c, nu <= degree, but C_0, one at a time in
+    ``_sweep_coefficients`` order: (Hs, U) with C_c = Hs + U Y + (U Y)^H,
+    U None for the sparse C_ij."""
+    P = cfg.pair.P
+    L = (sp.diags(reciprocal_diagonal(cfg.A)) @ cfg.A).tocsr()
+    powers = []
+    for _ in range(degree):
+        powers.append(L @ powers[-1] if powers else L)
+        Lh = powers[-1].conj().T.tocsr()
+        yield powers[-1] + Lh, -(Lh @ P).toarray()
+    for i, Li in enumerate(powers):
+        for Lj in powers[i:]:
+            G = Li.conj().T @ Lj
+            yield -(G if Lj is Li else G + G.conj().T), None
+
+
+def _sweep_coefficients(omega, nu, degree):
+    """[1, a_1 .. a_degree, a_i a_j for i <= j]: M_nu A = sum_i a_i L^i,
+    a_i = -binom(nu, i) (-1/omega)^i (0 for i > nu)."""
+    a = [-math.comb(nu, i) * (-1.0 / omega) ** i for i in range(1, degree + 1)]
+    return [1.0, *a, *(a[i] * a[j] for i in range(degree) for j in range(i, degree))]
+
+
+def _sweep_terms(cfg, degree, split):
+    """[(blocks, bound)] for the forms C_c of Gamma-tilde(omega, nu) (C_0,
+    the Gamma form of X = P Y at nu = 0, then those of ``_sweep_forms``):
+    each form's four mirror blocks and the bound on what they drop when
+    ``split``, else ([C_c], 0.0).  The blocks of the C_ij stay sparse
+    (COO), the others are dense; no N x N_c factor outlives its blocks."""
+    Y = _coarse_correction(cfg, cfg.A)
+    N = cfg.A.shape[0]
+    C0 = _gamma_factors(sp.csr_matrix((N, N), dtype=complex), cfg.pair.P, Y)  # MA = 0
+    if split:
+        Y = _mirror_factor(Y)  # in place: the mirror blocks need only these
+        form = lambda Hs, U: _mirror_sparse(Hs) if U is None else _mirror_blocks(Hs, U, Y)
+    else:
+        form = lambda Hs, U: ([_coo(Hs) if U is None else _hermitian_low_rank(Hs, U, Y)], 0.0)
+    terms = [form(*C0)]
+    del C0
+    return terms + [form(Hs, U) for Hs, U in _sweep_forms(cfg, degree)]
+
+
+def _add_terms(terms, coefs):
+    """(sum_c coef_c blocks_c, block by block, and sum_c |coef_c| bound_c)
+    over ``_sweep_terms``; the first term, C_0, is dense with coefficient 1,
+    and no sparse block holds duplicate entries."""
+    (first, dropped), *rest = terms
+    K = [B.copy() for B in first]
+    for (blocks, bound), c in zip(rest, coefs[1:]):
+        if c == 0.0:
+            continue
+        dropped += abs(c) * bound
+        for Kp, B in zip(K, blocks):
+            if sp.issparse(B):
+                Kp[B.row, B.col] += c * B.data
+            else:
+                Kp += c * B
+    return K, dropped
+
+
+def _check_sweep_cell(first, cfg, omega, nu):
+    """ValueError unless cfg has the A, coarse_build_op and pair of first,
+    compared by value."""
+    for name in ("A", "coarse_build_op", "pair"):
+        a, b = getattr(first, name), getattr(cfg, name)
+        if a is b:
+            continue
+        pairs = zip((a.P, a.R), (b.P, b.R)) if name == "pair" else [(a, b)]
+        if not all(x.shape == y.shape and (x != y).nnz == 0 for x, y in pairs):
+            raise ValueError(
+                f"omega_sweep: make_cfg({omega!r}, {nu!r}) has another {name} than the "
+                "first cell; every cell must share A, coarse_build_op and pair")
 
 
 def omega_sweep(make_cfg, omegas, nus):
     """Grid of ||Gamma-tilde||_1 / kappa_1(Gamma-tilde) over (omega, nu).
 
-    ``make_cfg(omega, nu)`` must return a TwoGridConfig that varies only
-    omega and nu: Y = A_c^{-1} R A and 1/2 ((P^H P) Y)^H are computed
-    once, from ``make_cfg(omegas[0], nus[0])``, Y is butterflied once, and
-    each cell forms only the four mirror blocks of Gamma-tilde (the full
-    Gamma-tilde when the factor gate fails).  nu = 0 rows are flagged; a
-    singular Gamma-tilde reads 0.0, flagged.
+    ``make_cfg(omega, nu)`` must return a TwoGridConfig with the A,
+    coarse_build_op and pair of ``make_cfg(omegas[0], nus[0])``, equal by
+    value; otherwise ValueError names the first cell that differs.  Each
+    cell's Gamma-tilde is sum_c coef_c(omega, nu) C_c over fixed Hermitian
+    C_c (module docstring), whose four mirror blocks and factor bounds
+    are built once per sweep.  A cell adds up the blocks, takes them when
+    sum_c |coef_c| bound_c <= MIRROR_TOL ||K||_F (else the full C_c, built
+    once for the first cell that needs them: variable k), and hands them
+    to ``_ratio``.  nu = 0 rows are flagged; a singular Gamma-tilde reads
+    0.0, flagged.
     """
-    cfg = make_cfg(omegas[0], nus[0])
-    Y = _coarse_correction(cfg, cfg.A)
-    Ym = _mirror_factor(Y.copy())
-    P = cfg.pair.P
-    PPY = 0.5 * ((P.conj().T @ P) @ Y).conj().T
+    grid = [(omega, nu) for omega in omegas for nu in nus]
+    cfgs = [make_cfg(omega, nu) for omega, nu in grid]
+    for (omega, nu), cfg in zip(grid, cfgs):
+        _check_sweep_cell(cfgs[0], cfg, omega, nu)
+    degree = max(cfg.nu for cfg in cfgs)
+    terms, full = _sweep_terms(cfgs[0], degree, split=True), None
     rows = []
-    for omega in omegas:
-        for nu in nus:
-            MA = _smoothed(make_cfg(omega, nu))
-            val = _ratio(_form_blocks(*_gamma_factors(MA, P, Y, PPY), Y, Ym))
-            flag = "degenerate-no-smoothing" if nu == 0 else ""
-            if np.isnan(val):
-                val, flag = 0.0, flag or "singular-gamma-tilde"
-            rows.append({"omega": omega, "nu": nu, "ratio": val, "flag": flag})
+    for (omega, nu), cfg in zip(grid, cfgs):
+        coefs = _sweep_coefficients(cfg.omega, cfg.nu, degree)
+        K, dropped = _add_terms(terms, coefs)
+        if _gate(K, dropped) > MIRROR_TOL:
+            full = full or _sweep_terms(cfgs[0], degree, split=False)
+            K, dropped = _add_terms(full, coefs)
+        val = _ratio(K, dropped)  # which empties K
+        flag = "degenerate-no-smoothing" if nu == 0 else ""
+        if np.isnan(val):
+            val, flag = 0.0, flag or "singular-gamma-tilde"
+        rows.append({"omega": omega, "nu": nu, "ratio": val, "flag": flag})
     return rows
 
 

@@ -11,6 +11,7 @@ from helmmg.certificate import (
     _form_blocks,
     _gamma_factors,
     _gamma_form,
+    _gate,
     _hpd_verdict,
     _mirror_blocks,
     _mirror_factor,
@@ -321,6 +322,60 @@ def test_omega_sweep_matches_dense_reference():
         assert np.isclose(r["ratio"], want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("change, name", [("k", "A"), ("scheme", "pair")])
+def test_omega_sweep_cells_must_share_the_operators(change, name):
+    # every cell's Gamma-tilde comes from the first cell's Y and coefficient
+    # blocks, so a make_cfg that changes the wavenumber or the transfer
+    # scheme between cells is refused, naming the cell; fresh but equal
+    # operators (every other sweep test) pass
+    def make(omega, nu):
+        other = omega == 4.5
+        return make_cfg(k=4.0 if change == "k" and other else 5.0,
+                        scheme="linear" if change == "scheme" and other else "bezier",
+                        omega=omega, nu=nu)
+
+    with pytest.raises(ValueError, match=rf"make_cfg\(4\.5, 2\) has another {name} "):
+        omega_sweep(make, (1.5, 4.5), (2,))
+
+
+def test_omega_sweep_builds_its_factors_once(monkeypatch):
+    # a cell only adds up coefficient blocks: the dense butterflies, the
+    # thin factor products and the sparse mirror splits are made once per
+    # sweep, so 2 and 5 omegas make the same number of each
+    counts = dict.fromkeys(("_butterfly", "_hermitian_low_rank", "_mirror_sparse"), 0)
+    for name in counts:
+        def record(*args, _name=name, _f=getattr(certificate, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(certificate, name, record)
+    seen = []
+    for omegas in ((1.5, 4.5), (1.5, 2.0, 2.5, 4.5, 7.0)):
+        counts.update(dict.fromkeys(counts, 0))
+        rows = omega_sweep(lambda w, nu: make_cfg(omega=w, nu=nu), omegas, (1, 2))
+        assert len(rows) == 2 * len(omegas)
+        seen.append(dict(counts))
+    # nu <= 2: C_0, C_1, C_2 with a thin factor (Y and three U butterflied,
+    # 4 block products each) and C_11, C_12, C_22 sparse (six splits)
+    assert seen[0] == seen[1] == {"_butterfly": 4, "_hermitian_low_rank": 12,
+                                  "_mirror_sparse": 6}
+
+
+#: Raw k = 10 optimality-table ratios of the four-block ratio with every
+#: cell's Gamma-tilde built from its own M_nu A (17 significant digits)
+OPT1_K10 = {(1.5, 1): 0.09247421316143045, (1.5, 2): 0.07038208919974313,
+            (2.0, 1): 0.08992499988010406, (2.0, 2): 0.08642200307821102,
+            (2.5, 1): 0.08119962941320559, (2.5, 2): 0.09067176043893803,
+            (4.5, 1): 0.04870616928614766, (4.5, 2): 0.08274421597342042,
+            (7.0, 1): 0.013536464887292507, (7.0, 2): 0.06021483527239285}
+
+
+def test_opt1_row_k10_pinned():
+    row = certificate.opt1_row(10)
+    assert row.keys() == OPT1_K10.keys()
+    for cell, want in OPT1_K10.items():
+        assert abs(row[cell] - want) <= 1e-13 * want, cell
+
+
 def test_two_grid_config_validation():
     # the same rules as SmootherConfig; nu = 0 stays allowed (omega_sweep
     # flags it)
@@ -376,15 +431,16 @@ def mirror_parity(n):
 
 
 def record_gates(monkeypatch, ratios):
-    """Append the ratio of every factor gate to ``ratios``."""
-    blocks = certificate._mirror_blocks
+    """Append the ratio of every mirror gate (factor, sweep cell and swap
+    gate alike) to ``ratios``."""
+    gate = certificate._gate
 
-    def record_blocks(Hs, U, Ym):
-        K, ratio = blocks(Hs, U, Ym)
+    def record_gate(blocks, dropped):
+        ratio = gate(blocks, dropped)
         ratios.append(ratio)
-        return K, ratio
+        return ratio
 
-    monkeypatch.setattr(certificate, "_mirror_blocks", record_blocks)
+    monkeypatch.setattr(certificate, "_gate", record_gate)
 
 
 @pytest.fixture
@@ -413,10 +469,11 @@ def gram_norm(X):
 @pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls):
     # constant k: table_entry's ||T0||_2 and certify's sigma_max(DA) come
-    # from the four mirror blocks, and match the dense Gram's spectrum.
-    # k = 6 and 8 (n = 11 and 15) have an even coarse side
-    cfg = make_cfg(k=float(k), n=nodes_for_wavenumber(k), scheme=scheme,
-                   coarsen=coarsen, nu=nu)
+    # from the five swap blocks of the four mirror blocks, and match the
+    # dense Gram's spectrum.  k = 6 and 8 (n = 11 and 15) have an even
+    # coarse side
+    n = nodes_for_wavenumber(k)
+    cfg = make_cfg(k=float(k), n=n, scheme=scheme, coarsen=coarsen, nu=nu)
     T0 = dense_T0(cfg)
     N = T0.shape[0]
     t0 = table_entry(cfg)[1]
@@ -425,14 +482,13 @@ def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls)
     assert rep.norm_T0 == t0
     want = gram_norm(np.eye(N) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
-    # one factor gate per norm (table_entry: ||T0||; certify: sigma_max(DA)
-    # and ||T0||) and one per Gamma-tilde (table_entry's verdict, certify's
-    # verdict and ratio), each passed, and only the quarter-size blocks were
-    # solved
-    assert len(norm_calls["ratios"]) == 5
+    # a factor gate and a swap gate per norm (table_entry: ||T0||; certify:
+    # sigma_max(DA) and ||T0||), a factor gate per Gamma-tilde (table_entry's
+    # verdict, certify's verdict and ratio) and a swap gate for the ratio,
+    # each passed, and only the five swap blocks of each norm were solved
+    assert len(norm_calls["ratios"]) == 9
     assert max(norm_calls["ratios"]) <= MIRROR_TOL
-    assert len(norm_calls["sizes"]) == 12
-    assert sum(norm_calls["sizes"]) == 3 * N
+    assert sorted(norm_calls["sizes"]) == sorted(swap_block_sizes(n) * 3)
 
 
 def smooth_medium_cfg(omega=4.5, nu=1, scheme="bezier", coarsen="csl"):
@@ -526,15 +582,24 @@ def mirror_block_sizes(n):
     return sorted([(m + 1) ** 2, (m + 1) * m, m * (m + 1), m * m])
 
 
+def swap_block_sizes(n):
+    """Sizes of the five swap blocks on an n x n grid, n odd, in order:
+    the symmetric and antisymmetric halves of the (m+1)^2 even-even block,
+    the (m+1) m even-odd block, the halves of the m^2 odd-odd block."""
+    m = (n - 1) // 2
+    return [(m + 1) * (m + 2) // 2, (m + 1) * m // 2, (m + 1) * m,
+            m * (m + 1) // 2, m * (m - 1) // 2]
+
+
 def sweep_and_certify_ratio(make, omega, nu, calls):
     """The one-cell ``omega_sweep`` ratio and the ``certify`` ratio of make(omega, nu),
-    with the gate ratio and the inverted sizes of each."""
+    with the last gate ratio and the inverted sizes of each."""
     cell, = omega_sweep(make, (omega,), (nu,))
-    sweep = cell["ratio"], calls["ratios"][-1], sorted(calls["sizes"])
+    sweep = cell["ratio"], calls["ratios"][-1], calls["sizes"][:]
     calls["sizes"].clear()
     rep = certify(make(omega, nu))
     # certify's ratio is its last gate: the two norms come first
-    return sweep, (rep.ratio_table_value, calls["ratios"][-1], sorted(calls["sizes"]))
+    return sweep, (rep.ratio_table_value, calls["ratios"][-1], calls["sizes"][:])
 
 
 @pytest.mark.parametrize("nu", [1, 2])
@@ -543,8 +608,9 @@ def sweep_and_certify_ratio(make, omega, nu, calls):
 @pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_ratio_block_path_matches_dense_inverse(k, scheme, coarsen, nu, inverse_calls):
     # constant k, the even coarse sides of k = 6 and 8 included:
-    # omega_sweep's and certify's ratio invert only the four quarter-size
-    # mirror blocks, and match numpy's inverse of the dense Gamma-tilde
+    # omega_sweep's and certify's ratio invert only the five swap blocks of
+    # the four mirror blocks, and match numpy's inverse of the dense
+    # Gamma-tilde
     n = nodes_for_wavenumber(k)
 
     def make(omega, nu):
@@ -555,7 +621,7 @@ def test_ratio_block_path_matches_dense_inverse(k, scheme, coarsen, nu, inverse_
     for got, gate, sizes in sweep_and_certify_ratio(make, 4.5, nu, inverse_calls):
         assert abs(got - want) <= 1e-12 * want
         assert gate <= MIRROR_TOL
-        assert sizes == mirror_block_sizes(n)
+        assert sizes == swap_block_sizes(n)
 
 
 def test_ratio_variable_k_takes_full_path(inverse_calls):
@@ -591,8 +657,9 @@ def test_mirror_norm1_matches_dense(centre):
 
 def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
     # k = 5, Bezier coarsened on A, omega = 4.5, nu = 1: Gamma-tilde is not
-    # HPD; its 25 x 25 even-even block fails Cholesky and is inverted by LU,
-    # the other three by zpotri
+    # HPD; both halves of its even-even block (15 x 15 symmetric, 10 x 10
+    # antisymmetric) fail Cholesky and are inverted by LU, the other three
+    # swap blocks by zpotri
     cfg = make_cfg(coarsen="original", omega=4.5, nu=1)
     assert not certify(cfg).hpd_gamma_tilde.ok
     inverse_calls["lu"].clear()
@@ -600,10 +667,101 @@ def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
     cell, = omega_sweep(lambda w, nu: make_cfg(coarsen="original", omega=w, nu=nu),
                         (4.5,), (1,))
     assert inverse_calls["ratios"][-1] <= MIRROR_TOL
-    assert sorted(inverse_calls["sizes"]) == mirror_block_sizes(9)
-    assert inverse_calls["lu"] == [("Gamma-tilde", 25)]
+    assert inverse_calls["sizes"] == swap_block_sizes(9)
+    assert inverse_calls["lu"] == [("Gamma-tilde", 15), ("Gamma-tilde", 10)]
     want = dense_ratio(cfg)
     assert abs(cell["ratio"] - want) <= 1e-12 * want
+
+
+# --- the five swap blocks ---------------------------------------------------
+
+def d4_symmetric(n, seed, hermitian):
+    """A random complex n^2 x n^2 matrix that commutes with the eight
+    symmetries of the n x n grid (reflections and the swap x <-> y)."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    if hermitian:
+        M = M + M.conj().T
+    grid = np.arange(n * n).reshape(n, n)
+    images = [g.ravel() for t in (grid, grid.T)
+              for g in (t, t[::-1], t[:, ::-1], t[::-1, ::-1])]
+    return sum(M[np.ix_(g, g)] for g in images) / 8.0
+
+
+def from_mirror_blocks(blocks, n):
+    """The dense Q blockdiag(blocks) Q of four mirror blocks, by numpy."""
+    label = mirror_parity(n)
+    M = np.zeros((n * n, n * n), dtype=complex)
+    for p, B in enumerate(blocks):
+        M[np.ix_(label == p, label == p)] = B
+    return mirror_Q(n) @ M @ mirror_Q(n)
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_swap_split_matches_dense(n):
+    # a synthetic HPD H that commutes with the swap as well as the
+    # reflections: the five swap blocks give its eigenvalues, the parity
+    # blocks of its inverse and the 1-norm of the inverse
+    H = d4_symmetric(n, seed=n, hermitian=True)
+    H += (np.abs(np.linalg.eigvalsh(H)).max() + 1.0) * np.eye(n * n)
+    blocks = dense_mirror_blocks(H, n)
+    split = certificate._swap_split(blocks, 0.0)
+    assert [B.shape[0] for B in split] == swap_block_sizes(n)
+    # block 2 is block 1 permuted, so block 1's spectrum counts twice
+    lam = np.linalg.eigvalsh(H)
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in split + [split[2]]]))
+    assert np.abs(got - lam).max() <= 1e-12 * lam.max()
+    norm2 = certificate._gram_norm2(blocks, 0.0)
+    assert abs(norm2 - np.sqrt(lam.max())) <= 1e-12 * np.sqrt(lam.max())
+    Hinv = np.linalg.inv(H)
+    inv = [np.linalg.inv(B) for B in split]
+    for p, want in enumerate(dense_mirror_blocks(Hinv, n)):
+        got = certificate._inverse_columns(inv, p, np.arange(want.shape[1]))
+        assert rel_fro(got, want) <= 1e-12
+    want = np.abs(Hinv).sum(axis=0).max()
+    assert abs(certificate._mirror_norm1(inv) - want) <= 1e-12 * want
+    assert abs(certificate._ratio(blocks, 0.0) - 1.0 / want) <= 1e-12 / want
+
+
+@pytest.mark.parametrize("n", [9, 11])
+@pytest.mark.parametrize("centre", [0.0, 50.0])
+def test_mirror_norm1_from_swap_blocks_matches_dense(n, centre):
+    # ||.||_1 from a triangle of quadrant columns of a matrix that commutes
+    # with the swap, against numpy's over every column.  centre = 50 puts
+    # the largest column sum on the centre node, which lies on the
+    # triangle's diagonal
+    M = d4_symmetric(n, seed=n + 1, hermitian=False)
+    M[:, (n * n) // 2] += centre
+    split = certificate._swap_split(dense_mirror_blocks(M, n), 0.0)
+    assert len(split) == 5
+    want = np.abs(M).sum(axis=0).max()
+    assert abs(certificate._mirror_norm1(split) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_swap_gate_falls_back_to_the_parity_blocks(p, inverse_calls, norm_calls):
+    # a perturbation of the even-even block (p = 0), or of the odd-even
+    # block that the split replaces by the permuted even-odd one (p = 2),
+    # breaks the swap symmetry but not the reflections and fails the swap
+    # gate: the norm and the ratio come from the four parity blocks and
+    # still match dense
+    n = 9
+    H = d4_symmetric(n, seed=3, hermitian=True)
+    H += (np.abs(np.linalg.eigvalsh(H)).max() + 1.0) * np.eye(n * n)
+    blocks = dense_mirror_blocks(H, n)
+    rng = np.random.default_rng(4)
+    E = rng.standard_normal(blocks[p].shape) + 1j * rng.standard_normal(blocks[p].shape)
+    blocks[p] = blocks[p] + 1e-9 * np.linalg.norm(blocks[p]) / np.linalg.norm(E) * (E + E.conj().T)
+    H = from_mirror_blocks(blocks, n)
+    assert certificate._swap_split(blocks, 0.0) is blocks
+    assert inverse_calls["ratios"][-1] > 1e3 * MIRROR_TOL
+    lam_max = np.linalg.eigvalsh(H).max()
+    got = certificate._gram_norm2(blocks, 0.0)
+    assert abs(got - np.sqrt(lam_max)) <= 1e-12 * np.sqrt(lam_max)
+    assert norm_calls["sizes"] == [25, 20, 20, 16]
+    want = 1.0 / np.abs(np.linalg.inv(H)).sum(axis=0).max()
+    assert abs(certificate._ratio(blocks, 0.0) - want) <= 1e-12 * want
+    assert inverse_calls["sizes"] == [25, 20, 20, 16]
 
 
 # --- Gamma forms from the four mirror blocks of their thin factors ----------
@@ -638,7 +796,7 @@ def test_gamma_blocks_match_dense_form(k, scheme, coarsen, nu, monkeypatch):
     DA = np.eye(n * n) - dense_T0(cfg)
     for W, dense in ((P, dense_gamma_tilde(cfg)),
                      (P - MA @ P, DA.conj().T + DA - DA.conj().T @ DA)):
-        got = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
+        got, _ = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
         want = dense_mirror_blocks(dense, n)
         assert [B.shape for B in got] == [B.shape for B in want]
         assert fro([g - w for g, w in zip(got, want)]) <= 1e-13 * np.linalg.norm(dense)
@@ -667,8 +825,8 @@ def test_factor_gate(factor, scale, blocks, monkeypatch):
     Y = _coarse_correction(cfg, cfg.A)
     MA, P = _smoothed(cfg), cfg.pair.P
     Hs, U = _gamma_factors(MA, P, Y)
-    K, rounding = _mirror_blocks(Hs, U.copy(), _mirror_factor(Y.copy()))
-    assert rounding <= 0.05 * MIRROR_TOL
+    K, dropped = _mirror_blocks(Hs, U.copy(), _mirror_factor(Y.copy()))
+    assert _gate(K, dropped) <= 0.05 * MIRROR_TOL
     share = scale * MIRROR_TOL * fro(K)
     # the perturbed factor term of the bound is 2 ||U_o|| ||Yb|| for U and
     # 2 ||U_d|| ||Y_o|| for Y, with ||Yb|| = ||Y|| and ||U_d|| = ||U|| to
@@ -683,7 +841,7 @@ def test_factor_gate(factor, scale, blocks, monkeypatch):
         U_bad, Y_bad = U, Y + mirror_Q(5) @ E @ mirror_Q(9)
     ratios = []
     record_gates(monkeypatch, ratios)
-    got = _form_blocks(Hs, U_bad.copy(), Y_bad, _mirror_factor(Y_bad.copy()))
+    got, _ = _form_blocks(Hs, U_bad.copy(), Y_bad, _mirror_factor(Y_bad.copy()))
     ratio, = ratios
     assert abs(ratio - scale * MIRROR_TOL) <= 0.1 * MIRROR_TOL
     assert len(got) == (4 if blocks else 1)
@@ -717,7 +875,7 @@ def test_factor_bound_covers_the_dropped_part(diag, off, symmetric):
     Hs = make_cfg(n=n).A if symmetric else sp.random(n * n, n * n, density=0.05,
                                                      random_state=rng, format="csr")
     Hs = (Hs + Hs.conj().T).tocsr()
-    K, ratio = _mirror_blocks(Hs, U.copy(), _mirror_factor(Y.copy()))
+    K, bound = _mirror_blocks(Hs, U.copy(), _mirror_factor(Y.copy()))
     label, coarse = mirror_parity(n), mirror_parity(nc)
     Hs_b = dense_mirror_blocks(Hs.toarray(), n)
     kept = np.zeros((n * n, n * n), dtype=complex)
@@ -729,7 +887,7 @@ def test_factor_bound_covers_the_dropped_part(diag, off, symmetric):
     H = Hs.toarray() + U @ Y + (U @ Y).conj().T
     dropped = np.linalg.norm(Qf @ H @ Qf - kept)
     assert dropped > 1e-3 * fro(K)
-    assert dropped <= ratio * fro(K) * (1.0 + 1e-12)
+    assert dropped <= bound * (1.0 + 1e-12)
 
 
 @pytest.fixture
@@ -747,9 +905,11 @@ def products(monkeypatch):
 
 
 def test_block_path_makes_no_full_product(products):
-    # k = 10, n = 17 (N = 289), n_c = 9 (N_c = 81): omega_sweep's cells and
-    # table_entry's Gamma-tilde (for its verdict) and Gamma (for ||T0||_2)
-    # multiply only the quarter-size factor blocks.  certify takes
+    # k = 10, n = 17 (N = 289), n_c = 9 (N_c = 81): omega_sweep's three
+    # low-rank coefficient forms (C_0, C_1, C_2 at nu <= 2), built once for
+    # its four cells, and table_entry's Gamma-tilde (for its verdict) and
+    # Gamma (for ||T0||_2) multiply only the quarter-size factor blocks.
+    # certify takes
     # sigma_max(DA), Gamma's residual, verdict and ||T0||_2, and
     # Gamma-tilde's verdict and ratio from the blocks too; its one
     # N x N_c x N product is the full Gamma-tilde of the quick screen, and
@@ -758,7 +918,7 @@ def test_block_path_makes_no_full_product(products):
               ((64, 16), (16, 64))]
     full = [((289, 81), (81, 289))]
     omega_sweep(lambda w, nu: make_cfg(k=10.0, n=17, omega=w, nu=nu), (1.5, 4.5), (1, 2))
-    assert products == blocks * 4
+    assert products == blocks * 3
     products.clear()
     table_entry(make_cfg(k=10.0, n=17))
     assert products == blocks * 2
@@ -784,14 +944,18 @@ def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
     assert abs(t0 - want) <= 1e-13 * want
     cell, = omega_sweep(make, (4.5,), (1,))
     assert abs(cell["ratio"] - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
-    # table_entry's Gamma-tilde and Gamma and the sweep's Gamma-tilde: for
-    # variable k each is the full form (beside the blocks the failed factor
-    # gate rejected), on the even coarse side none is
-    assert len(ratios) == 3
+    # table_entry's Gamma-tilde and Gamma, and the sweep's cell.  For
+    # variable k each gate fails: table_entry forms both in full and the
+    # sweep its two low-rank coefficient forms C_0 and C_1 (beside the
+    # blocks the failed gates rejected), and one block has no swap gate.
+    # On the even coarse side no full form is made, and Gamma's norm and
+    # the cell's ratio pass a swap gate too
     if case == "variable-k":
-        assert products.count(((N, Nc), (Nc, N))) == 3
+        assert len(ratios) == 3
+        assert products.count(((N, Nc), (Nc, N))) == 4
         assert min(ratios) > 1e3 * MIRROR_TOL
     else:
+        assert len(ratios) == 5
         assert products.count(((N, Nc), (Nc, N))) == 0
         assert Nc == 36 and max(ratios) <= MIRROR_TOL
 
@@ -804,7 +968,7 @@ def verdict_pairs(cfg):
     Ym = _mirror_factor(Y.copy())
     MA, P = _smoothed(cfg), cfg.pair.P
     for W in (P, P - MA @ P):
-        blocks = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
+        blocks, _ = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
         yield blocks, _hpd_verdict(blocks), cholesky_hpd_test(_gamma_form(MA, W, Y))
 
 
