@@ -48,99 +48,94 @@ Gram matrices), and lambda_min(Gamma) = 1 - lambda_max(T0^H T0) comes from
 the same one eigenvalue as ||T0||_2.
 
 MP 2-A has constant k and the same Sommerfeld rows on all four sides, so
-its two-grid operator commutes with the grid reflections x -> 1-x and
-y -> 1-y (both transfer schemes, both coarsenings, omega-Jacobi).  In the
-orthogonal even/odd mirror basis Q = Q1 (x) Q1, Q1 the butterfly
-(x_i +- x_{n-1-i})/sqrt(2) with the centre node of an odd side even (an
-even side has no centre node), the Gram matrices are block diagonal with
-four blocks of about N/4 (289, 272, 272 and 256 at n = 33), and
-lambda_max is the largest block maximum.
+its two-grid operator commutes with the eight symmetries of the square:
+the reflections x -> 1-x and y -> 1-y and the swap x <-> y, the dihedral
+group D4 (Faessler & Stiefel, Group Theoretical Methods and Their
+Applications, Birkhauser 1992; Bossavit, CMAME 56, 1986).  They commute
+with A, the CSL, M_nu and P = P1 (x) P1 of both transfer schemes, fine
+node 2i being coarse node i on either parity of n_c = (n+1)/2.  The D4
+basis V of an n x n grid (``_mirror_basis``) is orthogonal and comes in
+two steps of the one butterfly (``_pair``), which maps a pair (x, y) to
+(x + y, x - y)/sqrt(2):
+
+* along each axis, on the mirror pairs i < j = n-1-i (``_reflect``; the
+  centre of an odd side is even).  The grid splits into four parity
+  blocks ee, eo, oe and oo, in (y, x) order;
+* on the swap pairs (a, b), (b, a), a < b, of the ee and of the oo block
+  (``_swap_halves``), which split into their swap-symmetric and
+  swap-antisymmetric halves ee+, ee-, oo+ and oo-.  The swap maps eo onto
+  oe, whose row (a, b) is taken as the swap image of eo's row (a, b).
+
+A form that commutes with D4 is block diagonal in V, with its oe block
+equal to its eo block.  So it has five distinct blocks, ee+/ee-/oo+/oo-/eo
+(153/136/136/120/272 at n = 33; 3/1/1/0/2 on a 3 x 3 grid), with eo
+counted twice.  lambda_max is the largest block maximum, the form is HPD
+exactly when every block is, and its inverse is V^T blockdiag(K_b^-1) V.
 
 The blocks are built from the factors, and no N x N matrix is formed.
-The fine and coarse reflections commute with P, R, A, the CSL and M_nu
-(fine node 2i is coarse node i on either parity of n_c = (n+1)/2).  So
-the butterflied factors Ub = Q_f U Q_c and Yb = Q_c Y Q_f are
-parity-block diagonal, fine parity p paired with coarse parity p, and so
-is Q_f G_s Q_f.  ``_mirror_blocks`` forms block p as
+The butterflied factors Ub = V_f U V_c^T and Yb = V_c Y V_f^T pair each
+fine block with the coarse block of the same label, and so
+``_mirror_blocks`` forms the five blocks
 
-    K_p = (Q_f G_s Q_f)_pp + U_p Y_p + (U_p Y_p)^H,
+    K_b = (V G_s V^T)_bb + U_b Y_b + (U_b Y_b)^H,
 
-four N/4 x N_c/4 x N/4 products (21.6 M complex multiply-adds at n = 33
-against 342.7 M for the full form).  Splitting Ub = U_d + U_o and
-Yb = Y_d + Y_o into their parity-diagonal and off parts, the dropped part
-of Q_f (G_s + F + F^H) Q_f is
+five thin products (8.1 M complex multiply-adds at n = 33 against
+342.7 M for the full form).  Split Ub = U_d + U_o into the kept block
+diagonal, whose oe block is taken as the eo block, and the rest, and
+Yb = Y_d + Y_o likewise.  The part of V (G_s + F + F^H) V^T the blocks
+drop is then
 
     E = G_o + Z + Z^H,  Z = U_d Y_o + U_o Yb,
 
-G_o the off-blocks of Q_f G_s Q_f.  Z holds U_o Y_o, whose products land
-inside the diagonal blocks too, not only in the off-blocks: U_d Y_d alone
-is what K keeps.  Hence
+G_o the rest of V G_s V^T.  Z holds U_o Y_o, whose products land inside
+the blocks too, not only off them: U_d Y_d alone is what K keeps.  Hence
 
     ||E||_F <= ||G_o||_F + 2 (||U_d||_F ||Y_o||_F + ||U_o||_F ||Yb||_F),
 
-each norm summed block by block (a total minus the diagonal blocks
-cancels to about 1e-8 on rounding-level off-blocks).  The factor gate
-takes the blocks when this bound is at most MIRROR_TOL = 1e-13 times
-||K||_F; by Weyl's inequality no eigenvalue of the kept matrix is then
-more than that from the form's.  The table rows read at most 4e-15
-(k = 5), 1e-14 (k = 10), 3e-14 (k = 20) and 5.5e-14 (k = 30, Bezier
-coarsened on A); a smooth variable-k medium reads about 1.6 and takes
-the full form, unchanged.
+and ||Yb||_F <= ||Y_d||_F + ||Y_o||_F.  The rest of a factor is its 12 off parity blocks, the mixed swap parts of
+its ee and oo blocks and its oe block minus its eo block, each summed on
+its own (a total minus the kept blocks cancels to about 1e-8 on
+rounding-level parts).  The one gate (``_gate``) takes the blocks when
+this bound is at most MIRROR_TOL = 1e-13 times ||K||_F, eo counted twice;
+by Weyl's inequality no eigenvalue of the kept matrix is then more than
+that from the form's.  The table rows read at most 7.5e-15 (k = 5),
+1.5e-14 (k = 10), 3.3e-14 (k = 20) and 6.2e-14 (k = 30, Bezier coarsened
+on A); a smooth variable-k medium reads about 1.6 and takes the one full
+block, unchanged.
 
 ``certify``, ``table_entry`` and ``omega_sweep`` use the blocks: Y is
 butterflied once per configuration or sweep, ||T0||_2 is the root of the
-largest lambda_max(I - K_p), sigma_max(DA) that of the largest
-lambda_max of the (DA)^H DA blocks, and the optimality ratio
-||Gamma-tilde||_1 / kappa_1 = 1 / ||Gamma-tilde^-1||_1 comes from
-Gamma-tilde^-1 = Q blockdiag(K_p^-1) Q (``linalg.inverse`` on each block:
-Cholesky and ``zpotri`` for an HPD block, LU otherwise).  The 1-norm is
-not orthogonally invariant, but that matrix commutes with both
-reflections, so the column sums of one quadrant of columns give it
-(``_mirror_norm1``).  Q is orthogonal, so a form is HPD exactly when each
-of its blocks is: the Cholesky verdicts of Gamma and Gamma-tilde
-(``_hpd_verdict``) run on the four blocks, and a failing verdict names
-the block and the row of the mirror basis, not a node.  Gamma's
-Hermiticity residual is that of blockdiag(K_p).  Only the quick screen,
-whose conditions test entries in the node basis, still forms the full
-N x N Gamma-tilde.  The sparse basis Q of each grid side is built once
-(``_mirror_basis``).  For variable k every step takes the one full form
-instead, and a verdict reports its node's pivot index.
+largest lambda_max(I - K_b), and sigma_max(DA) that of the largest
+lambda_max of the (DA)^H DA blocks.  The Cholesky verdicts of Gamma and
+Gamma-tilde (``_hpd_verdict``) factor each block once, and a failing one
+names the D4 block and its row, not a node.  Gamma-tilde's verdict hands
+its factors on to the optimality ratio ||Gamma-tilde||_1 / kappa_1 =
+1 / ||Gamma-tilde^-1||_1 (``_ratio``: ``zpotri`` on the factor of an HPD
+block, LU otherwise).  The 1-norm is not orthogonally invariant, but
+Gamma-tilde^-1 commutes with D4, so the columns of one eighth of the
+square give it (``_mirror_norm1``).  Gamma's Hermiticity residual is that
+of the whole blockdiag, eo counted twice.  Only the quick screen, whose
+conditions test entries in the node basis, forms the full N x N
+Gamma-tilde.  For variable k every step takes the one full form instead,
+and a verdict reports its node's pivot index.
 
-MP 2-A also commutes with the diagonal swap x <-> y (the same Sommerfeld
-rows on all four sides, P = P1 (x) P1); with the reflections it makes
-the dihedral group D4 of the square (Faessler & Stiefel, Group
-Theoretical Methods and Their Applications, Birkhauser 1992; Bossavit,
-CMAME 56, 1986).  The swap maps the mirror basis onto itself: the
-even-even and the odd-odd block onto themselves, the even-odd block onto
-the odd-even one.  So the LAPACK consumers of the blocks, ``_gram_norm2``
-and ``_ratio``, work on the five blocks of ``_swap_split``: the
-swap-symmetric and swap-antisymmetric halves of the even-even and of the
-odd-odd block, taken by index gathers, and the even-odd block, whose
-permutation stands for the odd-even one, with the same spectrum and the
-permuted inverse (153/136/272/136/120 at n = 33 against
-289/272/272/256).  What the five drop, the swap-odd parts of the two
-split blocks and the odd-even block's difference from the permuted
-even-odd one, is measured; the swap gate adds its Frobenius norm to the
-factor bound and takes the five blocks when the sum is at most
-MIRROR_TOL times ||K||_F, else the four.  No table cell falls back: the
-sums read at most 8.4e-14 (k = 30, I - Gamma of Bezier coarsened on A).
-Gamma-tilde^-1 then commutes with the swap too, so a triangle of the
-quadrant's columns gives its 1-norm.
+``omega_sweep`` forms no Gamma form per cell.  With L = Lambda_A^-1 A and
+E = L - I, M_nu A = I - (I - L/omega)^nu = sum_j a_j E^j, the a_j of
+``_sweep_coefficients``, and so
 
-``omega_sweep`` forms no Gamma form per cell.  With L = Lambda_A^-1 A,
-M_nu A = I - (I - L/omega)^nu = sum_i a_i L^i, a_i =
--binom(nu, i) (-1/omega)^i, and so
+    Gamma-tilde(omega, nu) = C_0 + sum_j a_j C_j + sum_{i<=j} a_i a_j C_ij
 
-    Gamma-tilde(omega, nu) = C_0 + sum_i a_i C_i + sum_{i<=j} a_i a_j C_ij
-
-over fixed Hermitian forms: C_0 = U_0 Y + (U_0 Y)^H with
-U_0 = P - 1/2 ((P^H P) Y)^H, C_i = L^i + L^iH - (L^iH P Y + (L^iH P Y)^H)
-and the sparse C_ij = -(L^iH L^j + L^jH L^i), -L^iH L^i for i = j.  The
-four mirror blocks of each C_c and its factor bound b_c are built once
-per sweep (``_sweep_terms``), the blocks of the C_ij sparse.  A cell adds
-up the blocks; its dropped part is at most sum_c |coef_c| b_c, and the
-cell takes the blocks when that is at most MIRROR_TOL ||K||_F.  Otherwise
-(variable k) the full C_c, built once, give the full Gamma-tilde.
+over fixed Hermitian forms, j = 0 .. nu_max and E^0 = I: C_0 = U_0 Y +
+(U_0 Y)^H with U_0 = P - 1/2 ((P^H P) Y)^H, C_j = E^j + E^jH - (E^jH P Y +
+(E^jH P Y)^H) and the sparse C_ij = -(E^iH E^j + E^jH E^i), -E^iH E^i for
+i = j.  E's spectrum lies near [-1, 1], and for omega >= 1 the a_j sum to
+at most 2 in absolute value, so a cell's sum does not cancel (in powers of
+L, whose spectrum reaches 2, it loses a digit at nu >= 3).  The five
+D4 blocks of each C_c and its factor bound b_c are built once per sweep
+(``_sweep_terms``), the blocks of the C_ij sparse.  A cell adds up the
+blocks; its dropped part is at most sum_c |coef_c| b_c, and the cell
+takes the blocks when that is at most MIRROR_TOL ||K||_F.  Otherwise
+(variable k) the sweep refuses the configuration.
 """
 
 import math
@@ -155,9 +150,9 @@ from . import presets
 from .linalg import (
     Verdict,
     _hermiticity_residual,
+    _hpd_cholesky,
     add_adjoint,
     check_dense_limit,
-    cholesky_hpd_test,
     inverse,
     lu_factor_checked,
     norm1,
@@ -267,10 +262,12 @@ def _smoothed(cfg):
 
 
 def _hermitian_low_rank(Hs, W, Y):
-    """Hs + W Y + (W Y)^H for sparse Hermitian Hs, dense or sparse W and dense Y."""
+    """Hs + W Y + (W Y)^H for sparse Hermitian Hs (None: no sparse part),
+    dense or sparse W and dense Y."""
     X = add_adjoint(W @ Y)  # the one product of the factors
-    Hs = _coo(Hs)
-    X[Hs.row, Hs.col] += Hs.data  # the sparse part, entry by entry
+    if Hs is not None:
+        Hs = _coo(Hs)
+        X[Hs.row, Hs.col] += Hs.data  # the sparse part, entry by entry
     return X
 
 
@@ -304,21 +301,28 @@ def _gamma_form(MA, W, Y):
 
 
 #: Largest bound on the dropped part, relative to ||K||_F of the kept
-#: blocks, at which a mirror gate (``_gate``) takes the blocks for the
-#: whole form.  Dropping E moves no eigenvalue by more than ||E||_2 <=
-#: ||E||_F (Weyl's inequality), so below the gate the block maximum is
-#: within MIRROR_TOL times the kept norm of lambda_max.  The inverse moves
-#: by about kappa_2(H) ||E||_2 / ||H||_2 relative, the order of a full
-#: inversion's own rounding error while E is rounding.  Constant-k forms
-#: read about 1e-14 (rounding), variable-k ones 0.05 and more.
+#: blocks, at which the D4 gate (``_gate``) takes the blocks for the whole
+#: form.  Dropping E moves no eigenvalue by more than ||E||_2 <= ||E||_F
+#: (Weyl's inequality), so below the gate the block maximum is within
+#: MIRROR_TOL times the kept norm of lambda_max.  The inverse moves by about
+#: kappa_2(H) ||E||_2 / ||H||_2 relative, the order of a full inversion's
+#: own rounding error while E is rounding.  Constant-k forms read about
+#: 1e-14 (rounding), variable-k ones 0.05 and more.
 MIRROR_TOL = 1e-13
 
 
+def _whole(blocks):
+    """The blocks of the whole form: the five D4 blocks and the eo block
+    once more, for the oe block it stands for; one block (variable k) as
+    given."""
+    return blocks + blocks[4:]
+
+
 def _gate(blocks, dropped):
-    """The ratio every mirror gate compares with MIRROR_TOL: ``dropped``, a
-    bound on ||E||_F of what the dense blocks drop from a form, over
-    ||blockdiag(blocks)||_F."""
-    kept = np.sqrt(sum(_sq(B) for B in blocks))
+    """The ratio the D4 gate compares with MIRROR_TOL: ``dropped``, a bound
+    on ||E||_F of what the blocks drop from a form, over the kept
+    ||blockdiag(_whole(blocks))||_F."""
+    kept = np.sqrt(sum(_sq(B) for B in _whole(blocks)))
     return float(dropped / kept) if kept > 0.0 else np.inf
 
 
@@ -329,8 +333,9 @@ def _grid_side(N):
 
 
 def _parities(n):
-    """The four (x, y) parity slice pairs of the n x n mirror basis: the
-    first n - n//2 indices of an axis are even, the other n//2 odd."""
+    """The four (y, x) parity slice pairs of the n x n mirror basis, ee,
+    eo, oe, oo: the first n - n//2 indices of an axis are even, the other
+    n//2 odd."""
     halves = (slice(0, n - n // 2), slice(n - n // 2, n))
     return [(a, b) for a in halves for b in halves]
 
@@ -353,24 +358,31 @@ def _butterfly(H):
     return H4, _parities(nr), _parities(nc)
 
 
+def _pair(lo, hi):
+    """lo, hi <- (lo + hi)/sqrt(2), (lo - hi)/sqrt(2) in place: the one
+    butterfly of the D4 basis, for the mirror pairs and the swap pairs.
+
+    The difference comes first, so a (near-)symmetric pair leaves its odd
+    part accurate to its own size, not to the size of the sum.
+    """
+    s = np.sqrt(0.5)
+    np.subtract(lo, hi, out=hi)
+    hi *= s
+    lo *= 2.0 * s
+    lo -= hi
+
+
 def _reflect(H4, axes):
     """Apply Q1 along each of the given axes of H4, in place.
 
     Q1 maps x to (x_i + x_j)/sqrt(2) at i and (x_i - x_j)/sqrt(2) at j for
     each mirror pair i < j = n-1-i, and keeps the centre x_m of an odd n
-    (an even n has none); this is the one definition of the butterfly.
+    (an even n has none).
     """
-    s = np.sqrt(0.5)
     for axis in axes:
         V = np.moveaxis(H4, axis, 0)
         h = V.shape[0] // 2
-        lo, hi = V[:h], V[::-1][:h]  # hi[i] is node n-1-i
-        # the difference first, so a (near-)symmetric pair leaves an odd
-        # part accurate to its own size, not to the size of the sum
-        np.subtract(lo, hi, out=hi)
-        hi *= s
-        lo *= 2.0 * s
-        lo -= hi
+        _pair(V[:h], V[::-1][:h])  # V[::-1][i] is node n-1-i
 
 
 def _sq(B):
@@ -378,258 +390,225 @@ def _sq(B):
     return np.vdot(B, B).real
 
 
-def _mirror_factor(X):
-    """Butterfly the dense thin factor X in place and split it.
+@cache
+def _swap_pairs(q):
+    """Flat indices a q + b of a q x q array under the swap (a, b) <-> (b, a),
+    read-only: (the positions a <= b, row-major, which hold the
+    swap-symmetric half after ``_pair`` on the pairs; the positions (a, b)
+    and (b, a) of the pairs a < b in that order, the latter holding the
+    antisymmetric half)."""
+    a, b = np.triu_indices(q)
+    pair = a < b
+    maps = a * q + b, (a * q + b)[pair], (b * q + a)[pair]
+    for m in maps:
+        m.flags.writeable = False
+    return maps
 
-    Returns (the four blocks that pair row parity p with column parity p,
-    ||those blocks||_F, ||the 12 other blocks||_F).
+
+def _swap_halves(B4):
+    """([swap-symmetric half, swap-antisymmetric half], ||the mixed
+    parts||_F^2) of the ee or the oo block B4, (q, q, q_c, q_c), of a
+    butterflied factor.
+
+    ``_pair`` runs on a copy, on the swap pairs of its rows and then of its
+    columns; each half pairs the row half with the column half of the same
+    symmetry, and the mixed parts are the two other pairings.
+    """
+    q, qc = B4.shape[0], B4.shape[2]
+    B = np.array(B4).reshape(q * q, qc * qc)
+    (sym, lo, hi), (csym, clo, chi) = _swap_pairs(q), _swap_pairs(qc)
+    for M, i, j in ((B, lo, hi), (B.T, clo, chi)):
+        x, y = M[i], M[j]
+        _pair(x, y)
+        M[i], M[j] = x, y
+    return ([B[np.ix_(sym, csym)], B[np.ix_(hi, chi)]],
+            _sq(B[np.ix_(sym, chi)]) + _sq(B[np.ix_(hi, csym)]))
+
+
+def _mirror_factor(X):
+    """Butterfly the dense thin factor X in place and cut it into D4 blocks.
+
+    Returns (the five blocks that pair each fine label with the coarse
+    label of the same name, ||X_d||_F of the kept block diagonal with eo
+    counted twice, ||X_o||_F of the rest).  The rest is the 12 off parity
+    blocks, the mixed swap parts of ee and oo and the oe block minus the
+    eo block, each summed on its own.
     """
     X4, rows, cols = _butterfly(X)
-    diag = [B.reshape(B.shape[0] * B.shape[1], -1)
-            for B in (X4[r + c] for r, c in zip(rows, cols))]
     off = sum(_sq(X4[r + c]) for a, r in enumerate(rows)
               for b, c in enumerate(cols) if a != b)
-    return diag, np.sqrt(sum(_sq(B) for B in diag)), np.sqrt(off)
+    blocks = []
+    for p in (0, 3):  # ee and oo
+        halves, mixed = _swap_halves(X4[rows[p] + cols[p]])
+        blocks += halves
+        off += mixed
+    eo = X4[rows[1] + cols[1]]
+    off += _sq(X4[rows[2] + cols[2]].transpose(1, 0, 3, 2) - eo)  # oe swapped is eo
+    blocks.append(eo.reshape(eo.shape[0] * eo.shape[1], -1))
+    return blocks, np.sqrt(sum(_sq(B) for B in _whole(blocks))), np.sqrt(off)
 
 
 @cache
 def _mirror_basis(n):
-    """(Q, block sizes, block starts, block label of each row) of the sparse
-    mirror basis on an n x n grid, built once per n and read-only.
+    """(V, block sizes, block starts, block label of each row) of the sparse
+    D4 basis on an n x n grid, built once per n and read-only.
 
-    The rows of Q = Q1 (x) Q1 of ``_butterfly`` come in block order: the
-    four parities in turn, each row-major, as ``_mirror_factor`` lays a
-    block out.  Q1 is ``_reflect`` applied to the identity.
+    The rows of V come in block order, ee+, ee-, oo+, oo-, eo, oe (labels
+    0 to 5), each block laid out as ``_mirror_factor`` lays it out; row
+    (a, b) of oe is row (a, b) of eo swapped.  They are rows of Q = Q1 (x) Q1
+    of ``_butterfly`` (Q1 is ``_reflect`` applied to the identity), or the
+    sum or the difference over sqrt(2) of a swap pair of them, whose
+    supports are disjoint.
     """
     Q1 = np.eye(n)
     _reflect(Q1, (0,))
-    Q1 = sp.csr_matrix(Q1)
+    Q = sp.kron(Q1, Q1, format="csr")
+    h, s = n - n // 2, np.sqrt(0.5)
     grid = np.arange(n * n).reshape(n, n)
-    order = [grid[p].ravel() for p in _parities(n)]
-    Q = sp.kron(Q1, Q1, format="csr")[np.concatenate(order)]
-    sizes = [len(o) for o in order]
-    label = np.repeat(np.arange(4), sizes)
-    for a in (Q.data, Q.indices, Q.indptr, label):
+    blocks = []
+    for quad in (grid[:h, :h], grid[h:, h:]):
+        sym, _, hi = _swap_pairs(quad.shape[0])
+        own, swap = quad.ravel(), quad.T.ravel()
+        # the diagonal a = b is its own swap image: (Q_aa + Q_aa)/2
+        blocks += [sp.diags(np.where(own[sym] == swap[sym], 0.5, s)) @ (Q[own[sym]] + Q[swap[sym]]),
+                   s * (Q[swap[hi]] - Q[own[hi]])]
+    blocks += [Q[grid[:h, h:].ravel()], Q[grid[h:, :h].T.ravel()]]  # eo, and oe as its swap
+    V = sp.vstack(blocks, format="csr")
+    sizes = [B.shape[0] for B in blocks]
+    label = np.repeat(np.arange(6), sizes)
+    for a in (V.data, V.indices, V.indptr, label):
         a.flags.writeable = False
-    return Q, tuple(sizes), tuple(np.cumsum([0] + sizes[:-1]).tolist()), label
+    return V, tuple(sizes), tuple(np.cumsum([0] + sizes[:-1]).tolist()), label
 
 
 def _mirror_sparse(Hs):
-    """(the four diagonal mirror blocks of Q Hs Q, sparse, and ||its 12
-    off-blocks||_F) for a sparse Hs on a square grid, Q of ``_butterfly``.
-    The blocks hold no duplicate entries: Q Hs Q is a CSR product."""
-    Q, sizes, start, label = _mirror_basis(_grid_side(Hs.shape[0]))
-    Hb = (Q @ Hs @ Q.T).tocoo()
+    """(the five D4 blocks of V Hs V^T, sparse, and ||the part they
+    drop||_F: every entry off the six blocks, and the oe block minus the
+    eo block) for a sparse Hs on a square grid, V of ``_mirror_basis``.
+    The blocks hold no duplicate entries: V Hs V^T is a CSR product."""
+    V, sizes, start, label = _mirror_basis(_grid_side(Hs.shape[0]))
+    Hb = (V @ Hs @ V.T).tocoo()
     row, col = label[Hb.row], label[Hb.col]
     blocks = []
     for p, size in enumerate(sizes):
         k = (row == p) & (col == p)
         blocks.append(sp.coo_matrix((Hb.data[k], (Hb.row[k] - start[p], Hb.col[k] - start[p])),
                                     shape=(size, size)))
-    return blocks, float(np.linalg.norm(Hb.data[row != col]))
+    dropped = _sq(Hb.data[row != col]) + _sq((blocks[5] - blocks[4]).data)
+    return blocks[:5], float(np.sqrt(dropped))
 
 
-def _mirror_blocks(Hs, U, Ym):
-    """(the four mirror blocks K_p of H = Hs + U Y + (U Y)^H, bound on
-    ||E||_F of the part they drop).
+def _mirror_blocks(sparse, U, Ym):
+    """(the five D4 blocks K_b of H = Hs + U Y + (U Y)^H, bound on ||E||_F
+    of the part they drop).
 
-    Ym is ``_mirror_factor`` of the N_c x N factor Y; the N x N_c U is
-    butterflied in place.  Block p pairs fine parity p with coarse parity
-    p: K_p = (Q Hs Q)_pp + U_p Y_p + (U_p Y_p)^H, four N/4 x N_c/4 x N/4
+    ``sparse`` is ``_mirror_sparse`` of Hs, None for no sparse part, and
+    Ym ``_mirror_factor`` of the N_c x N factor Y; the N x N_c U is
+    butterflied in place.  Block b pairs the fine label b with the coarse
+    label b: K_b = (V Hs V^T)_bb + U_b Y_b + (U_b Y_b)^H, five thin
     products.  The bound is the module docstring's.
     """
     Ud, ud, uo = _mirror_factor(U)
     Yd, yd, yo = Ym
-    Hd, ho = _mirror_sparse(Hs)
+    Hd, ho = sparse or ([None] * 5, 0.0)
     K = [_hermitian_low_rank(H, Up, Yp) for H, Up, Yp in zip(Hd, Ud, Yd)]
-    return K, float(ho + 2.0 * (ud * yo + uo * np.hypot(yd, yo)))
+    return K, float(ho + 2.0 * (ud * yo + uo * (yd + yo)))  # ||Yb|| <= yd + yo
 
 
-def _form_blocks(Hs, U, Y, Ym):
-    """(blocks, dropped) of H = Hs + U Y + (U Y)^H from its factors: the
-    four mirror blocks and the bound on what they drop when the factor
-    gate passes, else ([H], 0.0), the full matrix (variable k).
+def _form_blocks(Hs, U, Y, Ym, sparse=None):
+    """The blocks of H = Hs + U Y + (U Y)^H from its factors: the five D4
+    blocks when the gate passes, else [H], the full matrix (variable k).
 
-    Ym is ``_mirror_factor`` of Y.  U is butterflied in place, and back
-    (the butterfly is its own inverse) when the gate fails.
+    Ym is ``_mirror_factor`` of Y, and ``sparse`` ``_mirror_sparse`` of Hs
+    when the caller holds it already (Gamma and Gamma-tilde share G_s).
+    U is butterflied in place, and back (the butterfly is its own
+    inverse) when the gate fails.
     """
-    K, dropped = _mirror_blocks(Hs, U, Ym)
+    K, dropped = _mirror_blocks(sparse or _mirror_sparse(Hs), U, Ym)
     if _gate(K, dropped) <= MIRROR_TOL:
-        return K, dropped
+        return K
     _butterfly(U)
-    return [_hermitian_low_rank(Hs, U, Y)], 0.0
+    return [_hermitian_low_rank(Hs, U, Y)]
 
 
-#: The parities of the four mirror blocks in ``_parities`` order; the first
-#: grid axis is y and the second x (x runs fastest).
-_BLOCK_PARITY = ("x even, y even", "x odd, y even", "x even, y odd", "x odd, y odd")
+#: The labels of the five D4 blocks in block order: (y, x) parity, and the
+#: swap-symmetric (+) or antisymmetric (-) half of ee and oo.
+_D4_BLOCKS = ("ee+", "ee-", "oo+", "oo-", "eo")
 
 
 def _hpd_verdict(blocks):
-    """HPD verdict of H from the blocks of ``_form_blocks`` of H.
+    """(HPD verdict of H, ``_hpd_cholesky`` of each block) from the blocks
+    of ``_form_blocks`` of H.
 
-    Q is orthogonal, so H is HPD exactly when Q H Q = blockdiag(blocks)
-    is, that is when every block passes ``cholesky_hpd_test``.  The first
-    failing block, in ``_parities`` order, decides, and its reason names
-    the block and its row.  The one block [H] of variable k is H's own
-    verdict.
+    V is orthogonal, so H is HPD exactly when V H V^T, block diagonal with
+    oe = eo, is: when every block is.  Each block is factored once, and the
+    first failing block in block order decides; its reason names the D4
+    block and the row.  The one block [H] of variable k is H's own verdict.
     """
-    for p, B in enumerate(blocks):
-        verdict = cholesky_hpd_test(B)
+    factored = [_hpd_cholesky(B) for B in blocks]
+    for label, (verdict, _) in zip(_D4_BLOCKS, factored):
         if not verdict:
-            where = f" of mirror block {p} ({_BLOCK_PARITY[p]})" if len(blocks) > 1 else ""
-            return Verdict(False, verdict.reason + where)
-    return verdict
+            where = f" of D4 block {label}" if len(blocks) > 1 else ""
+            return Verdict(False, verdict.reason + where), factored
+    return Verdict(True, "HPD"), factored
 
 
-def _swap_basis(s):
-    """The swap x <-> y on an s x s grid (flat index a s + b) as index maps
-    of its symmetric and its antisymmetric orthonormal basis.
-
-    The symmetric basis is e_aa and (e_ab + e_ba)/sqrt(2), the
-    antisymmetric one (e_ab - e_ba)/sqrt(2), a < b, each in
-    ``np.triu_indices`` order.  Per basis, per vector u: r_u = a s + b,
-    r'_u = b s + a and the scale g_u of ``_swap_split`` (sqrt(1/2) at e_aa,
-    else 1); per flat grid index: the vector that holds it and its
-    coefficient there (sqrt(1/2), 1 at e_aa, -sqrt(1/2) at e_ba and 0 on
-    the diagonal of the antisymmetric basis).
-    """
-    a, b = np.divmod(np.arange(s * s), s)
-    maps = []
-    for k, coef in ((0, np.where(a == b, 1.0, np.sqrt(0.5))),
-                    (1, np.sign(b - a) * np.sqrt(0.5))):
-        iu = np.triu_indices(s, k)
-        r, rs = iu[0] * s + iu[1], iu[1] * s + iu[0]
-        vector = np.zeros((s, s), dtype=np.intp)
-        vector[iu] = vector.T[iu] = np.arange(r.size)
-        maps.append((r, rs, np.where(r == rs, np.sqrt(0.5), 1.0), vector.ravel(), coef))
-    return maps
-
-
-def _swap_split(blocks, dropped):
-    """The five swap blocks of four mirror blocks when the swap gate
-    passes, else the blocks as given.
-
-    A constant-k form also commutes with the swap Pi: x <-> y, which maps
-    the mirror basis onto itself: blocks 0 and 3 (even-even, odd-odd) onto
-    themselves and block 1 (y even, x odd) onto block 2.  So block 2 is
-    block 1 permuted, and blocks 0 and 3 split into their halves in the
-    bases of ``_swap_basis``: [sym K_0, anti K_0, K_1, sym K_3, anti K_3],
-    153/136/272/136/120 at n = 33.  Gathers from the swap-even part
-    K_e = (K + Pi K Pi)/2 give the halves exactly:
-    sym[u, v] = g_u g_v (K_e[r_u, r_v] + K_e[r_u, r'_v]) and
-    anti[u, v] = K_e[r_u, r_v] - K_e[r_u, r'_v].
-    They drop the swap-odd parts K - K_e of blocks 0 and 3 and
-    K_2 - Pi K_1 Pi, measured here; the gate adds them to ``dropped``, the
-    bound on what the mirror blocks dropped.  One block (variable k) and
-    a 3 x 3 grid, whose 1 x 1 odd-odd block has no antisymmetric half,
-    are returned as given.
-    """
-    if len(blocks) != 4 or blocks[3].shape[0] < 4:
-        return blocks
-    K0, K1, K2, K3 = blocks
-    ne, no = math.isqrt(K0.shape[0]), math.isqrt(K3.shape[0])
-    halves, sq = [], _sq(K2 - K1.reshape(ne, no, ne, no).transpose(1, 0, 3, 2).reshape(K2.shape))
-    for K, s in ((K0, ne), (K3, no)):
-        K4 = K.reshape(s, s, s, s)
-        Ke = K4 - K4.transpose(1, 0, 3, 2)  # twice the swap-odd part
-        sq += 0.25 * _sq(Ke)
-        Ke *= -0.5
-        Ke += K4
-        Ke = Ke.reshape(-1)
-        at = lambda rows, cols: Ke.take(rows[:, None] * (s * s) + cols)  # Ke[ix_(rows, cols)]
-        (r, rs, g, _, _), (ra, ras, _, _, _) = _swap_basis(s)
-        halves += [(at(r, r) + at(r, rs)) * np.outer(g, g), at(ra, ra) - at(ra, ras)]
-    if _gate(blocks, dropped + np.sqrt(sq)) > MIRROR_TOL:
-        return blocks
-    return [halves[0], halves[1], K1, halves[2], halves[3]]
-
-
-def _gram_norm2(blocks, dropped):
+def _gram_norm2(blocks):
     """Exact 2-norm of any X with X^H X = H, from ``_form_blocks`` of H:
-    the largest lambda_max over ``_swap_split`` of the blocks (block 2
-    has block 1's spectrum)."""
-    return max(norm2_from_gram(B) for B in _swap_split(blocks, dropped))
+    the largest lambda_max over the blocks (oe has eo's spectrum)."""
+    return max(norm2_from_gram(B) for B in blocks)
 
 
-def _norm_T0(blocks, dropped):
+def _norm_T0(blocks):
     """||T0||_2 = sqrt(lambda_max(I - Gamma)) from ``_form_blocks`` of
-    Gamma, overwriting the blocks; I - Gamma drops what Gamma drops."""
+    Gamma, overwriting the blocks."""
     for B in blocks:
         B *= -1.0
         B[np.diag_indices_from(B)] += 1.0
-    return _gram_norm2(blocks, dropped)
+    return _gram_norm2(blocks)
 
 
-def _inverse_columns(inv, p, J):
-    """Columns J of the inverse of mirror block p from the inverses of
-    ``_swap_split``'s blocks: four parity blocks, or five swap blocks.
-
-    Block 2's inverse is block 1's permuted by the swap.  Block 0's (and
-    block 3's) is W_s S^-1 W_s^T + W_a A^-1 W_a^T for its halves S and A,
-    W the orthonormal bases of ``_swap_basis``: entry (i, j) is
-    w_i w_j S^-1[v_i, v_j] + e_i e_j A^-1[u_i, u_j], v, w and u, e the
-    vectors holding i and their coefficients.
-    """
-    if len(inv) == 4:
-        return inv[p][:, J]
-    sides = [math.isqrt(inv[i].shape[0] + inv[i + 1].shape[0]) for i in (0, 3)]
-    if p in (1, 2):
-        K1 = inv[2]
-        if p == 1:
-            return K1[:, J]
-        ne, no = sides
-        t = np.arange(K1.shape[0])
-        swap = (t % ne) * no + t // ne  # block 2's (a, b) is block 1's (b, a)
-        return K1[np.ix_(swap, swap[J])]
-    S, A = inv[:2] if p == 0 else inv[3:]
-    (*_, v, w), (*_, u, e) = _swap_basis(sides[p // 3])
-    return S[np.ix_(v, v[J])] * np.outer(w, w[J]) + A[np.ix_(u, u[J])] * np.outer(e, e[J])
+@cache
+def _eighth(n):
+    """The columns J of the D4 basis V (``_mirror_basis``) at the nodes of
+    one eighth of the n x n square, (y, x) with y <= x < n - n//2: for
+    each of the six blocks in block order, its rows of V[:, J] transposed
+    (CSR), built once per n and read-only."""
+    V, sizes, start, _ = _mirror_basis(n)
+    y, x = np.triu_indices(n - n // 2)
+    VJ = V[:, y * n + x]
+    parts = [VJ[a:a + m].T.tocsr() for a, m in zip(start, sizes)]
+    for part in parts:
+        for a in (part.data, part.indices, part.indptr):
+            a.flags.writeable = False
+    return parts
 
 
 def _mirror_norm1(inv):
-    """||H||_1 of H = Q blockdiag(K_p^-1) Q on an odd n x n grid, from the
-    inverses of ``_swap_split``'s blocks of the K_p.
+    """||H||_1 of H = V^T blockdiag(_whole(inv)) V on an n x n grid, from the
+    inverses of the five D4 blocks.
 
-    H commutes with both reflections, so a column and its mirror images
-    have the same absolute sum, and the (m+1)^2 columns (x, y), x, y <= m,
-    suffice.  Along an axis, Q1 e_x is s e_x + s e_{n-1-x} (e_m at the
-    centre): it reaches index x of the even half and index m-1-x of the odd
-    half.  So those columns are Q Z, Z gathered from the blocks' columns
-    (``_inverse_columns``) with the coefficients c(x) c(y), and only the
-    two row passes of the butterfly run.  With the five swap blocks H
-    commutes with the swap too, column (y, x) is column (x, y) permuted,
-    and the (m+1)(m+2)/2 columns with y <= x suffice: N x (m+1)(m+2)/2
-    entries.
+    H commutes with the eight symmetries of the square, so a column and its
+    images have the same absolute sum, and the columns J of one eighth of
+    the square (``_eighth``) suffice.  They are V^T Z for
+    Z = blockdiag(_whole(inv)) V[:, J], taken block by block: N x
+    (m+1)(m+2)/2 entries for n = 2m + 1.
     """
-    swap = len(inv) == 5
-    ne = math.isqrt(inv[0].shape[0] + (inv[1].shape[0] if swap else 0))
-    n, m = 2 * ne - 1, ne - 1
-    y, x = np.triu_indices(ne) if swap else np.divmod(np.arange(ne * ne), ne)
-    s = np.sqrt(0.5)
-    # per parity of an axis: the block index each column coordinate c
-    # reaches and its coefficient, 0 where it reaches none (the centre)
-    reach = (lambda c: (c, np.where(c < m, s, 1.0)),
-             lambda c: (m - 1 - c, np.where(c < m, s, 0.0)))
-    Z = np.zeros((n, n, y.size), dtype=complex)
-    for p, (a, b) in enumerate(_parities(n)):
-        (iy, cy), (ix, cx) = reach[a.start > 0](y), reach[b.start > 0](x)
-        c = cy * cx
-        k = c != 0.0
-        cols = _inverse_columns(inv, p, iy[k] * (b.stop - b.start) + ix[k]) * c[k]
-        Z[a, b][..., k] = cols.reshape(a.stop - a.start, b.stop - b.start, -1)
-    _reflect(Z, (0, 1))
-    return norm1(Z.reshape(n * n, -1))
+    inv = _whole(inv)
+    n = _grid_side(sum(B.shape[0] for B in inv))
+    Z = np.vstack([(VJt @ B.T).T for B, VJt in zip(inv, _eighth(n))])
+    return norm1(_mirror_basis(n)[0].T @ Z)
 
 
-def _ratio(blocks, dropped):
+def _ratio(blocks, factored):
     """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1 from ``_form_blocks`` of
-    Gamma-tilde: Gt^-1 = Q blockdiag(K_p^-1) Q, each K_p^-1 from the
-    inverses of ``_swap_split``'s blocks.  NaN when Gt is singular
-    (rank <= 2 N_c at nu = 0).  Empties ``blocks`` once they are
-    inverted, so that they are freed before the 1-norm's gather."""
+    Gamma-tilde and the factorizations of its verdict (``_hpd_verdict``):
+    Gt^-1 = V^T blockdiag(K_b^-1) V, ``zpotri`` on the factor of an HPD
+    block and LU otherwise.  NaN when Gt is singular (rank <= 2 N_c at
+    nu = 0).  Empties ``blocks`` once they are inverted, so that they are
+    freed before the 1-norm's gather."""
     try:
-        inv = [inverse(B, "Gamma-tilde") for B in _swap_split(blocks, dropped)]
+        inv = [inverse(B, "Gamma-tilde", f) for B, f in zip(blocks, factored)]
     except np.linalg.LinAlgError:
         return np.nan
     finally:
@@ -658,24 +637,27 @@ def certify(cfg):
     MA = _smoothed(cfg)
     P = cfg.pair.P
     SP = P - MA @ P
-    # Everything but the quick screen comes from the mirror blocks of the
+    # Everything but the quick screen comes from the D4 blocks of the
     # factors, as in table_entry and omega_sweep.  DA = I - T0 = MA + S P Y,
     # so (DA)^H DA = DA + DA^H - Gamma is the form of the sparse
     # MA + MA^H - G_s and the thin S P - U.  Gamma's residual and verdict
-    # are taken before _norm_T0 overwrites its blocks
+    # are taken before _norm_T0 overwrites its blocks, and Gamma-tilde's
+    # verdict hands its Cholesky factors on to the ratio.  Gamma and
+    # Gamma-tilde share G_s, split once
     Gs, U = _gamma_factors(MA, SP, Y)
-    sigma_DA = _gram_norm2(*_form_blocks(MA + MA.conj().T - Gs, SP.toarray() - U, Y, Ym))
-    G, dropped = _form_blocks(Gs, U, Y, Ym)
-    herm = _hermiticity_residual(*G)
-    hpd_g = _hpd_verdict(G)
-    norm_T0 = _norm_T0(G, dropped)
+    sigma_DA = _gram_norm2(_form_blocks(MA + MA.conj().T - Gs, SP.toarray() - U, Y, Ym))
+    split = _mirror_sparse(Gs)
+    G = _form_blocks(Gs, U, Y, Ym, split)
+    herm = _hermiticity_residual(*_whole(G))
+    hpd_g, _ = _hpd_verdict(G)
+    norm_T0 = _norm_T0(G)
     lam_min = 1.0 - norm_T0**2  # lambda_max(T0^H T0) = 1 - lambda_min(Gamma)
     del Gs, U, G
-    Gt, dropped = _form_blocks(*_gamma_factors(MA, P, Y), Y, Ym)
-    hpd_gt = _hpd_verdict(Gt)
-    ratio = _ratio(Gt, dropped)
+    Gt = _form_blocks(*_gamma_factors(MA, P, Y), Y, Ym, split)
+    hpd_gt, factored = _hpd_verdict(Gt)
+    ratio = _ratio(Gt, factored)
     bound = float(np.sqrt(abs(1.0 - ratio)))
-    del Gt
+    del Gt, factored
     screen = quick_pd_screen(_gamma_form(MA, P, Y))  # the one N x N matrix of constant k
 
     warnings = []
@@ -712,9 +694,9 @@ def table_entry(cfg):
     Computes only what the published verdict table shows; skips the
     lambda_min, sigma_max(DA) and optimality-ratio machinery so large
     (k = 30) configurations stay tractable.  Gamma-tilde and Gamma are
-    Gamma forms with W = P and W = S P, each as ``_form_blocks``: the four
-    mirror blocks when the factor gate passes, else the full form.  The
-    verdict is ``_hpd_verdict`` of Gamma-tilde's, and ||T0||_2 the root of
+    Gamma forms with W = P and W = S P, each as ``_form_blocks``: the five
+    D4 blocks when the gate passes, else the full form.  The verdict is
+    ``_hpd_verdict`` of Gamma-tilde's, and ||T0||_2 the root of
     lambda_max(I - Gamma) from Gamma's, as in ``certify``; no N x N
     matrix is formed for constant k.
     """
@@ -723,54 +705,66 @@ def table_entry(cfg):
     MA = _smoothed(cfg)
     P = cfg.pair.P
     SP = P - MA @ P
-    hpd = _hpd_verdict(_form_blocks(*_gamma_factors(MA, P, Y), Y, Ym)[0])
-    G = _form_blocks(*_gamma_factors(MA, SP, Y), Y, Ym)
-    del Y, Ym  # before the swap split's temporaries
-    return hpd, _norm_T0(*G)
-
-
-def _sweep_forms(cfg, degree):
-    """The fixed Hermitian forms C_c of Gamma-tilde(omega, nu) =
-    sum_c coef_c C_c, nu <= degree, but C_0, one at a time in
-    ``_sweep_coefficients`` order: (Hs, U) with C_c = Hs + U Y + (U Y)^H,
-    U None for the sparse C_ij."""
-    P = cfg.pair.P
-    L = (sp.diags(reciprocal_diagonal(cfg.A)) @ cfg.A).tocsr()
-    powers = []
-    for _ in range(degree):
-        powers.append(L @ powers[-1] if powers else L)
-        Lh = powers[-1].conj().T.tocsr()
-        yield powers[-1] + Lh, -(Lh @ P).toarray()
-    for i, Li in enumerate(powers):
-        for Lj in powers[i:]:
-            G = Li.conj().T @ Lj
-            yield -(G if Lj is Li else G + G.conj().T), None
+    Gs, U = _gamma_factors(MA, P, Y)
+    split = _mirror_sparse(Gs)  # Gamma-tilde's G_s is Gamma's
+    hpd, _ = _hpd_verdict(_form_blocks(Gs, U, Y, Ym, split))
+    del U  # before Gamma's U
+    G = _form_blocks(*_gamma_factors(MA, SP, Y), Y, Ym, split)
+    return hpd, _norm_T0(G)
 
 
 def _sweep_coefficients(omega, nu, degree):
-    """[1, a_1 .. a_degree, a_i a_j for i <= j]: M_nu A = sum_i a_i L^i,
-    a_i = -binom(nu, i) (-1/omega)^i (0 for i > nu)."""
-    a = [-math.comb(nu, i) * (-1.0 / omega) ** i for i in range(1, degree + 1)]
-    return [1.0, *a, *(a[i] * a[j] for i in range(degree) for j in range(i, degree))]
+    """[1, a_0 .. a_degree, a_i a_j for i <= j]: M_nu A = sum_j a_j E^j.
+
+    I - L/omega = (1 - 1/omega) I - E/omega, so (I - L/omega)^nu =
+    sum_j b_j E^j with b_j = binom(nu, j) (1 - 1/omega)^(nu-j) (-1/omega)^j,
+    whose absolute sum is 1 for omega >= 1.  Then a_j = -b_j for j >= 1
+    (0 for j > nu) and a_0 = 1 - b_0, summed as -sum_{i>=1} binom(nu, i)
+    (-1/omega)^i: 1 - b_0 would round against b_0, and at nu = 1 this
+    sum is 1/omega = a_1 exactly, as M_1 A = L/omega asks.
+    """
+    a = [-sum(math.comb(nu, i) * (-1.0 / omega) ** i for i in range(1, nu + 1)),
+         *(-math.comb(nu, j) * (1.0 - 1.0 / omega) ** (nu - j) * (-1.0 / omega) ** j
+           if j <= nu else 0.0 for j in range(1, degree + 1))]
+    return [1.0, *a, *(a[i] * a[j] for i in range(degree + 1) for j in range(i, degree + 1))]
 
 
-def _sweep_terms(cfg, degree, split):
-    """[(blocks, bound)] for the forms C_c of Gamma-tilde(omega, nu) (C_0,
-    the Gamma form of X = P Y at nu = 0, then those of ``_sweep_forms``):
-    each form's four mirror blocks and the bound on what they drop when
-    ``split``, else ([C_c], 0.0).  The blocks of the C_ij stay sparse
-    (COO), the others are dense; no N x N_c factor outlives its blocks."""
+def _scaled(term, c):
+    """The (blocks, bound) of ``_mirror_sparse`` for c times the form."""
+    blocks, bound = term
+    return [c * B for B in blocks], abs(c) * bound
+
+
+def _sweep_terms(cfg, degree):
+    """[(blocks, bound)] for the forms C_c of Gamma-tilde(omega, nu),
+    nu <= degree, in ``_sweep_coefficients`` order: C_0 (the Gamma form of
+    X = P Y at nu = 0), the C_j and the C_ij of the module docstring, each
+    as its five D4 blocks and the bound on what they drop.
+
+    The sparse part E^j + E^jH of C_j is split once and, negated, is
+    C_0j too (C_00 = -I, half of -(I + I)): exact scalings, so six sparse
+    splits serve nu <= 2.  The blocks of the C_ij stay sparse (COO), the
+    others are dense; no N x N_c factor outlives its blocks.
+    """
     Y = _coarse_correction(cfg, cfg.A)
-    N = cfg.A.shape[0]
-    C0 = _gamma_factors(sp.csr_matrix((N, N), dtype=complex), cfg.pair.P, Y)  # MA = 0
-    if split:
-        Y = _mirror_factor(Y)  # in place: the mirror blocks need only these
-        form = lambda Hs, U: _mirror_sparse(Hs) if U is None else _mirror_blocks(Hs, U, Y)
-    else:
-        form = lambda Hs, U: ([_coo(Hs) if U is None else _hermitian_low_rank(Hs, U, Y)], 0.0)
-    terms = [form(*C0)]
-    del C0
-    return terms + [form(Hs, U) for Hs, U in _sweep_forms(cfg, degree)]
+    P, N = cfg.pair.P, cfg.A.shape[0]
+    _, U0 = _gamma_factors(sp.csr_matrix((N, N), dtype=complex), P, Y)  # MA = 0
+    Y = _mirror_factor(Y)  # in place: the blocks need only these
+    terms = [_mirror_blocks(None, U0, Y)]
+    del U0
+    I = sp.identity(N, dtype=complex, format="csr")
+    E = (sp.diags(reciprocal_diagonal(cfg.A)) @ cfg.A).tocsr() - I
+    powers = [I]
+    for _ in range(degree):
+        powers.append(E @ powers[-1])
+    S = [_mirror_sparse(Ej + Ej.conj().T) for Ej in powers]
+    terms += [_mirror_blocks(Sj, -(Ej.conj().T @ P).toarray(), Y) for Ej, Sj in zip(powers, S)]
+    terms += [_scaled(S[0], -0.5), *(_scaled(Sj, -1.0) for Sj in S[1:])]
+    for i, Ei in enumerate(powers[1:], 1):
+        for Ej in powers[i:]:
+            G = Ei.conj().T @ Ej
+            terms.append(_mirror_sparse(-(G if Ej is Ei else G + G.conj().T)))
+    return terms
 
 
 def _add_terms(terms, coefs):
@@ -812,27 +806,27 @@ def omega_sweep(make_cfg, omegas, nus):
     coarse_build_op and pair of ``make_cfg(omegas[0], nus[0])``, equal by
     value; otherwise ValueError names the first cell that differs.  Each
     cell's Gamma-tilde is sum_c coef_c(omega, nu) C_c over fixed Hermitian
-    C_c (module docstring), whose four mirror blocks and factor bounds
-    are built once per sweep.  A cell adds up the blocks, takes them when
-    sum_c |coef_c| bound_c <= MIRROR_TOL ||K||_F (else the full C_c, built
-    once for the first cell that needs them: variable k), and hands them
-    to ``_ratio``.  nu = 0 rows are flagged; a singular Gamma-tilde reads
-    0.0, flagged.
+    C_c (module docstring), whose five D4 blocks and factor bounds are
+    built once per sweep.  A cell adds up the blocks and hands them to
+    ``_ratio`` when sum_c |coef_c| bound_c <= MIRROR_TOL ||K||_F; otherwise
+    (variable k) ValueError names the gate value.  nu = 0 rows are
+    flagged; a singular Gamma-tilde reads 0.0, flagged.
     """
     grid = [(omega, nu) for omega in omegas for nu in nus]
     cfgs = [make_cfg(omega, nu) for omega, nu in grid]
     for (omega, nu), cfg in zip(grid, cfgs):
         _check_sweep_cell(cfgs[0], cfg, omega, nu)
     degree = max(cfg.nu for cfg in cfgs)
-    terms, full = _sweep_terms(cfgs[0], degree, split=True), None
+    terms = _sweep_terms(cfgs[0], degree)
     rows = []
     for (omega, nu), cfg in zip(grid, cfgs):
-        coefs = _sweep_coefficients(cfg.omega, cfg.nu, degree)
-        K, dropped = _add_terms(terms, coefs)
-        if _gate(K, dropped) > MIRROR_TOL:
-            full = full or _sweep_terms(cfgs[0], degree, split=False)
-            K, dropped = _add_terms(full, coefs)
-        val = _ratio(K, dropped)  # which empties K
+        K, dropped = _add_terms(terms, _sweep_coefficients(cfg.omega, cfg.nu, degree))
+        gate = _gate(K, dropped)
+        if gate > MIRROR_TOL:
+            raise ValueError(
+                f"omega_sweep: make_cfg({omega!r}, {nu!r}) fails the D4 gate ({gate:.3g} > "
+                f"MIRROR_TOL = {MIRROR_TOL:g}); the sweep takes constant-k configurations only")
+        val = _ratio(K, _hpd_verdict(K)[1])  # which empties K
         flag = "degenerate-no-smoothing" if nu == 0 else ""
         if np.isnan(val):
             val, flag = 0.0, flag or "singular-gamma-tilde"

@@ -121,7 +121,7 @@ def _hpd_cholesky(M):
     if info < 0:
         raise ValueError(f"invalid argument {-info} passed to zpotrf")
     pivots = np.real(np.diag(c)) ** 2
-    floor = 1e-12 * max(np.real(np.diag(M)).max(), 1e-300)
+    floor = 1e-12 * max(np.real(np.diag(M)).max(initial=0.0), 1e-300)
     bad = np.nonzero(pivots < floor)[0]
     if bad.size:
         return Verdict(False, f"semidefinite to tolerance at pivot index {bad[0]}"), None
@@ -224,7 +224,7 @@ def add_adjoint(X):
     return X
 
 
-def inverse(M, what):
+def inverse(M, what, cholesky=None):
     """Full M^-1 of the dense square M, as a C-contiguous complex array.
 
     When M is HPD by the rule of ``cholesky_hpd_test``, M^-1 comes from
@@ -233,12 +233,16 @@ def inverse(M, what):
     and an identity solve, which raises ``np.linalg.LinAlgError`` ("<what>
     singular to tolerance at pivot index i") at the first |u_ii| below
     1e-14 max|M|.  An HPD verdict leaves no such pivot: c_ii^2 >= 1e-12
-    max diag(M).
+    max diag(M).  ``cholesky`` is ``_hpd_cholesky(M)`` when the caller
+    has taken it already (a verdict hands its factor on); else it is taken
+    here.  An empty M is its own inverse.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
-    verdict, c = _hpd_cholesky(M)
+    if M.size == 0:
+        return M.copy()
+    verdict, c = _hpd_cholesky(M) if cholesky is None else cholesky
     if verdict:
         c, _ = sla.lapack.zpotri(c, lower=1, overwrite_c=1)
         # c factors conj(M) = M^T, so it now holds the lower triangle of

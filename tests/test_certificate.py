@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from helmmg import certificate, linalg
@@ -15,6 +16,7 @@ from helmmg.certificate import (
     _hpd_verdict,
     _mirror_blocks,
     _mirror_factor,
+    _mirror_sparse,
     _smoothed,
     assemble_D,
     certify,
@@ -243,9 +245,9 @@ def test_certify_report_pinned_not_hpd():
     cfg = make_cfg(scheme="linear", coarsen="original", omega=3.5, nu=2)
     assert pinned_lines(cfg) == [
         "Gamma HPD                  : False (not positive definite: pivot failure "
-        "at index 14 of mirror block 0 (x even, y even))",
+        "at index 9 of D4 block ee+)",
         "Gamma-tilde HPD            : False (not positive definite: pivot failure "
-        "at index 13 of mirror block 0 (x even, y even))",
+        "at index 8 of D4 block ee+)",
         "quick PD screen            : False (condition 4: determinant not positive)",
         "lambda_min(Gamma)          : -1.37731",
         "||T0||_2                   : 1.54185",
@@ -320,6 +322,13 @@ def test_omega_sweep_matches_dense_reference():
         n1 = np.abs(Gt).sum(axis=0).max()
         want = n1 / (n1 * np.abs(np.linalg.inv(Gt)).sum(axis=0).max())
         assert np.isclose(r["ratio"], want, rtol=1e-12, atol=0.0)
+    # nu = 3 and 4 at a small omega (k = 10, linear transfer coarsened on the
+    # CSL): the coefficient forms are powers of E = L - I, whose
+    # coefficients do not cancel in the cell sum; powers of L lost about a
+    # digit here (2.0e-13 and 9.0e-14)
+    make = lambda w, nu: make_cfg(k=10.0, n=17, scheme="linear", omega=w, nu=nu)
+    for r in omega_sweep(make, (1.5,), (3, 4)):
+        assert abs(r["ratio"] - dense_ratio(make(1.5, r["nu"]))) <= 2e-14 * r["ratio"], r["nu"]
 
 
 @pytest.mark.parametrize("change, name", [("k", "A"), ("scheme", "pair")])
@@ -354,10 +363,32 @@ def test_omega_sweep_builds_its_factors_once(monkeypatch):
         rows = omega_sweep(lambda w, nu: make_cfg(omega=w, nu=nu), omegas, (1, 2))
         assert len(rows) == 2 * len(omegas)
         seen.append(dict(counts))
-    # nu <= 2: C_0, C_1, C_2 with a thin factor (Y and three U butterflied,
-    # 4 block products each) and C_11, C_12, C_22 sparse (six splits)
-    assert seen[0] == seen[1] == {"_butterfly": 4, "_hermitian_low_rank": 12,
+    # nu <= 2: C_0 and the C_j of E^0 = I, E and E^2 with a thin factor (Y
+    # and four U butterflied, 5 D4 block products each), and six sparse
+    # splits: I + I, E + E^H and E^2 + E^2H (the sparse parts of the C_j,
+    # which also stand for the C_0j) and the C_ij of E and E^2
+    assert seen[0] == seen[1] == {"_butterfly": 5, "_hermitian_low_rank": 20,
                                   "_mirror_sparse": 6}
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
+def test_sweep_coefficients_expand_in_powers_of_E(nu):
+    # sum_j a_j (x - 1)^j is the polynomial 1 - (1 - x/omega)^nu of M_nu A at
+    # every point x of L's spectrum, and the products follow the a_j.  At
+    # nu = 1 the sum for a_0 gives 1/omega bit for bit, as a_1 does, so the
+    # sweep's M_1 A is L/omega exactly, not up to 1 - (1 - 1/omega)'s rounding
+    degree = 4
+    for omega in (1.0, 1.5, 4.5, 7.0):
+        coefs = certificate._sweep_coefficients(omega, nu, degree)
+        a = np.array(coefs[1:degree + 2])
+        assert coefs[0] == 1.0
+        assert coefs[degree + 2:] == [a[i] * a[j] for i in range(degree + 1)
+                                      for j in range(i, degree + 1)]
+        x = np.linspace(0.0, 2.0, 9)
+        got = np.polynomial.polynomial.polyval(x - 1.0, a)
+        assert np.abs(got - (1.0 - (1.0 - x / omega) ** nu)).max() <= 1e-15
+        if nu == 1:
+            assert a[0] == a[1] == 1.0 / omega
 
 
 #: Raw k = 10 optimality-table ratios of the four-block ratio with every
@@ -403,7 +434,7 @@ class FakeBig:
     shape = (3000, 3000)
 
 
-# --- ||.||_2 from the four mirror blocks ------------------------------------
+# --- the D4 basis, built by numpy -------------------------------------------
 
 def mirror_Q1(n):
     """Dense 1-D butterfly of ``_butterfly``: (x_i +- x_j)/sqrt(2) at i and
@@ -423,16 +454,76 @@ def mirror_Q(n):
     return np.kron(mirror_Q1(n), mirror_Q1(n))
 
 
-def mirror_parity(n):
-    """Block label 0..3, 2 (y parity) + (x parity), of each unknown in the
-    mirror basis; x runs fastest."""
-    odd = np.arange(n) > (n - 1) // 2
-    return (2 * odd[:, None] + odd[None, :]).ravel()
+def d4_basis(n):
+    """(V, label of each row): the dense D4 basis of the n x n grid from the
+    rows of the mirror basis Q, in block order ee+, ee-, oo+, oo-, eo, oe
+    (labels 0 to 5).  ee+ holds Q_aa and (Q_ab + Q_ba)/sqrt(2), ee- holds
+    (Q_ab - Q_ba)/sqrt(2), a < b row-major over the even-even quarter, and
+    oo+ and oo- the same over the odd-odd one; eo holds Q_(a, h+b) and oe
+    its swap image Q_(h+b, a), a < h = n - n//2 <= h + b."""
+    Q = mirror_Q(n).reshape(n, n, n * n)
+    h, r = n - n // 2, np.sqrt(0.5)
+    rows, label = [], []
+    for lab, o, q in ((0, 0, h), (2, h, n - h)):
+        pairs = [(a, b) for a in range(q) for b in range(a, q)]
+        rows += [Q[o + a, o + b] if a == b else r * (Q[o + a, o + b] + Q[o + b, o + a])
+                 for a, b in pairs]
+        rows += [r * (Q[o + a, o + b] - Q[o + b, o + a]) for a, b in pairs if a < b]
+        label += [lab] * len(pairs) + [lab + 1] * (len(pairs) - q)
+    for lab, swap in ((4, False), (5, True)):
+        for a in range(h):
+            for b in range(n - h):
+                rows.append(Q[h + b, a] if swap else Q[a, h + b])
+                label.append(lab)
+    return np.array(rows), np.array(label)
 
+
+def d4_block_sizes(n):
+    """Sizes of the five D4 blocks ee+, ee-, oo+, oo-, eo on an n x n grid,
+    n = 2m + 1."""
+    m = (n - 1) // 2
+    return [(m + 1) * (m + 2) // 2, (m + 1) * m // 2, m * (m + 1) // 2,
+            m * (m - 1) // 2, (m + 1) * m]
+
+
+def dense_d4_blocks(H, n):
+    """The five D4 blocks ee+, ee-, oo+, oo-, eo of V H V^T, by numpy."""
+    V, label = d4_basis(n)
+    VHV = V @ H @ V.T
+    return [VHV[np.ix_(label == b, label == b)] for b in range(5)]
+
+
+def fro(blocks):
+    """Frobenius norm of a list of blocks taken together."""
+    return np.sqrt(sum(np.linalg.norm(B) ** 2 for B in blocks))
+
+
+def whole(blocks):
+    """The five D4 blocks and eo once more, for the oe block."""
+    return blocks + blocks[4:]
+
+
+def test_d4_basis_is_orthogonal_and_commutes_with_the_square():
+    # the numpy basis the tests below build on: orthogonal, and every
+    # blockdiag of the five blocks (eo standing for oe) mapped back commutes
+    # with the two reflections and the swap
+    for n in (3, 6, 9):
+        V, label = d4_basis(n)
+        assert np.abs(V @ V.T - np.eye(n * n)).max() <= 1e-15
+        rng = np.random.default_rng(n)
+        blocks = [rng.standard_normal((s, s)) for s in np.bincount(label, minlength=6)[:5]]
+        H = V.T @ sla.block_diag(*whole(blocks)) @ V
+        grid = np.arange(n * n).reshape(n, n)
+        for g in (grid[::-1], grid[:, ::-1], grid.T):
+            g = g.ravel()
+            assert np.abs(H[np.ix_(g, g)] - H).max() <= 1e-13
+
+
+# --- ||.||_2 from the five D4 blocks ------------------------------------------
 
 def record_gates(monkeypatch, ratios):
-    """Append the ratio of every mirror gate (factor, sweep cell and swap
-    gate alike) to ``ratios``."""
+    """Append the ratio of every D4 gate (factor and sweep cell gates
+    alike) to ``ratios``."""
     gate = certificate._gate
 
     def record_gate(blocks, dropped):
@@ -469,9 +560,8 @@ def gram_norm(X):
 @pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls):
     # constant k: table_entry's ||T0||_2 and certify's sigma_max(DA) come
-    # from the five swap blocks of the four mirror blocks, and match the
-    # dense Gram's spectrum.  k = 6 and 8 (n = 11 and 15) have an even
-    # coarse side
+    # from the five D4 blocks and match the dense Gram's spectrum.  k = 6
+    # and 8 (n = 11 and 15) have an even coarse side
     n = nodes_for_wavenumber(k)
     cfg = make_cfg(k=float(k), n=n, scheme=scheme, coarsen=coarsen, nu=nu)
     T0 = dense_T0(cfg)
@@ -482,13 +572,12 @@ def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls)
     assert rep.norm_T0 == t0
     want = gram_norm(np.eye(N) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
-    # a factor gate and a swap gate per norm (table_entry: ||T0||; certify:
-    # sigma_max(DA) and ||T0||), a factor gate per Gamma-tilde (table_entry's
-    # verdict, certify's verdict and ratio) and a swap gate for the ratio,
-    # each passed, and only the five swap blocks of each norm were solved
-    assert len(norm_calls["ratios"]) == 9
+    # one gate per form (table_entry: Gamma-tilde and Gamma; certify:
+    # (DA)^H DA, Gamma and Gamma-tilde), each passed, and only the five
+    # blocks of each norm's form were solved
+    assert len(norm_calls["ratios"]) == 5
     assert max(norm_calls["ratios"]) <= MIRROR_TOL
-    assert sorted(norm_calls["sizes"]) == sorted(swap_block_sizes(n) * 3)
+    assert norm_calls["sizes"] == d4_block_sizes(n) * 3
 
 
 def smooth_medium_cfg(omega=4.5, nu=1, scheme="bezier", coarsen="csl"):
@@ -504,7 +593,7 @@ def smooth_medium_cfg(omega=4.5, nu=1, scheme="bezier", coarsen="csl"):
 
 
 def test_grid_norm2_variable_k_takes_full_path(norm_calls):
-    # MP 2-B breaks the mirror symmetry: every factor gate fails and the
+    # MP 2-B breaks the symmetries of the square: every gate fails and the
     # whole Gram is solved, still exactly
     cfg = smooth_medium_cfg()
     T0 = dense_T0(cfg)
@@ -549,7 +638,7 @@ def test_butterfly_is_the_mirror_basis_and_keeps_frobenius():
     assert rel_fro(X, Z) <= 1e-14
 
 
-# --- 1 / ||Gamma-tilde^-1||_1 from the four mirror blocks ---------------------
+# --- 1 / ||Gamma-tilde^-1||_1 from the five D4 blocks -----------------------
 
 @pytest.fixture
 def inverse_calls(monkeypatch):
@@ -558,9 +647,9 @@ def inverse_calls(monkeypatch):
     inv, lu = certificate.inverse, linalg.lu_factor_checked
     record_gates(monkeypatch, calls["ratios"])
 
-    def record_inverse(M, what):
+    def record_inverse(M, what, *factor):
         calls["sizes"].append(M.shape[0])
-        return inv(M, what)
+        return inv(M, what, *factor)
 
     def record_lu(M, what):
         calls["lu"].append((what, M.shape[0]))
@@ -576,21 +665,6 @@ def dense_ratio(cfg):
     return 1.0 / np.abs(np.linalg.inv(dense_gamma_tilde(cfg))).sum(axis=0).max()
 
 
-def mirror_block_sizes(n):
-    """Sizes of the four mirror blocks on an n x n grid, n odd, sorted."""
-    m = (n - 1) // 2
-    return sorted([(m + 1) ** 2, (m + 1) * m, m * (m + 1), m * m])
-
-
-def swap_block_sizes(n):
-    """Sizes of the five swap blocks on an n x n grid, n odd, in order:
-    the symmetric and antisymmetric halves of the (m+1)^2 even-even block,
-    the (m+1) m even-odd block, the halves of the m^2 odd-odd block."""
-    m = (n - 1) // 2
-    return [(m + 1) * (m + 2) // 2, (m + 1) * m // 2, (m + 1) * m,
-            m * (m + 1) // 2, m * (m - 1) // 2]
-
-
 def sweep_and_certify_ratio(make, omega, nu, calls):
     """The one-cell ``omega_sweep`` ratio and the ``certify`` ratio of make(omega, nu),
     with the last gate ratio and the inverted sizes of each."""
@@ -598,7 +672,7 @@ def sweep_and_certify_ratio(make, omega, nu, calls):
     sweep = cell["ratio"], calls["ratios"][-1], calls["sizes"][:]
     calls["sizes"].clear()
     rep = certify(make(omega, nu))
-    # certify's ratio is its last gate: the two norms come first
+    # certify's last gate is Gamma-tilde's: the two norms come first
     return sweep, (rep.ratio_table_value, calls["ratios"][-1], calls["sizes"][:])
 
 
@@ -608,9 +682,8 @@ def sweep_and_certify_ratio(make, omega, nu, calls):
 @pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_ratio_block_path_matches_dense_inverse(k, scheme, coarsen, nu, inverse_calls):
     # constant k, the even coarse sides of k = 6 and 8 included:
-    # omega_sweep's and certify's ratio invert only the five swap blocks of
-    # the four mirror blocks, and match numpy's inverse of the dense
-    # Gamma-tilde
+    # omega_sweep's and certify's ratio invert only the five D4 blocks, and
+    # match numpy's inverse of the dense Gamma-tilde
     n = nodes_for_wavenumber(k)
 
     def make(omega, nu):
@@ -621,45 +694,67 @@ def test_ratio_block_path_matches_dense_inverse(k, scheme, coarsen, nu, inverse_
     for got, gate, sizes in sweep_and_certify_ratio(make, 4.5, nu, inverse_calls):
         assert abs(got - want) <= 1e-12 * want
         assert gate <= MIRROR_TOL
-        assert sizes == swap_block_sizes(n)
+        assert sizes == d4_block_sizes(n)
 
 
 def test_ratio_variable_k_takes_full_path(inverse_calls):
-    # MP 2-B: the factor gate fails and the whole Gamma-tilde is inverted
+    # MP 2-B: the gate fails and certify inverts the whole Gamma-tilde (the
+    # sweep refuses such a configuration:
+    # test_full_form_when_the_factors_do_not_split)
     want = dense_ratio(smooth_medium_cfg())
-    for got, gate, sizes in sweep_and_certify_ratio(smooth_medium_cfg, 4.5, 1,
-                                                   inverse_calls):
-        assert abs(got - want) <= 1e-12 * want
-        assert gate > 1e3 * MIRROR_TOL
-        assert sizes == [17 * 17]
+    got = certify(smooth_medium_cfg()).ratio_table_value
+    assert abs(got - want) <= 1e-12 * want
+    assert inverse_calls["ratios"][-1] > 1e3 * MIRROR_TOL
+    assert inverse_calls["sizes"] == [17 * 17]
 
 
 @pytest.mark.parametrize("centre", [0.0, 50.0])
 def test_mirror_norm1_matches_dense(centre):
-    # ||Q blockdiag(B_p) Q||_1 from one quadrant of columns against numpy's
-    # over every column.  centre = 50 puts the largest column sum on the
-    # centre node, whose butterfly coefficient is 1, not sqrt(1/2)
-    n = 9
-    label = mirror_parity(n)
-    rng = np.random.default_rng(6)
-    M = np.zeros((n * n, n * n), dtype=complex)
-    blocks = []
-    for p in range(4):
-        i = label == p
-        B = rng.standard_normal((i.sum(), i.sum())) + 1j * rng.standard_normal((i.sum(), i.sum()))
-        M[np.ix_(i, i)] = B
-        blocks.append(B)
-    blocks[0][:, -1] += centre  # the even-even block's last unknown is the centre
-    M[np.ix_(label == 0, label == 0)] = blocks[0]
-    want = np.abs(mirror_Q(n) @ M @ mirror_Q(n)).sum(axis=0).max()
-    assert np.isclose(certificate._mirror_norm1(blocks), want, rtol=1e-13, atol=0.0)
+    # ||V^T blockdiag(B_b, eo once more) V||_1 of five random blocks from
+    # the columns of one eighth of the square against numpy's over every
+    # column: n = 3 (an empty oo- block), 6 (no centre node) and 9.
+    # centre = 50 puts the largest column sum on the last row of ee+, the
+    # centre node of an odd side, whose butterfly coefficient is 1
+    for n in (3, 6, 9):
+        V, label = d4_basis(n)
+        rng = np.random.default_rng(n)
+        blocks = [rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+                  for s in np.bincount(label, minlength=6)[:5]]
+        blocks[0][:, -1] += centre
+        want = np.abs(V.T @ sla.block_diag(*whole(blocks)) @ V).sum(axis=0).max()
+        assert np.isclose(certificate._mirror_norm1(blocks), want, rtol=1e-13, atol=0.0), n
+
+
+def d4_symmetric(n, seed):
+    """A random complex n^2 x n^2 matrix that commutes with the eight
+    symmetries of the n x n grid (reflections and the swap x <-> y)."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    grid = np.arange(n * n).reshape(n, n)
+    images = [g.ravel() for t in (grid, grid.T)
+              for g in (t, t[::-1], t[:, ::-1], t[::-1, ::-1])]
+    return sum(M[np.ix_(g, g)] for g in images) / 8.0
+
+
+@pytest.mark.parametrize("n", [9, 11])
+@pytest.mark.parametrize("centre", [0.0, 50.0])
+def test_mirror_norm1_from_swap_blocks_matches_dense(n, centre):
+    # ||M||_1 of a dense matrix that commutes with D4 from its five D4
+    # blocks, the swap halves ee+/ee-/oo+/oo- and eo, against numpy's over
+    # every column.  centre = 50 puts the largest column sum on the centre
+    # node, which lies on the diagonal of the eighth of columns
+    M = d4_symmetric(n, seed=n + 1)
+    M[:, (n * n) // 2] += centre
+    want = np.abs(M).sum(axis=0).max()
+    got = certificate._mirror_norm1(dense_d4_blocks(M, n))
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
     # k = 5, Bezier coarsened on A, omega = 4.5, nu = 1: Gamma-tilde is not
-    # HPD; both halves of its even-even block (15 x 15 symmetric, 10 x 10
-    # antisymmetric) fail Cholesky and are inverted by LU, the other three
-    # swap blocks by zpotri
+    # HPD; its ee+ and ee- blocks (15 x 15 and 10 x 10) fail Cholesky and
+    # are inverted by LU, the other three D4 blocks by zpotri on their
+    # verdict's factor
     cfg = make_cfg(coarsen="original", omega=4.5, nu=1)
     assert not certify(cfg).hpd_gamma_tilde.ok
     inverse_calls["lu"].clear()
@@ -667,116 +762,37 @@ def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
     cell, = omega_sweep(lambda w, nu: make_cfg(coarsen="original", omega=w, nu=nu),
                         (4.5,), (1,))
     assert inverse_calls["ratios"][-1] <= MIRROR_TOL
-    assert inverse_calls["sizes"] == swap_block_sizes(9)
+    assert inverse_calls["sizes"] == d4_block_sizes(9)
     assert inverse_calls["lu"] == [("Gamma-tilde", 15), ("Gamma-tilde", 10)]
     want = dense_ratio(cfg)
     assert abs(cell["ratio"] - want) <= 1e-12 * want
 
 
-# --- the five swap blocks ---------------------------------------------------
-
-def d4_symmetric(n, seed, hermitian):
-    """A random complex n^2 x n^2 matrix that commutes with the eight
-    symmetries of the n x n grid (reflections and the swap x <-> y)."""
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-    if hermitian:
-        M = M + M.conj().T
-    grid = np.arange(n * n).reshape(n, n)
-    images = [g.ravel() for t in (grid, grid.T)
-              for g in (t, t[::-1], t[:, ::-1], t[::-1, ::-1])]
-    return sum(M[np.ix_(g, g)] for g in images) / 8.0
-
-
-def from_mirror_blocks(blocks, n):
-    """The dense Q blockdiag(blocks) Q of four mirror blocks, by numpy."""
-    label = mirror_parity(n)
-    M = np.zeros((n * n, n * n), dtype=complex)
-    for p, B in enumerate(blocks):
-        M[np.ix_(label == p, label == p)] = B
-    return mirror_Q(n) @ M @ mirror_Q(n)
-
-
-@pytest.mark.parametrize("n", [9, 11])
-def test_swap_split_matches_dense(n):
-    # a synthetic HPD H that commutes with the swap as well as the
-    # reflections: the five swap blocks give its eigenvalues, the parity
-    # blocks of its inverse and the 1-norm of the inverse
-    H = d4_symmetric(n, seed=n, hermitian=True)
-    H += (np.abs(np.linalg.eigvalsh(H)).max() + 1.0) * np.eye(n * n)
-    blocks = dense_mirror_blocks(H, n)
-    split = certificate._swap_split(blocks, 0.0)
-    assert [B.shape[0] for B in split] == swap_block_sizes(n)
-    # block 2 is block 1 permuted, so block 1's spectrum counts twice
-    lam = np.linalg.eigvalsh(H)
-    got = np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in split + [split[2]]]))
-    assert np.abs(got - lam).max() <= 1e-12 * lam.max()
-    norm2 = certificate._gram_norm2(blocks, 0.0)
-    assert abs(norm2 - np.sqrt(lam.max())) <= 1e-12 * np.sqrt(lam.max())
-    Hinv = np.linalg.inv(H)
-    inv = [np.linalg.inv(B) for B in split]
-    for p, want in enumerate(dense_mirror_blocks(Hinv, n)):
-        got = certificate._inverse_columns(inv, p, np.arange(want.shape[1]))
-        assert rel_fro(got, want) <= 1e-12
-    want = np.abs(Hinv).sum(axis=0).max()
-    assert abs(certificate._mirror_norm1(inv) - want) <= 1e-12 * want
-    assert abs(certificate._ratio(blocks, 0.0) - 1.0 / want) <= 1e-12 / want
+@pytest.mark.parametrize("n", [3, 9, 11, 33])
+def test_d4_blocks_match_dense(n):
+    # Gamma-tilde (Bezier coarsened on the CSL, omega = 3.5, nu = 1) from
+    # the butterflied factors: the five D4 blocks have the basis sizes
+    # (153/136/136/120/272 at n = 33; the 3 x 3 grid has an empty oo-
+    # block, n = 11 an even coarse side), their spectra with eo counted
+    # twice are the dense form's, and 1 / ||Gt^-1||_1 from them is numpy's
+    cfg = make_cfg(k={3: 1.0, 9: 5.0, 11: 6.0, 33: 20.0}[n], n=n, omega=3.5)
+    Y = _coarse_correction(cfg, cfg.A)
+    blocks = _form_blocks(*_gamma_factors(_smoothed(cfg), cfg.pair.P, Y), Y,
+                          _mirror_factor(Y.copy()))
+    assert [B.shape[0] for B in blocks] == d4_block_sizes(n)
+    if n == 33:
+        assert d4_block_sizes(n) == [153, 136, 136, 120, 272]
+    Gt = dense_gamma_tilde(cfg)
+    lam = np.linalg.eigvalsh(Gt)
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(B) for B in whole(blocks)]))
+    assert np.abs(got - lam).max() <= 1e-13 * np.abs(lam).max()
+    hpd, factored = _hpd_verdict(blocks)
+    assert hpd.ok
+    want = 1.0 / np.abs(np.linalg.inv(Gt)).sum(axis=0).max()
+    assert abs(certificate._ratio(blocks, factored) - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("n", [9, 11])
-@pytest.mark.parametrize("centre", [0.0, 50.0])
-def test_mirror_norm1_from_swap_blocks_matches_dense(n, centre):
-    # ||.||_1 from a triangle of quadrant columns of a matrix that commutes
-    # with the swap, against numpy's over every column.  centre = 50 puts
-    # the largest column sum on the centre node, which lies on the
-    # triangle's diagonal
-    M = d4_symmetric(n, seed=n + 1, hermitian=False)
-    M[:, (n * n) // 2] += centre
-    split = certificate._swap_split(dense_mirror_blocks(M, n), 0.0)
-    assert len(split) == 5
-    want = np.abs(M).sum(axis=0).max()
-    assert abs(certificate._mirror_norm1(split) - want) <= 1e-13 * want
-
-
-@pytest.mark.parametrize("p", [0, 2])
-def test_swap_gate_falls_back_to_the_parity_blocks(p, inverse_calls, norm_calls):
-    # a perturbation of the even-even block (p = 0), or of the odd-even
-    # block that the split replaces by the permuted even-odd one (p = 2),
-    # breaks the swap symmetry but not the reflections and fails the swap
-    # gate: the norm and the ratio come from the four parity blocks and
-    # still match dense
-    n = 9
-    H = d4_symmetric(n, seed=3, hermitian=True)
-    H += (np.abs(np.linalg.eigvalsh(H)).max() + 1.0) * np.eye(n * n)
-    blocks = dense_mirror_blocks(H, n)
-    rng = np.random.default_rng(4)
-    E = rng.standard_normal(blocks[p].shape) + 1j * rng.standard_normal(blocks[p].shape)
-    blocks[p] = blocks[p] + 1e-9 * np.linalg.norm(blocks[p]) / np.linalg.norm(E) * (E + E.conj().T)
-    H = from_mirror_blocks(blocks, n)
-    assert certificate._swap_split(blocks, 0.0) is blocks
-    assert inverse_calls["ratios"][-1] > 1e3 * MIRROR_TOL
-    lam_max = np.linalg.eigvalsh(H).max()
-    got = certificate._gram_norm2(blocks, 0.0)
-    assert abs(got - np.sqrt(lam_max)) <= 1e-12 * np.sqrt(lam_max)
-    assert norm_calls["sizes"] == [25, 20, 20, 16]
-    want = 1.0 / np.abs(np.linalg.inv(H)).sum(axis=0).max()
-    assert abs(certificate._ratio(blocks, 0.0) - want) <= 1e-12 * want
-    assert inverse_calls["sizes"] == [25, 20, 20, 16]
-
-
-# --- Gamma forms from the four mirror blocks of their thin factors ----------
-
-def dense_mirror_blocks(H, n):
-    """The four diagonal blocks of Q H Q, in ``_butterfly``'s order, by numpy."""
-    QHQ = mirror_Q(n) @ H @ mirror_Q(n)
-    label = mirror_parity(n)
-    return [QHQ[np.ix_(label == p, label == p)] for p in range(4)]
-
-
-def fro(blocks):
-    """Frobenius norm of a list of blocks taken together."""
-    return np.sqrt(sum(np.linalg.norm(B) ** 2 for B in blocks))
-
+# --- Gamma forms from the five D4 blocks of their thin factors --------------
 
 @pytest.mark.parametrize("nu", [1, 2])
 @pytest.mark.parametrize("coarsen", ["csl", "original"])
@@ -784,8 +800,8 @@ def fro(blocks):
 @pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_gamma_blocks_match_dense_form(k, scheme, coarsen, nu, monkeypatch):
     # Gamma-tilde (W = P) and Gamma (W = S P) from the butterflied factors
-    # against the mirror blocks of the dense numpy forms; both factor gates
-    # pass, on the even coarse sides of k = 6 and 8 too
+    # against the D4 blocks of the dense numpy forms; both gates pass, on
+    # the even coarse sides of k = 6 and 8 too
     ratios = []
     record_gates(monkeypatch, ratios)
     n = nodes_for_wavenumber(k)
@@ -796,55 +812,64 @@ def test_gamma_blocks_match_dense_form(k, scheme, coarsen, nu, monkeypatch):
     DA = np.eye(n * n) - dense_T0(cfg)
     for W, dense in ((P, dense_gamma_tilde(cfg)),
                      (P - MA @ P, DA.conj().T + DA - DA.conj().T @ DA)):
-        got, _ = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
-        want = dense_mirror_blocks(dense, n)
+        got = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
+        want = dense_d4_blocks(dense, n)
         assert [B.shape for B in got] == [B.shape for B in want]
         assert fro([g - w for g, w in zip(got, want)]) <= 1e-13 * np.linalg.norm(dense)
     assert len(ratios) == 2 and max(ratios) <= MIRROR_TOL
 
 
-def off_parity(n_rows, n_cols, seed):
-    """A random complex matrix, rows on an n_rows grid and columns on an
-    n_cols grid, that is zero wherever the mirror parities of row and
-    column agree."""
-    rows, cols = mirror_parity(n_rows), mirror_parity(n_cols)
+def off_d4(n_rows, n_cols, seed, keep=lambda rows, cols: rows != cols):
+    """A random complex matrix in D4 coordinates, rows on an n_rows grid and
+    columns on an n_cols grid, that is zero except where ``keep`` holds of
+    the row and column labels: by default off the D4 blocks."""
+    rows, cols = d4_basis(n_rows)[1][:, None], d4_basis(n_cols)[1][None, :]
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((rows.size, cols.size)) + 1j * rng.standard_normal(
-        (rows.size, cols.size))
-    return Z * (rows[:, None] != cols[None, :])
+    shape = (rows.size, cols.size)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * keep(rows, cols)
 
 
-@pytest.mark.parametrize("factor", ["U", "Y"])
+#: Perturbations of test_factor_gate that break only the swap, by the D4
+#: labels of the rows and columns of U they touch: U's oe block no longer
+#: equals its eo block, or U's ee block gains a swap-odd part
+SWAP_ONLY = {"swap-oe": lambda rows, cols: (rows == 5) & (cols == 5),
+             "swap-ee": lambda rows, cols: (rows == 0) & (cols == 1)}
+
+
+@pytest.mark.parametrize("factor", ["U", "Y", "swap-oe", "swap-ee"])
 @pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
 def test_factor_gate(factor, scale, blocks, monkeypatch):
-    # a reflection-breaking perturbation of U (or of Y), sized so that its
-    # share of the bound is scale * MIRROR_TOL * ||K||_F: the gate alone
-    # decides between the blocks and the full form, which the un-butterflied
-    # U then builds.  k = 5, n = 9, n_c = 5
+    # a perturbation of U (or of Y) off the D4 blocks, or one of U that
+    # breaks only the swap (SWAP_ONLY), sized so that its share of the
+    # bound is scale * MIRROR_TOL * ||K||_F: the gate alone decides between
+    # the blocks and the full form, which the un-butterflied U then builds.
+    # k = 5, n = 9, n_c = 5
     cfg = make_cfg(omega=3.5, nu=1)
     Y = _coarse_correction(cfg, cfg.A)
     MA, P = _smoothed(cfg), cfg.pair.P
     Hs, U = _gamma_factors(MA, P, Y)
-    K, dropped = _mirror_blocks(Hs, U.copy(), _mirror_factor(Y.copy()))
+    K, dropped = _mirror_blocks(_mirror_sparse(Hs), U.copy(), _mirror_factor(Y.copy()))
     assert _gate(K, dropped) <= 0.05 * MIRROR_TOL
-    share = scale * MIRROR_TOL * fro(K)
-    # the perturbed factor term of the bound is 2 ||U_o|| ||Yb|| for U and
-    # 2 ||U_d|| ||Y_o|| for Y, with ||Yb|| = ||Y|| and ||U_d|| = ||U|| to
-    # rounding
-    if factor == "U":
-        E = off_parity(9, 5, seed=1)
-        E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(Y))
-        U_bad, Y_bad = U + mirror_Q(9) @ E @ mirror_Q(5), Y
-    else:
-        E = off_parity(5, 9, seed=2)
+    share = scale * MIRROR_TOL * fro(whole(K))
+    # the perturbed factor term of the bound is 2 ||U_o|| ||Yb|| for U (oe
+    # minus eo and the swap-odd parts are part of U_o) and 2 ||U_d|| ||Y_o||
+    # for Y, with
+    # ||Yb|| = ||Y|| and ||U_d|| = ||U|| to rounding
+    Vf, Vc = d4_basis(9)[0], d4_basis(5)[0]
+    if factor == "Y":
+        E = off_d4(5, 9, seed=2)
         E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(U))
-        U_bad, Y_bad = U, Y + mirror_Q(5) @ E @ mirror_Q(9)
+        U_bad, Y_bad = U, Y + Vc.T @ E @ Vf
+    else:
+        E = off_d4(9, 5, seed=1) if factor == "U" else off_d4(9, 5, 3, SWAP_ONLY[factor])
+        E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(Y))
+        U_bad, Y_bad = U + Vf.T @ E @ Vc, Y
     ratios = []
     record_gates(monkeypatch, ratios)
-    got, _ = _form_blocks(Hs, U_bad.copy(), Y_bad, _mirror_factor(Y_bad.copy()))
+    got = _form_blocks(Hs, U_bad.copy(), Y_bad, _mirror_factor(Y_bad.copy()))
     ratio, = ratios
     assert abs(ratio - scale * MIRROR_TOL) <= 0.1 * MIRROR_TOL
-    assert len(got) == (4 if blocks else 1)
+    assert len(got) == (5 if blocks else 1)
     if blocks:
         assert fro([g - k for g, k in zip(got, K)]) <= 1e-14 * fro(K)
     else:
@@ -853,39 +878,43 @@ def test_factor_gate(factor, scale, blocks, monkeypatch):
 
 
 @pytest.mark.parametrize("diag, off, symmetric", [
-    (0.0, 1.0, True),  # no parity-diagonal factor blocks: U_o Y_o is all
-    (1.0, 0.0, False),  # parity-diagonal factors: only G_o is dropped
+    (0.0, 1.0, True),  # no D4-diagonal factor blocks: U_o Y_o is all
+    (1.0, 0.0, False),  # D4-diagonal factors: only G_o is dropped
     (1.0, 1.0, False),
 ])
 def test_factor_bound_covers_the_dropped_part(diag, off, symmetric):
-    # synthetic factors with parity-diagonal blocks scaled by diag and the
-    # other blocks by off, and a sparse part that commutes with the
-    # reflections or not.  The kept blocks are what they claim, and the
+    # synthetic factors with D4 blocks scaled by diag (oe equal to eo) and
+    # the rest by off, and a sparse part that commutes with the square's
+    # symmetries or not.  The kept blocks are what they claim, and the
     # gate ratio times ||K||_F bounds all they drop, the products U_o Y_o
-    # that land inside the diagonal blocks included
+    # that land inside the blocks included
     n, nc = 9, 5
     rng = np.random.default_rng(9)
-    parity = mirror_parity(n)[:, None] == mirror_parity(nc)[None, :]
-    Ub = (rng.standard_normal(parity.shape) + 1j * rng.standard_normal(parity.shape)) \
-        * np.where(parity, diag, off)
-    Yb = (rng.standard_normal(parity.T.shape) + 1j * rng.standard_normal(parity.T.shape)) \
-        * np.where(parity.T, diag, off)
-    Qf, Qc = mirror_Q(n), mirror_Q(nc)
-    U, Y = Qf @ Ub @ Qc, Qc @ Yb @ Qf
+    (Vf, fine), (Vc, coarse) = d4_basis(n), d4_basis(nc)
+
+    def factor(rows, cols):
+        # random, the D4 blocks scaled by diag and the rest by off; the oe
+        # block is the eo block plus off times a random one
+        same = rows[:, None] == cols[None, :]
+        X = (rng.standard_normal(same.shape) + 1j * rng.standard_normal(same.shape)) \
+            * np.where(same, diag, off)
+        eo, oe = np.ix_(rows == 4, cols == 4), np.ix_(rows == 5, cols == 5)
+        X[oe] = X[eo] + off * rng.standard_normal(X[eo].shape)
+        return X
+
+    Ub, Yb = factor(fine, coarse), factor(coarse, fine)
+    U, Y = Vf.T @ Ub @ Vc, Vc.T @ Yb @ Vf
     Hs = make_cfg(n=n).A if symmetric else sp.random(n * n, n * n, density=0.05,
                                                      random_state=rng, format="csr")
     Hs = (Hs + Hs.conj().T).tocsr()
-    K, bound = _mirror_blocks(Hs, U.copy(), _mirror_factor(Y.copy()))
-    label, coarse = mirror_parity(n), mirror_parity(nc)
-    Hs_b = dense_mirror_blocks(Hs.toarray(), n)
-    kept = np.zeros((n * n, n * n), dtype=complex)
-    for p in range(4):
-        i, c = label == p, coarse == p
+    K, bound = _mirror_blocks(_mirror_sparse(Hs), U.copy(), _mirror_factor(Y.copy()))
+    Hs_b = dense_d4_blocks(Hs.toarray(), n)
+    for p in range(5):
+        i, c = fine == p, coarse == p
         UY = Ub[np.ix_(i, c)] @ Yb[np.ix_(c, i)]
         assert np.linalg.norm(K[p] - (Hs_b[p] + UY + UY.conj().T)) <= 1e-14 * fro(K)
-        kept[np.ix_(i, i)] = K[p]
     H = Hs.toarray() + U @ Y + (U @ Y).conj().T
-    dropped = np.linalg.norm(Qf @ H @ Qf - kept)
+    dropped = np.linalg.norm(Vf @ H @ Vf.T - sla.block_diag(*whole(K)))
     assert dropped > 1e-3 * fro(K)
     assert dropped <= bound * (1.0 + 1e-12)
 
@@ -905,20 +934,19 @@ def products(monkeypatch):
 
 
 def test_block_path_makes_no_full_product(products):
-    # k = 10, n = 17 (N = 289), n_c = 9 (N_c = 81): omega_sweep's three
-    # low-rank coefficient forms (C_0, C_1, C_2 at nu <= 2), built once for
-    # its four cells, and table_entry's Gamma-tilde (for its verdict) and
-    # Gamma (for ||T0||_2) multiply only the quarter-size factor blocks.
-    # certify takes
-    # sigma_max(DA), Gamma's residual, verdict and ||T0||_2, and
-    # Gamma-tilde's verdict and ratio from the blocks too; its one
-    # N x N_c x N product is the full Gamma-tilde of the quick screen, and
-    # no (DA)^H DA is formed
-    blocks = [((81, 25), (25, 81)), ((72, 20), (20, 72)), ((72, 20), (20, 72)),
-              ((64, 16), (16, 64))]
+    # k = 10, n = 17 (N = 289), n_c = 9 (N_c = 81): omega_sweep's four
+    # low-rank coefficient forms (C_0 and those of E^0, E, E^2 at nu <= 2),
+    # built once for its four cells, and table_entry's Gamma-tilde (for its
+    # verdict) and Gamma (for ||T0||_2) multiply only the five D4 factor
+    # blocks.  certify takes sigma_max(DA), Gamma's residual, verdict and
+    # ||T0||_2, and Gamma-tilde's verdict and ratio from the blocks too;
+    # its one N x N_c x N product is the full Gamma-tilde of the quick
+    # screen, and no (DA)^H DA is formed
+    blocks = [((45, 15), (15, 45)), ((36, 10), (10, 36)), ((36, 10), (10, 36)),
+              ((28, 6), (6, 28)), ((72, 20), (20, 72))]
     full = [((289, 81), (81, 289))]
     omega_sweep(lambda w, nu: make_cfg(k=10.0, n=17, omega=w, nu=nu), (1.5, 4.5), (1, 2))
-    assert products == blocks * 3
+    assert products == blocks * 4
     products.clear()
     table_entry(make_cfg(k=10.0, n=17))
     assert products == blocks * 2
@@ -929,10 +957,11 @@ def test_block_path_makes_no_full_product(products):
 
 @pytest.mark.parametrize("case", ["variable-k", "even coarse side"])
 def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
-    # a smooth variable-k medium fails the factor gate and forms the full
-    # Gamma forms; on n = 11 the coarse grid has n_c = 6 and no centre node,
-    # and the factors still split into the four mirror blocks.  Both match
-    # the dense references
+    # a smooth variable-k medium fails the gate: table_entry forms the full
+    # Gamma forms, and omega_sweep refuses it, naming the gate value.  On
+    # n = 11 the coarse grid has n_c = 6 and no centre node, and the
+    # factors still split into the five D4 blocks.  Both match the dense
+    # references
     ratios = []
     record_gates(monkeypatch, ratios)
     make = smooth_medium_cfg if case == "variable-k" else (
@@ -942,25 +971,23 @@ def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
     t0 = table_entry(cfg)[1]
     want = gram_norm(dense_T0(cfg))
     assert abs(t0 - want) <= 1e-13 * want
-    cell, = omega_sweep(make, (4.5,), (1,))
-    assert abs(cell["ratio"] - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
-    # table_entry's Gamma-tilde and Gamma, and the sweep's cell.  For
-    # variable k each gate fails: table_entry forms both in full and the
-    # sweep its two low-rank coefficient forms C_0 and C_1 (beside the
-    # blocks the failed gates rejected), and one block has no swap gate.
-    # On the even coarse side no full form is made, and Gamma's norm and
-    # the cell's ratio pass a swap gate too
+    # table_entry's Gamma-tilde and Gamma, then the sweep's cell
     if case == "variable-k":
+        with pytest.raises(ValueError, match=r"make_cfg\(4\.5, 1\) fails the D4 gate "
+                                             r"\([0-9.e+-]+ > MIRROR_TOL = 1e-13\)"):
+            omega_sweep(make, (4.5,), (1,))
         assert len(ratios) == 3
-        assert products.count(((N, Nc), (Nc, N))) == 4
+        assert products.count(((N, Nc), (Nc, N))) == 2
         assert min(ratios) > 1e3 * MIRROR_TOL
     else:
-        assert len(ratios) == 5
+        cell, = omega_sweep(make, (4.5,), (1,))
+        assert abs(cell["ratio"] - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
+        assert len(ratios) == 3
         assert products.count(((N, Nc), (Nc, N))) == 0
         assert Nc == 36 and max(ratios) <= MIRROR_TOL
 
 
-# --- HPD verdicts from the mirror blocks -------------------------------------
+# --- HPD verdicts from the D4 blocks -----------------------------------------
 
 def verdict_pairs(cfg):
     """(blocks, block verdict, full-form verdict) of Gamma-tilde and of Gamma."""
@@ -968,12 +995,12 @@ def verdict_pairs(cfg):
     Ym = _mirror_factor(Y.copy())
     MA, P = _smoothed(cfg), cfg.pair.P
     for W in (P, P - MA @ P):
-        blocks, _ = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
-        yield blocks, _hpd_verdict(blocks), cholesky_hpd_test(_gamma_form(MA, W, Y))
+        blocks = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
+        yield blocks, _hpd_verdict(blocks)[0], cholesky_hpd_test(_gamma_form(MA, W, Y))
 
 
 def test_block_verdicts_match_full_verdicts():
-    # Q is orthogonal, so a form is HPD exactly when its four mirror blocks
+    # V is orthogonal, so a form is HPD exactly when its five D4 blocks
     # are: Gamma-tilde and Gamma over k in {5, 10}, both schemes and
     # coarsenings, omega in {1.5, 3.5, 4.5} and nu in {1, 2} (96 forms)
     oks, mismatches = [], []
@@ -985,7 +1012,7 @@ def test_block_verdicts_match_full_verdicts():
                         cfg = make_cfg(k=float(k), n=nodes_for_wavenumber(k), scheme=scheme,
                                        coarsen=coarsen, omega=omega, nu=nu)
                         for blocks, got, want in verdict_pairs(cfg):
-                            assert len(blocks) == 4
+                            assert len(blocks) == 5
                             oks.append(want.ok)
                             if got.ok != want.ok:
                                 mismatches.append((k, scheme, coarsen, omega, nu))
@@ -996,61 +1023,59 @@ def test_block_verdicts_match_full_verdicts():
 @pytest.mark.parametrize("scheme, coarsen, ok", [("bezier", "csl", True),
                                                  ("linear", "original", False)])
 def test_variable_k_verdict_is_the_full_verdict(scheme, coarsen, ok):
-    # the failed factor gate leaves one block, the full form: its verdict,
-    # the reason with the pivot index of a node included, is the full
-    # form's own, byte for byte
+    # the failed gate leaves one block, the full form: its verdict, the
+    # reason with the pivot index of a node included, is the full form's
+    # own, byte for byte
     for blocks, got, want in verdict_pairs(smooth_medium_cfg(3.5, 2, scheme, coarsen)):
         assert len(blocks) == 1
         assert got == want and got.ok == ok
 
 
-@pytest.mark.parametrize("make, sizes", [(lambda: make_cfg(omega=3.5), [25, 20, 20, 16]),
+@pytest.mark.parametrize("make, sizes", [(lambda: make_cfg(omega=3.5), d4_block_sizes(9)),
                                          (smooth_medium_cfg, [17 * 17])])
-def test_verdict_goes_through_cholesky_hpd_test(make, sizes, monkeypatch):
-    # perfbench times the verdict under the module name
-    # certificate.cholesky_hpd_test: one call per mirror block of an HPD
-    # Gamma-tilde for constant k, one on the full form for variable k
-    seen = []
-    test = certificate.cholesky_hpd_test
-
-    def record(M):
-        seen.append(M.shape[0])
-        return test(M)
-
-    monkeypatch.setattr(certificate, "cholesky_hpd_test", record)
-    hpd, _ = table_entry(make())
-    assert hpd.ok and seen == sizes
+def test_certify_factors_each_block_once(make, sizes, monkeypatch):
+    # certify's verdicts hand their Cholesky factors on to the ratio: zpotrf
+    # runs once on each block of Gamma and once on each block of an HPD
+    # Gamma-tilde (the five D4 blocks for constant k, the full form for
+    # variable k), and zpotri once on each of Gamma-tilde's
+    calls = {"zpotrf": [], "zpotri": []}
+    for name in calls:
+        def record(M, *args, _name=name, _f=getattr(sla.lapack, name), **kw):
+            calls[_name].append(M.shape[0])
+            return _f(M, *args, **kw)
+        monkeypatch.setattr(sla.lapack, name, record)
+    assert certify(make()).hpd_gamma_tilde.ok
+    assert calls == {"zpotrf": sizes * 2, "zpotri": sizes}
 
 
 @pytest.mark.parametrize("k, n", [(5, 9), (5, 11), (10, 17), (20, 33)])
 def test_mirror_basis_built_once_and_read_only(k, n, monkeypatch):
-    # the cached sparse basis of side n gives the blocks and off-norm of a
-    # fresh build, bit for bit (n = 11 has an even coarse side), and cannot
-    # be written to
+    # the cached sparse D4 basis of side n is the numpy one and gives the
+    # blocks and dropped norm of a fresh build, bit for bit (n = 11 has an
+    # even coarse side), and cannot be written to
     MA = _smoothed(make_cfg(k=float(k), n=n))
     Hs = (MA + MA.conj().T).tocsr()
     cached = certificate._mirror_sparse(Hs)
-    Q, sizes, _, label = certificate._mirror_basis(n)
-    assert certificate._mirror_basis(n)[0] is Q
-    # the rows of the dense Q1 (x) Q1 in block order: the four parities in
-    # turn, each row-major
-    assert np.array_equal(Q.toarray(),
-                          mirror_Q(n)[np.argsort(mirror_parity(n), kind="stable")])
-    for a in (Q.data, Q.indices, Q.indptr, label):
+    V, sizes, _, label = certificate._mirror_basis(n)
+    assert certificate._mirror_basis(n)[0] is V
+    want, want_label = d4_basis(n)
+    assert np.abs(V.toarray() - want).max() <= 1e-16
+    assert np.array_equal(label, want_label)
+    for a in (V.data, V.indices, V.indptr, label):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         label[0] = 1
     monkeypatch.setattr(certificate, "_mirror_basis", certificate._mirror_basis.__wrapped__)
     fresh = certificate._mirror_sparse(Hs)
-    assert len(cached[0]) == len(fresh[0]) == 4
+    assert len(cached[0]) == len(fresh[0]) == 5
     for a, b in zip(cached[0], fresh[0]):
         assert np.array_equal(a.toarray(), b.toarray())
     assert cached[1] == fresh[1]
-    assert list(sizes) == [B.shape[0] for B in fresh[0]]
+    assert list(sizes) == [B.shape[0] for B in fresh[0]] + [sizes[4]]
 
 
 def test_benchmark_entry_points_exist():
     # perfbench/harness.py calls or traces these names on helmmg.certificate
     for name in ("TwoGridConfig", "table_entry", "omega_sweep", "assemble_D",
-                 "smoother_correction", "cholesky_hpd_test", "norm1"):
+                 "smoother_correction", "norm1"):
         assert callable(getattr(certificate, name, None)), name

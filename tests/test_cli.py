@@ -186,7 +186,7 @@ def test_certify_opt1_flagged_cells_print_nan(capsys, monkeypatch):
     # a cell the sweep flags must not print as a tiny ratio (0.000): here
     # every inverse of Gamma-tilde fails, so every cell reads nan and counts
     # as a miss
-    def singular(M, what):
+    def singular(*args):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(presets, "CONV1_KS", (5,))
