@@ -29,7 +29,7 @@ kappa_1 = 1 / ||Gamma-tilde^-1||_1 is the optimality-bound table value.
 
 The coarse correction has rank N_c ~ N/4, so the certificate works from
 
-    Y = A_c^{-1} R A   (dense N_c x N, one LU solve),
+    Y = A_c^{-1} R A   (N_c x N, from LU solves),
     MA = M_nu A        (sparse),     S = I - MA,
 
 with D-tilde A = MA + P Y and D A = I - T0 = MA + S P Y.  Both certificate
@@ -55,69 +55,63 @@ Applications, Birkhauser 1992; Bossavit, CMAME 56, 1986).  They commute
 with A, the CSL, M_nu and P = P1 (x) P1 of both transfer schemes, fine
 node 2i being coarse node i on either parity of n_c = (n+1)/2.  The D4
 basis V of an n x n grid (``_mirror_basis``) is orthogonal and comes in
-two steps of the one butterfly (``_pair``), which maps a pair (x, y) to
-(x + y, x - y)/sqrt(2):
+two steps, each mapping a pair of nodes (x, y) to (x + y, x - y)/sqrt(2):
 
-* along each axis, on the mirror pairs i < j = n-1-i (``_reflect``; the
-  centre of an odd side is even).  The grid splits into four parity
-  blocks ee, eo, oe and oo, in (y, x) order;
-* on the swap pairs (a, b), (b, a), a < b, of the ee and of the oo block
-  (``_swap_halves``), which split into their swap-symmetric and
-  swap-antisymmetric halves ee+, ee-, oo+ and oo-.  The swap maps eo onto
-  oe, whose row (a, b) is taken as the swap image of eo's row (a, b).
+* along each axis, on the mirror pairs i < j = n-1-i (the centre of an odd
+  side is even).  The grid splits into four parity blocks ee, eo, oe and
+  oo, in (y, x) order;
+* on the swap pairs (a, b), (b, a), a < b, of the ee and of the oo block,
+  which split into their swap-symmetric and swap-antisymmetric halves
+  ee+, ee-, oo+ and oo-.  The swap maps eo onto oe, whose row (a, b) is
+  taken as the swap image of eo's row (a, b).
 
-A form that commutes with D4 is block diagonal in V, with its oe block
-equal to its eo block.  So it has five distinct blocks, ee+/ee-/oo+/oo-/eo
-(153/136/136/120/272 at n = 33; 3/1/1/0/2 on a 3 x 3 grid), with eo
-counted twice.  lambda_max is the largest block maximum, the form is HPD
-exactly when every block is, and its inverse is V^T blockdiag(K_b^-1) V.
+An operator X from one grid to another that commutes with D4 is block
+diagonal in the bases of its rows and columns, V_r X V_c^T, with its oe
+block equal to its eo block.  So it has five distinct blocks,
+ee+/ee-/oo+/oo-/eo (153/136/136/120/272 at n = 33; 3/1/1/0/2 on a 3 x 3
+grid), with eo counted twice.  For a square form lambda_max is the largest
+block maximum, the form is HPD exactly when every block is, and its
+inverse is V^T blockdiag(K_b^-1) V.
 
-The blocks are built from the factors, and no N x N matrix is formed.
-The butterflied factors Ub = V_f U V_c^T and Yb = V_c Y V_f^T pair each
-fine block with the coarse block of the same label, and so
-``_mirror_blocks`` forms the five blocks
+The blocks are taken only where they are exact.  The symmetry check
+(``_d4_invariant``) compares A, the coarse-build operator B, P and R with
+their images under the x-reflection and the swap, entry for entry and with
+no tolerance.  These two generate D4 (the y-reflection is the swap, the
+x-reflection and the swap again), so a configuration that passes has every
+operator built from its inputs commute with D4 in exact arithmetic: M_nu,
+A_c = R B P, R A, Y = A_c^-1 R A, the thin factors and every Gamma form.
+Their five blocks are then all they hold, and the blocks differ from the
+full form only by rounding, as two orders of the same sums do; there is
+no dropped part to bound.  Each sparse operator is split once
+(``_mirror_sparse``: its five diagonal blocks of V_r X V_c^T, one sparse
+product each), and all dense work is per block:
 
-    K_b = (V G_s V^T)_bb + U_b Y_b + (U_b Y_b)^H,
+    Y_b = (A_c)_b^-1 (R A)_b,
+    U_b = (W - MA^H W)_b - 1/2 ((W^H W)_b Y_b)^H,
+    K_b = (G_s)_b + U_b Y_b + (U_b Y_b)^H,
 
-five thin products (8.1 M complex multiply-adds at n = 33 against
-342.7 M for the full form).  Split Ub = U_d + U_o into the kept block
-diagonal, whose oe block is taken as the eo block, and the rest, and
-Yb = Y_d + Y_o likewise.  The part of V (G_s + F + F^H) V^T the blocks
-drop is then
+five small LUs (2.2 M complex multiply-adds at n = 33 against 91 M for
+the dense Y; each block's pivot tolerance is relative to that block, as a
+verdict's is) and five thin products per form (8.1 M against 342.7 M for
+the full form).  No N x N_c factor and no N x N matrix is formed.  A
+configuration that fails the check (variable k, MP 2-B) takes the one full
+block of each operator instead (``_full``): the dense Y of one LU and the
+full forms, the same code.
 
-    E = G_o + Z + Z^H,  Z = U_d Y_o + U_o Yb,
-
-G_o the rest of V G_s V^T.  Z holds U_o Y_o, whose products land inside
-the blocks too, not only off them: U_d Y_d alone is what K keeps.  Hence
-
-    ||E||_F <= ||G_o||_F + 2 (||U_d||_F ||Y_o||_F + ||U_o||_F ||Yb||_F),
-
-and ||Yb||_F <= ||Y_d||_F + ||Y_o||_F.  The rest of a factor is its 12 off parity blocks, the mixed swap parts of
-its ee and oo blocks and its oe block minus its eo block, each summed on
-its own (a total minus the kept blocks cancels to about 1e-8 on
-rounding-level parts).  The one gate (``_gate``) takes the blocks when
-this bound is at most MIRROR_TOL = 1e-13 times ||K||_F, eo counted twice;
-by Weyl's inequality no eigenvalue of the kept matrix is then more than
-that from the form's.  The table rows read at most 7.5e-15 (k = 5),
-1.5e-14 (k = 10), 3.3e-14 (k = 20) and 6.2e-14 (k = 30, Bezier coarsened
-on A); a smooth variable-k medium reads about 1.6 and takes the one full
-block, unchanged.
-
-``certify``, ``table_entry`` and ``omega_sweep`` use the blocks: Y is
-butterflied once per configuration or sweep, ||T0||_2 is the root of the
-largest lambda_max(I - K_b), and sigma_max(DA) that of the largest
-lambda_max of the (DA)^H DA blocks.  The Cholesky verdicts of Gamma and
-Gamma-tilde (``_hpd_verdict``) factor each block once, and a failing one
-names the D4 block and its row, not a node.  Gamma-tilde's verdict hands
-its factors on to the optimality ratio ||Gamma-tilde||_1 / kappa_1 =
-1 / ||Gamma-tilde^-1||_1 (``_ratio``: ``zpotri`` on the factor of an HPD
-block, LU otherwise).  The 1-norm is not orthogonally invariant, but
-Gamma-tilde^-1 commutes with D4, so the columns of one eighth of the
+``certify``, ``table_entry`` and ``omega_sweep`` use the blocks: ||T0||_2
+is the root of the largest lambda_max(I - K_b), and sigma_max(DA) that of
+the largest lambda_max of the (DA)^H DA blocks.  The Cholesky verdicts of
+Gamma and Gamma-tilde (``_hpd_verdict``) factor each block once, and a
+failing one names the D4 block and its row, not a node.  Gamma-tilde's
+verdict hands its factors on to the optimality ratio ||Gamma-tilde||_1 /
+kappa_1 = 1 / ||Gamma-tilde^-1||_1 (``_ratio``: ``zpotri`` on the factor
+of an HPD block, LU otherwise).  The 1-norm is not orthogonally invariant,
+but Gamma-tilde^-1 commutes with D4, so the columns of one eighth of the
 square give it (``_mirror_norm1``).  Gamma's Hermiticity residual is that
 of the whole blockdiag, eo counted twice.  Only the quick screen, whose
-conditions test entries in the node basis, forms the full N x N
-Gamma-tilde.  For variable k every step takes the one full form instead,
-and a verdict reports its node's pivot index.
+conditions test entries in the node basis, forms the dense Y and the full
+N x N Gamma-tilde.  For variable k a verdict reports its node's pivot
+index.
 
 ``omega_sweep`` forms no Gamma form per cell.  With L = Lambda_A^-1 A and
 E = L - I, M_nu A = I - (I - L/omega)^nu = sum_j a_j E^j, the a_j of
@@ -131,11 +125,10 @@ over fixed Hermitian forms, j = 0 .. nu_max and E^0 = I: C_0 = U_0 Y +
 i = j.  E's spectrum lies near [-1, 1], and for omega >= 1 the a_j sum to
 at most 2 in absolute value, so a cell's sum does not cancel (in powers of
 L, whose spectrum reaches 2, it loses a digit at nu >= 3).  The five
-D4 blocks of each C_c and its factor bound b_c are built once per sweep
-(``_sweep_terms``), the blocks of the C_ij sparse.  A cell adds up the
-blocks; its dropped part is at most sum_c |coef_c| b_c, and the cell
-takes the blocks when that is at most MIRROR_TOL ||K||_F.  Otherwise
-(variable k) the sweep refuses the configuration.
+D4 blocks of each C_c are built once per sweep from the blocks of
+E^j + E^jH, -E^jH P and the C_ij (``_sweep_terms``), the blocks of the
+C_ij sparse, and a cell adds them up.  The sweep refuses a configuration
+that fails the symmetry check (variable k).
 """
 
 import math
@@ -251,14 +244,45 @@ def smoother_correction(A, omega, nu):
 def _coarse_correction(cfg, X):
     """Dense A_c^{-1} R X for sparse X (Y at X = A), A_c = R B P."""
     check_dense_limit(cfg.A.shape[0])
-    Ac = galerkin_coarse(cfg.coarse_build_op, cfg.pair).toarray()
-    lu = lu_factor_checked(Ac, "coarse operator A_c")
-    return sla.lu_solve(lu, (cfg.pair.R @ X).toarray())
+    return _coarse_blocks(cfg, X, _full)[0]
+
+
+def _coarse_blocks(cfg, X, split):
+    """The blocks (A_c)_b^-1 (R X)_b of A_c^{-1} R X for sparse X, A_c = R B P,
+    under ``split`` (``_mirror_sparse`` or ``_full``): the blocks of Y at X = A.
+
+    Each block has its own LU (``lu_factor_checked``), whose pivot tolerance
+    is 1e-14 times the largest entry of that block: a smaller pivot raises
+    LinAlgError ("coarse operator A_c singular to tolerance at pivot index i
+    of D4 block ee+"; no block is named for the one full block).  An empty
+    block (n_c = 2 has no ee- or oo- node) gives an empty block.
+    """
+    Ac = split(galerkin_coarse(cfg.coarse_build_op, cfg.pair))
+    Y = []
+    for label, A_b, RX in zip(_D4_BLOCKS, Ac, split(cfg.pair.R @ X)):
+        RX = RX.toarray()
+        if RX.shape[0] == 0:
+            Y.append(RX)
+            continue
+        try:
+            lu = lu_factor_checked(A_b.toarray(), "coarse operator A_c")
+        except np.linalg.LinAlgError as err:
+            if len(Ac) == 1:
+                raise
+            raise np.linalg.LinAlgError(f"{err} of D4 block {label}") from None
+        Y.append(sla.lu_solve(lu, RX))
+    return Y
 
 
 def _smoothed(cfg):
     """Sparse MA = M_nu A."""
     return smoother_correction(cfg.A, cfg.omega, cfg.nu) @ cfg.A
+
+
+def _sparse_gamma(MA):
+    """(MA^H, G_s = MA^H + MA - MA^H MA), both sparse CSR."""
+    MAh = MA.conj().T.tocsr()
+    return MAh, MAh + MA - MAh @ MA
 
 
 def _hermitian_low_rank(Hs, W, Y):
@@ -278,37 +302,33 @@ def _coo(H):
     return H
 
 
-def _gamma_factors(MA, W, Y):
-    """(G_s, U) with X^H + X - X^H X = G_s + U Y + (U Y)^H for X = MA + W Y.
+def _thin_blocks(MAh, W, Y, split):
+    """The blocks U_b = (W - MA^H W)_b - 1/2 ((W^H W)_b Y_b)^H of the thin
+    factor U = (I - MA^H) W - 1/2 ((W^H W) Y)^H of the Gamma form of
+    X = MA + W Y, from the blocks Y_b of Y under ``split``."""
+    U = []
+    for T, WW, Yb in zip(split(W - MAh @ W), split(W.conj().T @ W), Y):
+        WWY = WW @ Yb  # in place from here: no other temporary of U_b's size
+        np.conjugate(WWY, out=WWY)
+        WWY *= 0.5
+        Ub = T.toarray()
+        Ub -= WWY.T
+        U.append(Ub)
+    return U
 
-    G_s = MA^H + MA - MA^H MA is sparse and U = (I - MA^H) W -
-    1/2 ((W^H W) Y)^H dense N x N_c.  W = P gives Gamma-tilde, W = S P
-    gives Gamma.
-    """
-    MAh = MA.conj().T.tocsr()
-    WWY = (W.conj().T @ W) @ Y  # in place from here: no other N x N_c temporary
-    np.conjugate(WWY, out=WWY)
-    WWY *= 0.5
-    U = (W - MAh @ W).toarray()
-    U -= WWY.T
-    return MAh + MA - MAh @ MA, U
+
+def _form(Hs, U, Y):
+    """The blocks Hs_b + U_b Y_b + (U_b Y_b)^H of a Gamma form from the
+    blocks of its sparse part Hs (None for none), of U and of Y."""
+    return [_hermitian_low_rank(*b) for b in zip(Hs, U, Y)]
 
 
 def _gamma_form(MA, W, Y):
-    """The full N x N Gamma form X^H + X - X^H X of X = MA + W Y."""
-    Hs, U = _gamma_factors(MA, W, Y)
-    return _hermitian_low_rank(Hs, U, Y)
-
-
-#: Largest bound on the dropped part, relative to ||K||_F of the kept
-#: blocks, at which the D4 gate (``_gate``) takes the blocks for the whole
-#: form.  Dropping E moves no eigenvalue by more than ||E||_2 <= ||E||_F
-#: (Weyl's inequality), so below the gate the block maximum is within
-#: MIRROR_TOL times the kept norm of lambda_max.  The inverse moves by about
-#: kappa_2(H) ||E||_2 / ||H||_2 relative, the order of a full inversion's
-#: own rounding error while E is rounding.  Constant-k forms read about
-#: 1e-14 (rounding), variable-k ones 0.05 and more.
-MIRROR_TOL = 1e-13
+    """The full N x N Gamma form X^H + X - X^H X = G_s + U Y + (U Y)^H of
+    X = MA + W Y: the one full block of ``_sparse_gamma`` and
+    ``_thin_blocks``."""
+    MAh, Gs = _sparse_gamma(MA)
+    return _form([Gs], _thin_blocks(MAh, W, [Y], _full), [Y])[0]
 
 
 def _whole(blocks):
@@ -318,217 +338,131 @@ def _whole(blocks):
     return blocks + blocks[4:]
 
 
-def _gate(blocks, dropped):
-    """The ratio the D4 gate compares with MIRROR_TOL: ``dropped``, a bound
-    on ||E||_F of what the blocks drop from a form, over the kept
-    ||blockdiag(_whole(blocks))||_F."""
-    kept = np.sqrt(sum(_sq(B) for B in _whole(blocks)))
-    return float(dropped / kept) if kept > 0.0 else np.inf
-
-
 def _grid_side(N):
     """n with n^2 = N for an n >= 2, else None."""
     n = int(round(np.sqrt(N)))
     return n if n * n == N and n >= 2 else None
 
 
-def _parities(n):
-    """The four (y, x) parity slice pairs of the n x n mirror basis, ee,
-    eo, oe, oo: the first n - n//2 indices of an axis are even, the other
-    n//2 odd."""
-    halves = (slice(0, n - n // 2), slice(n - n // 2, n))
-    return [(a, b) for a in halves for b in halves]
-
-
-def _butterfly(H):
-    """Apply H <- Q_r H Q_c^T in place for the mirror bases of rows and columns.
-
-    H is a C-contiguous N_r x N_c matrix whose rows and columns are the
-    unknowns of an n_r x n_r and an n_c x n_c grid, N = n^2: every caller
-    passes a fresh dense factor between an odd n x n grid and its
-    ((n+1)/2)^2 coarse grid, either way round.  Q = Q1 (x) Q1, Q1 of
-    ``_reflect``.  Q is symmetric and orthogonal, so ||H||_F is
-    unchanged, a square H keeps its spectrum, and a second call undoes the
-    first.  Returns the (n_r, n_r, n_c, n_c) view of H with the row and the
-    column parity slice pairs.
-    """
-    nr, nc = (_grid_side(N) for N in H.shape)
-    H4 = H.reshape(nr, nr, nc, nc)
-    _reflect(H4, range(4))
-    return H4, _parities(nr), _parities(nc)
-
-
-def _pair(lo, hi):
-    """lo, hi <- (lo + hi)/sqrt(2), (lo - hi)/sqrt(2) in place: the one
-    butterfly of the D4 basis, for the mirror pairs and the swap pairs.
-
-    The difference comes first, so a (near-)symmetric pair leaves its odd
-    part accurate to its own size, not to the size of the sum.
-    """
-    s = np.sqrt(0.5)
-    np.subtract(lo, hi, out=hi)
-    hi *= s
-    lo *= 2.0 * s
-    lo -= hi
-
-
-def _reflect(H4, axes):
-    """Apply Q1 along each of the given axes of H4, in place.
-
-    Q1 maps x to (x_i + x_j)/sqrt(2) at i and (x_i - x_j)/sqrt(2) at j for
-    each mirror pair i < j = n-1-i, and keeps the centre x_m of an odd n
-    (an even n has none).
-    """
-    for axis in axes:
-        V = np.moveaxis(H4, axis, 0)
-        h = V.shape[0] // 2
-        _pair(V[:h], V[::-1][:h])  # V[::-1][i] is node n-1-i
-
-
-def _sq(B):
-    """||B||_F^2."""
-    return np.vdot(B, B).real
+def _read_only(*arrays):
+    """Make the arrays read-only (the caches below hand them out)."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 @cache
-def _swap_pairs(q):
-    """Flat indices a q + b of a q x q array under the swap (a, b) <-> (b, a),
-    read-only: (the positions a <= b, row-major, which hold the
-    swap-symmetric half after ``_pair`` on the pairs; the positions (a, b)
-    and (b, a) of the pairs a < b in that order, the latter holding the
-    antisymmetric half)."""
-    a, b = np.triu_indices(q)
-    pair = a < b
-    maps = a * q + b, (a * q + b)[pair], (b * q + a)[pair]
-    for m in maps:
-        m.flags.writeable = False
+def _symmetries(n):
+    """The node maps g of the x-reflection and of the swap of the n x n
+    grid, read-only: node i goes to node g[i], and g[g] is the identity."""
+    grid = np.arange(n * n).reshape(n, n)  # (y, x)
+    maps = tuple(np.ascontiguousarray(g).ravel() for g in (grid[:, ::-1], grid.T))
+    _read_only(*maps)
     return maps
 
 
-def _swap_halves(B4):
-    """([swap-symmetric half, swap-antisymmetric half], ||the mixed
-    parts||_F^2) of the ee or the oo block B4, (q, q, q_c, q_c), of a
-    butterflied factor.
+def _invariant(X, g_r, g_c):
+    """Whether X[g_r][:, g_c] equals the sparse X entry for entry, with no
+    tolerance, for node maps g_r and g_c that are their own inverses: the
+    nonzeros of X, moved from (i, j) to (g_r[i], g_c[j]), land on the
+    nonzeros of X with the same values."""
+    if X.shape != (g_r.size, g_c.size):
+        return False
+    X = X.tocsr()
+    if not X.has_canonical_format:  # sorted indices, no duplicates
+        X = X.copy()
+        X.sum_duplicates()
+    row = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    keep = X.data != 0
+    row, col, data = row[keep], X.indices[keep], X.data[keep]
+    key = row * X.shape[1] + col  # increasing
+    image = g_r[row] * X.shape[1] + g_c[col]
+    order = np.argsort(image)
+    return np.array_equal(key, image[order]) and np.array_equal(data, data[order])
 
-    ``_pair`` runs on a copy, on the swap pairs of its rows and then of its
-    columns; each half pairs the row half with the column half of the same
-    symmetry, and the mixed parts are the two other pairings.
-    """
-    q, qc = B4.shape[0], B4.shape[2]
-    B = np.array(B4).reshape(q * q, qc * qc)
-    (sym, lo, hi), (csym, clo, chi) = _swap_pairs(q), _swap_pairs(qc)
-    for M, i, j in ((B, lo, hi), (B.T, clo, chi)):
-        x, y = M[i], M[j]
-        _pair(x, y)
-        M[i], M[j] = x, y
-    return ([B[np.ix_(sym, csym)], B[np.ix_(hi, chi)]],
-            _sq(B[np.ix_(sym, chi)]) + _sq(B[np.ix_(hi, csym)]))
+
+def _d4_invariant(cfg):
+    """Whether A, coarse_build_op and the pair (P, R) are exactly invariant
+    under the x-reflection and the swap of the square (``_invariant``, the
+    node maps of a transfer's fine and coarse grid in its rows and
+    columns).  These two generate D4 (the y-reflection is the swap, the
+    x-reflection and the swap again), so the configuration then commutes
+    with D4 in exact arithmetic (module docstring)."""
+    n, nc = _grid_side(cfg.A.shape[0]), _grid_side(cfg.pair.P.shape[1])
+    if n is None or nc is None:
+        return False
+    f, c = _symmetries(n), _symmetries(nc)
+    ops = [(cfg.A, f, f), (cfg.pair.P, f, c), (cfg.pair.R, c, f)]
+    if cfg.coarse_build_op is not cfg.A:
+        ops.append((cfg.coarse_build_op, f, f))
+    return all(_invariant(X, *g) for X, rows, cols in ops for g in zip(rows, cols))
 
 
-def _mirror_factor(X):
-    """Butterfly the dense thin factor X in place and cut it into D4 blocks.
+def _full(X):
+    """The one full block of X: the split of a configuration that fails the
+    symmetry check."""
+    return [X]
 
-    Returns (the five blocks that pair each fine label with the coarse
-    label of the same name, ||X_d||_F of the kept block diagonal with eo
-    counted twice, ||X_o||_F of the rest).  The rest is the 12 off parity
-    blocks, the mixed swap parts of ee and oo and the oe block minus the
-    eo block, each summed on its own.
-    """
-    X4, rows, cols = _butterfly(X)
-    off = sum(_sq(X4[r + c]) for a, r in enumerate(rows)
-              for b, c in enumerate(cols) if a != b)
-    blocks = []
-    for p in (0, 3):  # ee and oo
-        halves, mixed = _swap_halves(X4[rows[p] + cols[p]])
-        blocks += halves
-        off += mixed
-    eo = X4[rows[1] + cols[1]]
-    off += _sq(X4[rows[2] + cols[2]].transpose(1, 0, 3, 2) - eo)  # oe swapped is eo
-    blocks.append(eo.reshape(eo.shape[0] * eo.shape[1], -1))
-    return blocks, np.sqrt(sum(_sq(B) for B in _whole(blocks))), np.sqrt(off)
+
+def _splitter(cfg):
+    """The split of the configuration's operators into blocks:
+    ``_mirror_sparse`` when ``_d4_invariant`` holds, else ``_full``.
+    ``check_dense_limit`` comes first."""
+    check_dense_limit(cfg.A.shape[0])
+    return _mirror_sparse if _d4_invariant(cfg) else _full
 
 
 @cache
 def _mirror_basis(n):
-    """(V, block sizes, block starts, block label of each row) of the sparse
-    D4 basis on an n x n grid, built once per n and read-only.
+    """(V, its six row blocks V_b, their transposes V_b^T) of the sparse D4
+    basis on an n x n grid, all CSR, built once per n and read-only.
 
-    The rows of V come in block order, ee+, ee-, oo+, oo-, eo, oe (labels
-    0 to 5), each block laid out as ``_mirror_factor`` lays it out; row
-    (a, b) of oe is row (a, b) of eo swapped.  They are rows of Q = Q1 (x) Q1
-    of ``_butterfly`` (Q1 is ``_reflect`` applied to the identity), or the
-    sum or the difference over sqrt(2) of a swap pair of them, whose
-    supports are disjoint.
+    The rows of V come in block order, ee+, ee-, oo+, oo-, eo, oe; row
+    (a, b) of oe is row (a, b) of eo swapped.  They are rows of
+    Q = Q1 (x) Q1, Q1 the mirror pairs' (x_i + x_j, x_i - x_j)/sqrt(2) at
+    i < h and at j = n-1-i (h = n - n//2; the centre of an odd n keeps x_m),
+    or the sum or the difference over sqrt(2) of a swap pair of them,
+    whose supports are disjoint.
     """
+    s = np.sqrt(0.5)
+    i = np.arange(n // 2)
+    j = n - 1 - i
     Q1 = np.eye(n)
-    _reflect(Q1, (0,))
+    Q1[i, i] = Q1[i, j] = Q1[j, i] = s
+    Q1[j, j] = -s
     Q = sp.kron(Q1, Q1, format="csr")
-    h, s = n - n // 2, np.sqrt(0.5)
+    h = n - n // 2
     grid = np.arange(n * n).reshape(n, n)
-    blocks = []
+    rows = []
     for quad in (grid[:h, :h], grid[h:, h:]):
-        sym, _, hi = _swap_pairs(quad.shape[0])
+        q = quad.shape[0]
+        a, b = np.triu_indices(q)
+        sym, hi = a * q + b, (b * q + a)[a < b]  # the swap pairs, a <= b and a < b
         own, swap = quad.ravel(), quad.T.ravel()
         # the diagonal a = b is its own swap image: (Q_aa + Q_aa)/2
-        blocks += [sp.diags(np.where(own[sym] == swap[sym], 0.5, s)) @ (Q[own[sym]] + Q[swap[sym]]),
-                   s * (Q[swap[hi]] - Q[own[hi]])]
-    blocks += [Q[grid[:h, h:].ravel()], Q[grid[h:, :h].T.ravel()]]  # eo, and oe as its swap
-    V = sp.vstack(blocks, format="csr")
-    sizes = [B.shape[0] for B in blocks]
-    label = np.repeat(np.arange(6), sizes)
-    for a in (V.data, V.indices, V.indptr, label):
-        a.flags.writeable = False
-    return V, tuple(sizes), tuple(np.cumsum([0] + sizes[:-1]).tolist()), label
+        rows += [sp.diags(np.where(own[sym] == swap[sym], 0.5, s)) @ (Q[own[sym]] + Q[swap[sym]]),
+                 s * (Q[swap[hi]] - Q[own[hi]])]
+    rows += [Q[grid[:h, h:].ravel()], Q[grid[h:, :h].T.ravel()]]  # eo, and oe as its swap
+    V = sp.vstack(rows, format="csr")
+    cols = [B.T.tocsr() for B in rows]
+    for B in (V, *rows, *cols):
+        _read_only(B.data, B.indices, B.indptr)
+    return V, rows, cols
 
 
-def _mirror_sparse(Hs):
-    """(the five D4 blocks of V Hs V^T, sparse, and ||the part they
-    drop||_F: every entry off the six blocks, and the oe block minus the
-    eo block) for a sparse Hs on a square grid, V of ``_mirror_basis``.
-    The blocks hold no duplicate entries: V Hs V^T is a CSR product."""
-    V, sizes, start, label = _mirror_basis(_grid_side(Hs.shape[0]))
-    Hb = (V @ Hs @ V.T).tocoo()
-    row, col = label[Hb.row], label[Hb.col]
-    blocks = []
-    for p, size in enumerate(sizes):
-        k = (row == p) & (col == p)
-        blocks.append(sp.coo_matrix((Hb.data[k], (Hb.row[k] - start[p], Hb.col[k] - start[p])),
-                                    shape=(size, size)))
-    dropped = _sq(Hb.data[row != col]) + _sq((blocks[5] - blocks[4]).data)
-    return blocks[:5], float(np.sqrt(dropped))
+def _mirror_sparse(X):
+    """The five D4 blocks (V_r X V_c^T)_bb, ee+ to eo, of a sparse X whose
+    rows and columns are the nodes of square grids, as CSR matrices without
+    duplicate entries; V_r and V_c of ``_mirror_basis``.
 
-
-def _mirror_blocks(sparse, U, Ym):
-    """(the five D4 blocks K_b of H = Hs + U Y + (U Y)^H, bound on ||E||_F
-    of the part they drop).
-
-    ``sparse`` is ``_mirror_sparse`` of Hs, None for no sparse part, and
-    Ym ``_mirror_factor`` of the N_c x N factor Y; the N x N_c U is
-    butterflied in place.  Block b pairs the fine label b with the coarse
-    label b: K_b = (V Hs V^T)_bb + U_b Y_b + (U_b Y_b)^H, five thin
-    products.  The bound is the module docstring's.
+    Block b is the CSR product of the row block b of V_r, X and the
+    transposed row block b of V_c.  For an X that commutes with D4 (a
+    transfer's fine node 2i being coarse node i) these five are all of
+    V_r X V_c^T in exact arithmetic: its oe block equals its eo block and
+    every other entry is zero (module docstring).  Nothing else is formed
+    or checked.
     """
-    Ud, ud, uo = _mirror_factor(U)
-    Yd, yd, yo = Ym
-    Hd, ho = sparse or ([None] * 5, 0.0)
-    K = [_hermitian_low_rank(H, Up, Yp) for H, Up, Yp in zip(Hd, Ud, Yd)]
-    return K, float(ho + 2.0 * (ud * yo + uo * (yd + yo)))  # ||Yb|| <= yd + yo
-
-
-def _form_blocks(Hs, U, Y, Ym, sparse=None):
-    """The blocks of H = Hs + U Y + (U Y)^H from its factors: the five D4
-    blocks when the gate passes, else [H], the full matrix (variable k).
-
-    Ym is ``_mirror_factor`` of Y, and ``sparse`` ``_mirror_sparse`` of Hs
-    when the caller holds it already (Gamma and Gamma-tilde share G_s).
-    U is butterflied in place, and back (the butterfly is its own
-    inverse) when the gate fails.
-    """
-    K, dropped = _mirror_blocks(sparse or _mirror_sparse(Hs), U, Ym)
-    if _gate(K, dropped) <= MIRROR_TOL:
-        return K
-    _butterfly(U)
-    return [_hermitian_low_rank(Hs, U, Y)]
+    (_, rows, _), (_, _, cols) = (_mirror_basis(_grid_side(N)) for N in X.shape)
+    return [Vr @ X @ VcT for Vr, VcT in zip(rows[:5], cols)]
 
 
 #: The labels of the five D4 blocks in block order: (y, x) parity, and the
@@ -538,7 +472,7 @@ _D4_BLOCKS = ("ee+", "ee-", "oo+", "oo-", "eo")
 
 def _hpd_verdict(blocks):
     """(HPD verdict of H, ``_hpd_cholesky`` of each block) from the blocks
-    of ``_form_blocks`` of H.
+    of H (``_form``).
 
     V is orthogonal, so H is HPD exactly when V H V^T, block diagonal with
     oe = eo, is: when every block is.  Each block is factored once, and the
@@ -554,14 +488,14 @@ def _hpd_verdict(blocks):
 
 
 def _gram_norm2(blocks):
-    """Exact 2-norm of any X with X^H X = H, from ``_form_blocks`` of H:
+    """Exact 2-norm of any X with X^H X = H, from the blocks of H:
     the largest lambda_max over the blocks (oe has eo's spectrum)."""
     return max(norm2_from_gram(B) for B in blocks)
 
 
 def _norm_T0(blocks):
-    """||T0||_2 = sqrt(lambda_max(I - Gamma)) from ``_form_blocks`` of
-    Gamma, overwriting the blocks."""
+    """||T0||_2 = sqrt(lambda_max(I - Gamma)) from the blocks of Gamma,
+    overwriting them."""
     for B in blocks:
         B *= -1.0
         B[np.diag_indices_from(B)] += 1.0
@@ -574,13 +508,10 @@ def _eighth(n):
     one eighth of the n x n square, (y, x) with y <= x < n - n//2: for
     each of the six blocks in block order, its rows of V[:, J] transposed
     (CSR), built once per n and read-only."""
-    V, sizes, start, _ = _mirror_basis(n)
     y, x = np.triu_indices(n - n // 2)
-    VJ = V[:, y * n + x]
-    parts = [VJ[a:a + m].T.tocsr() for a, m in zip(start, sizes)]
+    parts = [B[:, y * n + x].T.tocsr() for B in _mirror_basis(n)[1]]
     for part in parts:
-        for a in (part.data, part.indices, part.indptr):
-            a.flags.writeable = False
+        _read_only(part.data, part.indices, part.indptr)
     return parts
 
 
@@ -601,7 +532,7 @@ def _mirror_norm1(inv):
 
 
 def _ratio(blocks, factored):
-    """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1 from ``_form_blocks`` of
+    """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1 from the blocks of
     Gamma-tilde and the factorizations of its verdict (``_hpd_verdict``):
     Gt^-1 = V^T blockdiag(K_b^-1) V, ``zpotri`` on the factor of an HPD
     block and LU otherwise.  NaN when Gt is singular (rank <= 2 N_c at
@@ -627,38 +558,48 @@ def assemble_D(cfg):
 def certify(cfg):
     """Full certificate for one two-grid configuration.
 
+    A configuration that passes the symmetry check (``_d4_invariant``:
+    constant k) is certified from the five D4 blocks of its operators, one
+    that fails it (variable k) from the one full block; the module
+    docstring has both.  Only the quick screen reads the dense Y and the
+    full N x N Gamma-tilde.
+
     The theory-consistency implications (Gamma-tilde HPD => Gamma HPD,
     and the HPD => norm-bound assertions) are checked; violations are
     reportable findings recorded in ``consistency_warnings``, which
     ``to_text`` prints as WARNING lines, never silent and never fatal.
     """
-    Y = _coarse_correction(cfg, cfg.A)
-    Ym = _mirror_factor(Y.copy())
+    split = _splitter(cfg)
+    Y = _coarse_blocks(cfg, cfg.A, split)
     MA = _smoothed(cfg)
+    MAh, Gs = _sparse_gamma(MA)
     P = cfg.pair.P
     SP = P - MA @ P
-    # Everything but the quick screen comes from the D4 blocks of the
-    # factors, as in table_entry and omega_sweep.  DA = I - T0 = MA + S P Y,
-    # so (DA)^H DA = DA + DA^H - Gamma is the form of the sparse
-    # MA + MA^H - G_s and the thin S P - U.  Gamma's residual and verdict
-    # are taken before _norm_T0 overwrites its blocks, and Gamma-tilde's
-    # verdict hands its Cholesky factors on to the ratio.  Gamma and
-    # Gamma-tilde share G_s, split once
-    Gs, U = _gamma_factors(MA, SP, Y)
-    sigma_DA = _gram_norm2(_form_blocks(MA + MA.conj().T - Gs, SP.toarray() - U, Y, Ym))
-    split = _mirror_sparse(Gs)
-    G = _form_blocks(Gs, U, Y, Ym, split)
+    # DA = I - T0 = MA + S P Y, so (DA)^H DA = DA + DA^H - Gamma is the form
+    # of the sparse MA + MA^H - G_s and the thin S P - U, U Gamma's.
+    # Gamma's residual and verdict are taken before _norm_T0 overwrites its
+    # blocks, and Gamma-tilde's verdict hands its Cholesky factors on to the
+    # ratio.  Gamma and Gamma-tilde share G_s, split once
+    U = _thin_blocks(MAh, SP, Y, split)
+    sigma_DA = _gram_norm2(_form(split(MA + MAh - Gs),
+                                 [W.toarray() - Ub for W, Ub in zip(split(SP), U)], Y))
+    Gs = split(Gs)
+    G = _form(Gs, U, Y)
+    del U
     herm = _hermiticity_residual(*_whole(G))
     hpd_g, _ = _hpd_verdict(G)
     norm_T0 = _norm_T0(G)
     lam_min = 1.0 - norm_T0**2  # lambda_max(T0^H T0) = 1 - lambda_min(Gamma)
-    del Gs, U, G
-    Gt = _form_blocks(*_gamma_factors(MA, P, Y), Y, Ym, split)
+    del G
+    Gt = _form(Gs, _thin_blocks(MAh, P, Y, split), Y)
     hpd_gt, factored = _hpd_verdict(Gt)
     ratio = _ratio(Gt, factored)
     bound = float(np.sqrt(abs(1.0 - ratio)))
-    del Gt, factored
-    screen = quick_pd_screen(_gamma_form(MA, P, Y))  # the one N x N matrix of constant k
+    del Gs, Gt, factored
+    # the quick screen tests entries in the node basis: the dense Y and the
+    # one N x N matrix of constant k
+    Y = Y[0] if split is _full else _coarse_correction(cfg, cfg.A)
+    screen = quick_pd_screen(_gamma_form(MA, P, Y))
 
     warnings = []
     if hpd_gt.ok and not hpd_g.ok:
@@ -694,22 +635,22 @@ def table_entry(cfg):
     Computes only what the published verdict table shows; skips the
     lambda_min, sigma_max(DA) and optimality-ratio machinery so large
     (k = 30) configurations stay tractable.  Gamma-tilde and Gamma are
-    Gamma forms with W = P and W = S P, each as ``_form_blocks``: the five
-    D4 blocks when the gate passes, else the full form.  The verdict is
-    ``_hpd_verdict`` of Gamma-tilde's, and ||T0||_2 the root of
-    lambda_max(I - Gamma) from Gamma's, as in ``certify``; no N x N
-    matrix is formed for constant k.
+    Gamma forms with W = P and W = S P.  When the configuration passes the
+    symmetry check (``_d4_invariant``), Y, the thin factors and each form
+    are their five D4 blocks, built from the blocks of the sparse operators,
+    and no N x N_c or N x N matrix is formed; otherwise (variable k) each is
+    its one full block.  The verdict is ``_hpd_verdict`` of Gamma-tilde's
+    blocks, and ||T0||_2 the root of lambda_max(I - Gamma) from Gamma's, as
+    in ``certify``.
     """
-    Y = _coarse_correction(cfg, cfg.A)
-    Ym = _mirror_factor(Y.copy())
+    split = _splitter(cfg)
+    Y = _coarse_blocks(cfg, cfg.A, split)
     MA = _smoothed(cfg)
+    MAh, Gs = _sparse_gamma(MA)
+    Gs = split(Gs)  # Gamma-tilde's G_s is Gamma's
     P = cfg.pair.P
-    SP = P - MA @ P
-    Gs, U = _gamma_factors(MA, P, Y)
-    split = _mirror_sparse(Gs)  # Gamma-tilde's G_s is Gamma's
-    hpd, _ = _hpd_verdict(_form_blocks(Gs, U, Y, Ym, split))
-    del U  # before Gamma's U
-    G = _form_blocks(*_gamma_factors(MA, SP, Y), Y, Ym, split)
+    hpd, _ = _hpd_verdict(_form(Gs, _thin_blocks(MAh, P, Y, split), Y))
+    G = _form(Gs, _thin_blocks(MAh, P - MA @ P, Y, split), Y)
     return hpd, _norm_T0(G)
 
 
@@ -729,60 +670,64 @@ def _sweep_coefficients(omega, nu, degree):
     return [1.0, *a, *(a[i] * a[j] for i in range(degree + 1) for j in range(i, degree + 1))]
 
 
-def _scaled(term, c):
-    """The (blocks, bound) of ``_mirror_sparse`` for c times the form."""
-    blocks, bound = term
-    return [c * B for B in blocks], abs(c) * bound
+def _sparse_blocks(X):
+    """``_mirror_sparse`` of X as COO blocks without duplicate entries."""
+    return [_coo(B) for B in _mirror_sparse(X)]
+
+
+def _scaled(blocks, c):
+    """c times the COO blocks of a form."""
+    return [c * B for B in blocks]
 
 
 def _sweep_terms(cfg, degree):
-    """[(blocks, bound)] for the forms C_c of Gamma-tilde(omega, nu),
+    """The five D4 blocks of each form C_c of Gamma-tilde(omega, nu),
     nu <= degree, in ``_sweep_coefficients`` order: C_0 (the Gamma form of
-    X = P Y at nu = 0), the C_j and the C_ij of the module docstring, each
-    as its five D4 blocks and the bound on what they drop.
+    X = P Y at nu = 0), the C_j and the C_ij of the module docstring, for a
+    configuration that passes the symmetry check.
 
-    The sparse part E^j + E^jH of C_j is split once and, negated, is
-    C_0j too (C_00 = -I, half of -(I + I)): exact scalings, so six sparse
-    splits serve nu <= 2.  The blocks of the C_ij stay sparse (COO), the
-    others are dense; no N x N_c factor outlives its blocks.
+    Every block comes from the blocks of sparse operators: Y's from those of
+    A_c and R A, U_0's from those of P and P^H P, C_j's from those of
+    E^j + E^jH and -E^jH P.  E^j + E^jH is split once and, negated, is C_0j
+    too (C_00 = -I, half of -(I + I)): exact scalings.  The blocks of the
+    C_ij stay sparse (COO), the others are dense.
     """
-    Y = _coarse_correction(cfg, cfg.A)
+    Y = _coarse_blocks(cfg, cfg.A, _mirror_sparse)
     P, N = cfg.pair.P, cfg.A.shape[0]
-    _, U0 = _gamma_factors(sp.csr_matrix((N, N), dtype=complex), P, Y)  # MA = 0
-    Y = _mirror_factor(Y)  # in place: the blocks need only these
-    terms = [_mirror_blocks(None, U0, Y)]
+    U0 = _thin_blocks(sp.csr_matrix((N, N), dtype=complex), P, Y, _mirror_sparse)  # MA = 0
+    terms = [_form([None] * 5, U0, Y)]
     del U0
     I = sp.identity(N, dtype=complex, format="csr")
     E = (sp.diags(reciprocal_diagonal(cfg.A)) @ cfg.A).tocsr() - I
     powers = [I]
     for _ in range(degree):
         powers.append(E @ powers[-1])
-    S = [_mirror_sparse(Ej + Ej.conj().T) for Ej in powers]
-    terms += [_mirror_blocks(Sj, -(Ej.conj().T @ P).toarray(), Y) for Ej, Sj in zip(powers, S)]
+    S = [_sparse_blocks(Ej + Ej.conj().T) for Ej in powers]
+    terms += [_form(Sj, [B.toarray() for B in _mirror_sparse(-(Ej.conj().T @ P))], Y)
+              for Ej, Sj in zip(powers, S)]
     terms += [_scaled(S[0], -0.5), *(_scaled(Sj, -1.0) for Sj in S[1:])]
     for i, Ei in enumerate(powers[1:], 1):
         for Ej in powers[i:]:
             G = Ei.conj().T @ Ej
-            terms.append(_mirror_sparse(-(G if Ej is Ei else G + G.conj().T)))
+            terms.append(_scaled(_sparse_blocks(G if Ej is Ei else G + G.conj().T), -1.0))
     return terms
 
 
 def _add_terms(terms, coefs):
-    """(sum_c coef_c blocks_c, block by block, and sum_c |coef_c| bound_c)
-    over ``_sweep_terms``; the first term, C_0, is dense with coefficient 1,
-    and no sparse block holds duplicate entries."""
-    (first, dropped), *rest = terms
+    """sum_c coef_c blocks_c, block by block, over ``_sweep_terms``; the
+    first term, C_0, is dense with coefficient 1, and no sparse block holds
+    duplicate entries."""
+    first, *rest = terms
     K = [B.copy() for B in first]
-    for (blocks, bound), c in zip(rest, coefs[1:]):
+    for blocks, c in zip(rest, coefs[1:]):
         if c == 0.0:
             continue
-        dropped += abs(c) * bound
         for Kp, B in zip(K, blocks):
             if sp.issparse(B):
                 Kp[B.row, B.col] += c * B.data
             else:
                 Kp += c * B
-    return K, dropped
+    return K
 
 
 def _check_sweep_cell(first, cfg, omega, nu):
@@ -804,28 +749,29 @@ def omega_sweep(make_cfg, omegas, nus):
 
     ``make_cfg(omega, nu)`` must return a TwoGridConfig with the A,
     coarse_build_op and pair of ``make_cfg(omegas[0], nus[0])``, equal by
-    value; otherwise ValueError names the first cell that differs.  Each
-    cell's Gamma-tilde is sum_c coef_c(omega, nu) C_c over fixed Hermitian
-    C_c (module docstring), whose five D4 blocks and factor bounds are
-    built once per sweep.  A cell adds up the blocks and hands them to
-    ``_ratio`` when sum_c |coef_c| bound_c <= MIRROR_TOL ||K||_F; otherwise
-    (variable k) ValueError names the gate value.  nu = 0 rows are
-    flagged; a singular Gamma-tilde reads 0.0, flagged.
+    value; otherwise ValueError names the first cell that differs.  That
+    first cell must pass the symmetry check (``_d4_invariant``); otherwise
+    (variable k) ValueError names it.  Each cell's Gamma-tilde is
+    sum_c coef_c(omega, nu) C_c over fixed Hermitian C_c (module
+    docstring), whose five D4 blocks are built once per sweep
+    (``_sweep_terms``); a cell adds up the blocks and hands them to
+    ``_ratio``.  nu = 0 rows are flagged; a singular Gamma-tilde reads 0.0,
+    flagged.
     """
     grid = [(omega, nu) for omega in omegas for nu in nus]
     cfgs = [make_cfg(omega, nu) for omega, nu in grid]
     for (omega, nu), cfg in zip(grid, cfgs):
         _check_sweep_cell(cfgs[0], cfg, omega, nu)
+    if _splitter(cfgs[0]) is _full:
+        raise ValueError(
+            "omega_sweep: make_cfg({!r}, {!r}) is not exactly invariant under the reflections "
+            "and the swap of the square; the sweep takes constant-k configurations "
+            "only".format(*grid[0]))
     degree = max(cfg.nu for cfg in cfgs)
     terms = _sweep_terms(cfgs[0], degree)
     rows = []
     for (omega, nu), cfg in zip(grid, cfgs):
-        K, dropped = _add_terms(terms, _sweep_coefficients(cfg.omega, cfg.nu, degree))
-        gate = _gate(K, dropped)
-        if gate > MIRROR_TOL:
-            raise ValueError(
-                f"omega_sweep: make_cfg({omega!r}, {nu!r}) fails the D4 gate ({gate:.3g} > "
-                f"MIRROR_TOL = {MIRROR_TOL:g}); the sweep takes constant-k configurations only")
+        K = _add_terms(terms, _sweep_coefficients(cfg.omega, cfg.nu, degree))
         val = _ratio(K, _hpd_verdict(K)[1])  # which empties K
         flag = "degenerate-no-smoothing" if nu == 0 else ""
         if np.isnan(val):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,19 +7,17 @@ import scipy.sparse as sp
 
 from helmmg import certificate, linalg
 from helmmg.certificate import (
-    MIRROR_TOL,
     TwoGridConfig,
-    _butterfly,
+    _coarse_blocks,
     _coarse_correction,
-    _form_blocks,
-    _gamma_factors,
+    _d4_invariant,
+    _form,
     _gamma_form,
-    _gate,
     _hpd_verdict,
-    _mirror_blocks,
-    _mirror_factor,
     _mirror_sparse,
     _smoothed,
+    _sparse_gamma,
+    _thin_blocks,
     assemble_D,
     certify,
     omega_sweep,
@@ -39,7 +39,7 @@ from helmmg.problem import (
     nodes_for_wavenumber,
 )
 from helmmg.smoothing import SmootherConfig
-from helmmg.transfer import build_transfer_2d
+from helmmg.transfer import TransferPair, build_transfer_2d
 
 
 def make_cfg(k=5.0, n=9, scheme="bezier", coarsen="csl", omega=4.5, nu=1,
@@ -348,10 +348,10 @@ def test_omega_sweep_cells_must_share_the_operators(change, name):
 
 
 def test_omega_sweep_builds_its_factors_once(monkeypatch):
-    # a cell only adds up coefficient blocks: the dense butterflies, the
-    # thin factor products and the sparse mirror splits are made once per
-    # sweep, so 2 and 5 omegas make the same number of each
-    counts = dict.fromkeys(("_butterfly", "_hermitian_low_rank", "_mirror_sparse"), 0)
+    # a cell only adds up coefficient blocks: the coarse blocks' LUs, the
+    # thin block products and the sparse D4 splits are made once per sweep,
+    # so 2 and 5 omegas make the same number of each
+    counts = dict.fromkeys(("lu_factor_checked", "_hermitian_low_rank", "_mirror_sparse"), 0)
     for name in counts:
         def record(*args, _name=name, _f=getattr(certificate, name)):
             counts[_name] += 1
@@ -363,12 +363,13 @@ def test_omega_sweep_builds_its_factors_once(monkeypatch):
         rows = omega_sweep(lambda w, nu: make_cfg(omega=w, nu=nu), omegas, (1, 2))
         assert len(rows) == 2 * len(omegas)
         seen.append(dict(counts))
-    # nu <= 2: C_0 and the C_j of E^0 = I, E and E^2 with a thin factor (Y
-    # and four U butterflied, 5 D4 block products each), and six sparse
-    # splits: I + I, E + E^H and E^2 + E^2H (the sparse parts of the C_j,
-    # which also stand for the C_0j) and the C_ij of E and E^2
-    assert seen[0] == seen[1] == {"_butterfly": 5, "_hermitian_low_rank": 20,
-                                  "_mirror_sparse": 6}
+    # nu <= 2: Y from the five blocks of A_c and R A (one LU each); C_0 and
+    # the C_j of E^0 = I, E and E^2 with a thin factor (5 block products
+    # each); thirteen sparse splits: A_c, R A, P and P^H P for Y and U_0,
+    # E^j + E^jH (the sparse parts of the C_j, which also stand for the
+    # C_0j) and -E^jH P for j = 0, 1, 2, and the C_ij of E and E^2
+    assert seen[0] == seen[1] == {"lu_factor_checked": 5, "_hermitian_low_rank": 20,
+                                  "_mirror_sparse": 13}
 
 
 @pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
@@ -437,8 +438,8 @@ class FakeBig:
 # --- the D4 basis, built by numpy -------------------------------------------
 
 def mirror_Q1(n):
-    """Dense 1-D butterfly of ``_butterfly``: (x_i +- x_j)/sqrt(2) at i and
-    j = n-1-i, and x_m at the centre m of an odd n."""
+    """Dense 1-D mirror basis Q1 of ``_mirror_basis``: (x_i +- x_j)/sqrt(2)
+    at i and j = n-1-i, and x_m at the centre m of an odd n."""
     Q = np.zeros((n, n))
     if n % 2:
         Q[n // 2, n // 2] = 1.0
@@ -450,7 +451,7 @@ def mirror_Q1(n):
 
 
 def mirror_Q(n):
-    """Dense 2-D butterfly Q = Q1 (x) Q1 of ``_butterfly``."""
+    """Dense 2-D mirror basis Q = Q1 (x) Q1."""
     return np.kron(mirror_Q1(n), mirror_Q1(n))
 
 
@@ -486,11 +487,12 @@ def d4_block_sizes(n):
             m * (m - 1) // 2, (m + 1) * m]
 
 
-def dense_d4_blocks(H, n):
-    """The five D4 blocks ee+, ee-, oo+, oo-, eo of V H V^T, by numpy."""
-    V, label = d4_basis(n)
-    VHV = V @ H @ V.T
-    return [VHV[np.ix_(label == b, label == b)] for b in range(5)]
+def dense_d4_blocks(H, n, n_c=None):
+    """The five D4 blocks ee+, ee-, oo+, oo-, eo of V_r H V_c^T, by numpy:
+    rows on the n x n grid, columns on the n_c x n_c grid (default n)."""
+    (Vr, rows), (Vc, cols) = d4_basis(n), d4_basis(n_c or n)
+    VHV = Vr @ H @ Vc.T
+    return [VHV[np.ix_(rows == b, cols == b)] for b in range(5)]
 
 
 def fro(blocks):
@@ -519,27 +521,217 @@ def test_d4_basis_is_orthogonal_and_commutes_with_the_square():
             assert np.abs(H[np.ix_(g, g)] - H).max() <= 1e-13
 
 
+# --- the exact symmetry check ------------------------------------------------
+
+def symmetry_maps(n):
+    """Node maps of the x-reflection, the y-reflection and the swap of the
+    n x n grid."""
+    grid = np.arange(n * n).reshape(n, n)
+    return [g.ravel() for g in (grid[:, ::-1], grid[::-1], grid.T)]
+
+
+SYMMETRIES = ("x-reflection", "y-reflection", "swap")
+
+
+def broken_symmetries(cfg):
+    """The (operator, symmetry) pairs under which cfg's A, coarse-build
+    operator B, P or R differ from their image, entry for entry, by scipy's
+    fancy indexing: an independent reference for ``_d4_invariant``."""
+    n, nc = (int(round(np.sqrt(N))) for N in cfg.pair.P.shape)
+    fine, coarse = symmetry_maps(n), symmetry_maps(nc)
+    ops = {"A": (cfg.A, fine, fine), "B": (cfg.coarse_build_op, fine, fine),
+           "P": (cfg.pair.P, fine, coarse), "R": (cfg.pair.R, coarse, fine)}
+    return [(op, name) for op, (X, rows, cols) in ops.items()
+            for name, r, c in zip(SYMMETRIES, rows, cols) if (X[r][:, c] != X).nnz]
+
+
+@pytest.mark.parametrize("k", [5, 10, 20, 30])
+def test_table_inputs_pass_the_symmetry_check(k):
+    # every conv1/opt1 table input, both transfer schemes coarsened on A and
+    # on the CSL: no entry of A, the CSL, P or R differs from its image under
+    # the two reflections or the swap
+    n, A, C = certificate._table_inputs(k)
+    for scheme in ("linear", "bezier"):
+        pair = build_transfer_2d(n, scheme)
+        for B in (A, C):
+            cfg = TwoGridConfig(A=A, coarse_build_op=B, pair=pair)
+            assert broken_symmetries(cfg) == []
+            assert _d4_invariant(cfg)
+
+
+@pytest.mark.parametrize("k, n", [(1.0, 3), (0.5, 3), (2.0, 5), (5.0, 9), (6.0, 11), (10.0, 17)])
+def test_small_grids_pass_the_symmetry_check(k, n):
+    # the grids of the CLI examples (n = 3, 5) and of these tests (n = 9, 11,
+    # 17), with and without the shift
+    for scheme in ("linear", "bezier"):
+        for coarsen in ("original", "csl"):
+            for beta2 in (0.7, 0.0):
+                cfg = make_cfg(k=k, n=n, scheme=scheme, coarsen=coarsen, beta2=beta2)
+                assert broken_symmetries(cfg) == []
+                assert _d4_invariant(cfg)
+
+
+def test_smooth_medium_fails_the_symmetry_check():
+    # MP 2-B's k(x, y) breaks every symmetry of A and of the CSL; the
+    # transfer pair keeps them
+    cfg = smooth_medium_cfg()
+    assert not _d4_invariant(cfg)
+    assert broken_symmetries(cfg) == [(op, name) for op in ("A", "B") for name in SYMMETRIES]
+
+
+def nudged(X, i, j, g_r, g_c):
+    """X (CSR) with the entry (i, j) and its images under the x-reflection,
+    the y-reflection and both moved up by one ulp in the real part, given
+    the node maps (x-reflection, y-reflection, swap) of its rows and
+    columns: still invariant under the reflections, not under the swap."""
+    X = X.toarray()
+    orbit = {(i, j), (g_r[0][i], g_c[0][j]), (g_r[1][i], g_c[1][j]),
+             (g_r[0][g_r[1][i]], g_c[0][g_c[1][j]])}
+    v = X[i, j]
+    assert v != 0 and all(X[a, b] == v for a, b in orbit)
+    for a, b in orbit:
+        X[a, b] = np.nextafter(v.real, np.inf) + 1j * v.imag
+    return sp.csr_matrix(X)
+
+
+def swap_broken_cfg(op, omega=3.5, nu=1):
+    """k = 5, n = 9, Bezier coarsened on the CSL, with one off-diagonal
+    entry of A or of the CSL B (the x-neighbour coupling of nodes
+    (x, y) = (1, 0) and (2, 0)) or of P (fine node (1, 0) from coarse node
+    (0, 0)) and its reflection images one ulp up."""
+    cfg = make_cfg(omega=omega, nu=nu)
+    fine, coarse = symmetry_maps(9), symmetry_maps(5)
+    if op == "A":
+        return replace(cfg, A=nudged(cfg.A, 1, 2, fine, fine))
+    if op == "B":
+        return replace(cfg, coarse_build_op=nudged(cfg.coarse_build_op, 1, 2, fine, fine))
+    pair = TransferPair(P=nudged(cfg.pair.P, 1, 0, fine, coarse), R=cfg.pair.R)
+    return replace(cfg, pair=pair)
+
+
+@pytest.mark.parametrize("op", ["A", "B", "P"])
+def test_one_ulp_off_the_swap_takes_the_full_path(op, monkeypatch):
+    # one ulp that breaks only the swap fails the check: table_entry and
+    # certify take the one full block of every operator and still match
+    # the dense references, and omega_sweep refuses the configuration,
+    # naming the cell
+    cfg = swap_broken_cfg(op)
+    assert broken_symmetries(cfg) == [(op, "swap")]
+    assert not _d4_invariant(cfg)
+    sizes = []
+    norm2 = certificate.norm2_from_gram
+
+    def record_norm2(H):
+        sizes.append(H.shape[0])
+        return norm2(H)
+
+    monkeypatch.setattr(certificate, "norm2_from_gram", record_norm2)
+    T0 = dense_T0(cfg)
+    hpd, t0 = table_entry(cfg)
+    assert abs(t0 - gram_norm(T0)) <= 1e-13 * gram_norm(T0)
+    assert hpd == cholesky_hpd_test(dense_gamma_tilde(cfg))
+    rep = certify(cfg)
+    assert rep.norm_T0 == t0
+    want = gram_norm(np.eye(81) - T0)
+    assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
+    assert abs(rep.ratio_table_value - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
+    assert sizes == [81] * 3
+    with pytest.raises(ValueError, match=r"make_cfg\(3\.5, 1\) is not exactly invariant under "
+                                         r"the reflections and the swap"):
+        omega_sweep(lambda w, nu: swap_broken_cfg(op, w, nu), (3.5,), (1,))
+
+
+@pytest.mark.parametrize("k, n", [(5.0, 9), (6.0, 11), (10.0, 17)])
+def test_coarse_blocks_are_the_d4_blocks_of_Y(k, n):
+    # the five LUs of the A_c blocks solve the D4 blocks V_c Y V_f^T of the
+    # dense Y = A_c^-1 R A, which has nothing else (n = 11: an even coarse
+    # side)
+    cfg = make_cfg(k=k, n=n)
+    nc = (n + 1) // 2
+    Y = _coarse_correction(cfg, cfg.A)
+    want = dense_d4_blocks(Y, nc, n)
+    got = _coarse_blocks(cfg, cfg.A, _mirror_sparse)
+    assert [B.shape for B in got] == [B.shape for B in want]
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+    assert abs(fro(whole(want)) - np.linalg.norm(Y)) <= 1e-13 * np.linalg.norm(Y)
+
+
+def laplacian_cfg(n, perturb=False):
+    """The graph Laplacian of the n x n grid as A and coarse-build operator,
+    linear transfer: its rows sum to zero, so the constants, the ee+
+    direction of A_c, are in the kernel of A_c = R A P.  ``perturb`` moves
+    one off-diagonal entry and its reflection images by one ulp."""
+    grid = np.arange(n * n).reshape(n, n)
+    L = sp.lil_matrix((n * n, n * n), dtype=complex)
+    for a, b in [*zip(grid[:, :-1].ravel(), grid[:, 1:].ravel()),
+                 *zip(grid[:-1].ravel(), grid[1:].ravel())]:
+        L[a, b] = L[b, a] = -1.0
+        L[a, a] += 1.0
+        L[b, b] += 1.0
+    L = L.tocsr()
+    if perturb:
+        L = nudged(L, 1, 2, symmetry_maps(n), symmetry_maps(n))
+    return TwoGridConfig(A=L, coarse_build_op=L, pair=build_transfer_2d(n, "linear"))
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_singular_coarse_block_names_the_d4_block(n):
+    # each coarse block has its own LU, whose pivot tolerance is relative to
+    # that block: the singular ee+ block of the Laplacian's A_c (3 x 3 and
+    # 15 x 15) is named; the same A_c through the one full LU (the check
+    # fails one ulp off) names no block
+    cfg = laplacian_cfg(n)
+    assert _d4_invariant(cfg)
+    msg = r"^coarse operator A_c singular to tolerance at pivot index \d+ of D4 block ee\+$"
+    for run in (certify, table_entry, lambda c: omega_sweep(lambda w, nu: c, (4.5,), (1,))):
+        with pytest.raises(np.linalg.LinAlgError, match=msg):
+            run(cfg)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^coarse operator A_c singular to tolerance at pivot index \d+$"):
+        table_entry(laplacian_cfg(n, perturb=True))
+
+
+def test_mirror_sparse_is_the_mirror_basis_and_keeps_frobenius():
+    # sparse operators that commute with D4, square (A, n = 9) and from a
+    # coarse grid to a fine one and back (P and R, n_c = 5 and the even 6):
+    # their five blocks are the numpy D4 blocks, and with eo counted twice
+    # they keep the Frobenius norm.  An operator that does not commute
+    # (variable k) still gets the five numpy blocks
+    for n, nc in ((9, 9), (9, 5), (5, 9), (11, 6), (6, 11)):
+        pair = make_cfg(k=5.0, n=max(n, nc)).pair
+        X = make_cfg(k=5.0, n=n).A if n == nc else pair.P if n > nc else pair.R
+        got = _mirror_sparse(X)
+        want = dense_d4_blocks(X.toarray(), n, nc)
+        assert [B.shape for B in got] == [B.shape for B in want]
+        assert fro([g.toarray() - w for g, w in zip(got, want)]) <= 1e-15 * fro(want)
+        assert abs(fro([B.toarray() for B in whole(got)]) - sla.norm(X.toarray())) \
+            <= 1e-14 * sla.norm(X.toarray())
+    X = smooth_medium_cfg().A
+    got, want = _mirror_sparse(X), dense_d4_blocks(X.toarray(), 17)
+    assert fro([g.toarray() - w for g, w in zip(got, want)]) <= 1e-15 * fro(want)
+
+
 # --- ||.||_2 from the five D4 blocks ------------------------------------------
 
-def record_gates(monkeypatch, ratios):
-    """Append the ratio of every D4 gate (factor and sweep cell gates
-    alike) to ``ratios``."""
-    gate = certificate._gate
+def record_checks(monkeypatch, checks):
+    """Append the outcome of every symmetry check to ``checks``."""
+    check = certificate._d4_invariant
 
-    def record_gate(blocks, dropped):
-        ratio = gate(blocks, dropped)
-        ratios.append(ratio)
-        return ratio
+    def record_check(cfg):
+        ok = check(cfg)
+        checks.append(ok)
+        return ok
 
-    monkeypatch.setattr(certificate, "_gate", record_gate)
+    monkeypatch.setattr(certificate, "_d4_invariant", record_check)
 
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """Record the gate ratios and the Gram sizes handed to ``norm2_from_gram``."""
-    calls = {"ratios": [], "sizes": []}
+    """Record the symmetry checks and the Gram sizes handed to ``norm2_from_gram``."""
+    calls = {"checks": [], "sizes": []}
     norm2 = certificate.norm2_from_gram
-    record_gates(monkeypatch, calls["ratios"])
+    record_checks(monkeypatch, calls["checks"])
 
     def record_norm2(H):
         calls["sizes"].append(H.shape[0])
@@ -572,11 +764,10 @@ def test_grid_norm2_block_path_matches_dense(k, scheme, coarsen, nu, norm_calls)
     assert rep.norm_T0 == t0
     want = gram_norm(np.eye(N) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
-    # one gate per form (table_entry: Gamma-tilde and Gamma; certify:
-    # (DA)^H DA, Gamma and Gamma-tilde), each passed, and only the five
-    # blocks of each norm's form were solved
-    assert len(norm_calls["ratios"]) == 5
-    assert max(norm_calls["ratios"]) <= MIRROR_TOL
+    # one passed check each (table_entry, certify), and only the five
+    # blocks of each norm's form (table_entry: Gamma; certify: (DA)^H DA
+    # and Gamma) were solved
+    assert norm_calls["checks"] == [True, True]
     assert norm_calls["sizes"] == d4_block_sizes(n) * 3
 
 
@@ -593,7 +784,7 @@ def smooth_medium_cfg(omega=4.5, nu=1, scheme="bezier", coarsen="csl"):
 
 
 def test_grid_norm2_variable_k_takes_full_path(norm_calls):
-    # MP 2-B breaks the symmetries of the square: every gate fails and the
+    # MP 2-B breaks the symmetries of the square: the check fails and the
     # whole Gram is solved, still exactly
     cfg = smooth_medium_cfg()
     T0 = dense_T0(cfg)
@@ -601,51 +792,18 @@ def test_grid_norm2_variable_k_takes_full_path(norm_calls):
     assert abs(rep.norm_T0 - gram_norm(T0)) <= 1e-13 * gram_norm(T0)
     want = gram_norm(np.eye(17 * 17) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
-    assert min(norm_calls["ratios"]) > 1e3 * MIRROR_TOL
+    assert norm_calls["checks"] == [False]
     assert norm_calls["sizes"] == [17 * 17, 17 * 17]
-
-
-def test_butterfly_is_the_mirror_basis_and_keeps_frobenius():
-    n = 9
-    rng = np.random.default_rng(3)
-    H = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-    Q = mirror_Q(n)
-    got = H.copy()
-    _, parities, cols = _butterfly(got)
-    even, odd = slice(0, 5), slice(5, 9)
-    assert parities == cols == [(even, even), (even, odd), (odd, even), (odd, odd)]
-    assert rel_fro(got, Q @ H @ Q.T) <= 1e-14
-    assert abs(np.linalg.norm(got) - np.linalg.norm(H)) <= 1e-14 * np.linalg.norm(H)
-    # a thin factor: fine rows on n = 9, coarse columns on n_c = 5
-    X = H[:, :25].copy()
-    _, rows, cols = _butterfly(X)
-    assert rows == parities
-    assert cols == [(slice(0, 3), slice(0, 3)), (slice(0, 3), slice(3, 5)),
-                    (slice(3, 5), slice(0, 3)), (slice(3, 5), slice(3, 5))]
-    assert rel_fro(X, Q @ H[:, :25] @ mirror_Q(5).T) <= 1e-14
-    # an even coarse side: fine rows on n = 11, coarse columns on n_c = 6,
-    # which has no centre node; a second butterfly undoes the first
-    Z = rng.standard_normal((121, 36)) + 1j * rng.standard_normal((121, 36))
-    X = Z.copy()
-    _, rows, cols = _butterfly(X)
-    assert rows == [(a, b) for a in (slice(0, 6), slice(6, 11))
-                    for b in (slice(0, 6), slice(6, 11))]
-    assert cols == [(a, b) for a in (slice(0, 3), slice(3, 6))
-                    for b in (slice(0, 3), slice(3, 6))]
-    assert rel_fro(X, mirror_Q(11) @ Z @ mirror_Q(6).T) <= 1e-14
-    assert abs(np.linalg.norm(X) - np.linalg.norm(Z)) <= 1e-14 * np.linalg.norm(Z)
-    _butterfly(X)
-    assert rel_fro(X, Z) <= 1e-14
 
 
 # --- 1 / ||Gamma-tilde^-1||_1 from the five D4 blocks -----------------------
 
 @pytest.fixture
 def inverse_calls(monkeypatch):
-    """Record the gate ratios, the sizes handed to ``inverse`` and the LU inputs."""
-    calls = {"ratios": [], "sizes": [], "lu": []}
+    """Record the symmetry checks, the sizes handed to ``inverse`` and the LU inputs."""
+    calls = {"checks": [], "sizes": [], "lu": []}
     inv, lu = certificate.inverse, linalg.lu_factor_checked
-    record_gates(monkeypatch, calls["ratios"])
+    record_checks(monkeypatch, calls["checks"])
 
     def record_inverse(M, what, *factor):
         calls["sizes"].append(M.shape[0])
@@ -667,13 +825,12 @@ def dense_ratio(cfg):
 
 def sweep_and_certify_ratio(make, omega, nu, calls):
     """The one-cell ``omega_sweep`` ratio and the ``certify`` ratio of make(omega, nu),
-    with the last gate ratio and the inverted sizes of each."""
+    with the outcome of the symmetry check and the inverted sizes of each."""
     cell, = omega_sweep(make, (omega,), (nu,))
-    sweep = cell["ratio"], calls["ratios"][-1], calls["sizes"][:]
+    sweep = cell["ratio"], calls["checks"][-1], calls["sizes"][:]
     calls["sizes"].clear()
     rep = certify(make(omega, nu))
-    # certify's last gate is Gamma-tilde's: the two norms come first
-    return sweep, (rep.ratio_table_value, calls["ratios"][-1], calls["sizes"][:])
+    return sweep, (rep.ratio_table_value, calls["checks"][-1], calls["sizes"][:])
 
 
 @pytest.mark.parametrize("nu", [1, 2])
@@ -691,20 +848,20 @@ def test_ratio_block_path_matches_dense_inverse(k, scheme, coarsen, nu, inverse_
                         omega=omega, nu=nu)
 
     want = dense_ratio(make(4.5, nu))
-    for got, gate, sizes in sweep_and_certify_ratio(make, 4.5, nu, inverse_calls):
+    for got, check, sizes in sweep_and_certify_ratio(make, 4.5, nu, inverse_calls):
         assert abs(got - want) <= 1e-12 * want
-        assert gate <= MIRROR_TOL
+        assert check
         assert sizes == d4_block_sizes(n)
 
 
 def test_ratio_variable_k_takes_full_path(inverse_calls):
-    # MP 2-B: the gate fails and certify inverts the whole Gamma-tilde (the
+    # MP 2-B: the check fails and certify inverts the whole Gamma-tilde (the
     # sweep refuses such a configuration:
     # test_full_form_when_the_factors_do_not_split)
     want = dense_ratio(smooth_medium_cfg())
     got = certify(smooth_medium_cfg()).ratio_table_value
     assert abs(got - want) <= 1e-12 * want
-    assert inverse_calls["ratios"][-1] > 1e3 * MIRROR_TOL
+    assert inverse_calls["checks"] == [False]
     assert inverse_calls["sizes"] == [17 * 17]
 
 
@@ -714,7 +871,7 @@ def test_mirror_norm1_matches_dense(centre):
     # the columns of one eighth of the square against numpy's over every
     # column: n = 3 (an empty oo- block), 6 (no centre node) and 9.
     # centre = 50 puts the largest column sum on the last row of ee+, the
-    # centre node of an odd side, whose butterfly coefficient is 1
+    # centre node of an odd side, whose basis coefficient is 1
     for n in (3, 6, 9):
         V, label = d4_basis(n)
         rng = np.random.default_rng(n)
@@ -761,24 +918,33 @@ def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
     inverse_calls["sizes"].clear()
     cell, = omega_sweep(lambda w, nu: make_cfg(coarsen="original", omega=w, nu=nu),
                         (4.5,), (1,))
-    assert inverse_calls["ratios"][-1] <= MIRROR_TOL
+    assert inverse_calls["checks"][-1]
     assert inverse_calls["sizes"] == d4_block_sizes(9)
     assert inverse_calls["lu"] == [("Gamma-tilde", 15), ("Gamma-tilde", 10)]
     want = dense_ratio(cfg)
     assert abs(cell["ratio"] - want) <= 1e-12 * want
 
 
+def gamma_blocks(cfg):
+    """The blocks of Gamma-tilde (W = P) and of Gamma (W = S P) under the
+    split the symmetry check picks."""
+    split = certificate._splitter(cfg)
+    Y = _coarse_blocks(cfg, cfg.A, split)
+    MA = _smoothed(cfg)
+    MAh, Gs = _sparse_gamma(MA)
+    P = cfg.pair.P
+    return [_form(split(Gs), _thin_blocks(MAh, W, Y, split), Y) for W in (P, P - MA @ P)]
+
+
 @pytest.mark.parametrize("n", [3, 9, 11, 33])
 def test_d4_blocks_match_dense(n):
     # Gamma-tilde (Bezier coarsened on the CSL, omega = 3.5, nu = 1) from
-    # the butterflied factors: the five D4 blocks have the basis sizes
-    # (153/136/136/120/272 at n = 33; the 3 x 3 grid has an empty oo-
+    # the blocks of the sparse operators: the five D4 blocks have the basis
+    # sizes (153/136/136/120/272 at n = 33; the 3 x 3 grid has an empty oo-
     # block, n = 11 an even coarse side), their spectra with eo counted
     # twice are the dense form's, and 1 / ||Gt^-1||_1 from them is numpy's
     cfg = make_cfg(k={3: 1.0, 9: 5.0, 11: 6.0, 33: 20.0}[n], n=n, omega=3.5)
-    Y = _coarse_correction(cfg, cfg.A)
-    blocks = _form_blocks(*_gamma_factors(_smoothed(cfg), cfg.pair.P, Y), Y,
-                          _mirror_factor(Y.copy()))
+    blocks, _ = gamma_blocks(cfg)
     assert [B.shape[0] for B in blocks] == d4_block_sizes(n)
     if n == 33:
         assert d4_block_sizes(n) == [153, 136, 136, 120, 272]
@@ -799,124 +965,20 @@ def test_d4_blocks_match_dense(n):
 @pytest.mark.parametrize("scheme", ["linear", "bezier"])
 @pytest.mark.parametrize("k", [5, 6, 8, 10])
 def test_gamma_blocks_match_dense_form(k, scheme, coarsen, nu, monkeypatch):
-    # Gamma-tilde (W = P) and Gamma (W = S P) from the butterflied factors
-    # against the D4 blocks of the dense numpy forms; both gates pass, on
-    # the even coarse sides of k = 6 and 8 too
-    ratios = []
-    record_gates(monkeypatch, ratios)
+    # Gamma-tilde (W = P) and Gamma (W = S P) from the blocks of the sparse
+    # operators against the D4 blocks of the dense numpy forms; the check
+    # passes, on the even coarse sides of k = 6 and 8 too
+    checks = []
+    record_checks(monkeypatch, checks)
     n = nodes_for_wavenumber(k)
     cfg = make_cfg(k=float(k), n=n, scheme=scheme, coarsen=coarsen, nu=nu)
-    Y = _coarse_correction(cfg, cfg.A)
-    Ym = _mirror_factor(Y.copy())
-    MA, P = _smoothed(cfg), cfg.pair.P
     DA = np.eye(n * n) - dense_T0(cfg)
-    for W, dense in ((P, dense_gamma_tilde(cfg)),
-                     (P - MA @ P, DA.conj().T + DA - DA.conj().T @ DA)):
-        got = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
-        want = dense_d4_blocks(dense, n)
+    dense = (dense_gamma_tilde(cfg), DA.conj().T + DA - DA.conj().T @ DA)
+    for got, form in zip(gamma_blocks(cfg), dense):
+        want = dense_d4_blocks(form, n)
         assert [B.shape for B in got] == [B.shape for B in want]
-        assert fro([g - w for g, w in zip(got, want)]) <= 1e-13 * np.linalg.norm(dense)
-    assert len(ratios) == 2 and max(ratios) <= MIRROR_TOL
-
-
-def off_d4(n_rows, n_cols, seed, keep=lambda rows, cols: rows != cols):
-    """A random complex matrix in D4 coordinates, rows on an n_rows grid and
-    columns on an n_cols grid, that is zero except where ``keep`` holds of
-    the row and column labels: by default off the D4 blocks."""
-    rows, cols = d4_basis(n_rows)[1][:, None], d4_basis(n_cols)[1][None, :]
-    rng = np.random.default_rng(seed)
-    shape = (rows.size, cols.size)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * keep(rows, cols)
-
-
-#: Perturbations of test_factor_gate that break only the swap, by the D4
-#: labels of the rows and columns of U they touch: U's oe block no longer
-#: equals its eo block, or U's ee block gains a swap-odd part
-SWAP_ONLY = {"swap-oe": lambda rows, cols: (rows == 5) & (cols == 5),
-             "swap-ee": lambda rows, cols: (rows == 0) & (cols == 1)}
-
-
-@pytest.mark.parametrize("factor", ["U", "Y", "swap-oe", "swap-ee"])
-@pytest.mark.parametrize("scale, blocks", [(0.5, True), (2.0, False)])
-def test_factor_gate(factor, scale, blocks, monkeypatch):
-    # a perturbation of U (or of Y) off the D4 blocks, or one of U that
-    # breaks only the swap (SWAP_ONLY), sized so that its share of the
-    # bound is scale * MIRROR_TOL * ||K||_F: the gate alone decides between
-    # the blocks and the full form, which the un-butterflied U then builds.
-    # k = 5, n = 9, n_c = 5
-    cfg = make_cfg(omega=3.5, nu=1)
-    Y = _coarse_correction(cfg, cfg.A)
-    MA, P = _smoothed(cfg), cfg.pair.P
-    Hs, U = _gamma_factors(MA, P, Y)
-    K, dropped = _mirror_blocks(_mirror_sparse(Hs), U.copy(), _mirror_factor(Y.copy()))
-    assert _gate(K, dropped) <= 0.05 * MIRROR_TOL
-    share = scale * MIRROR_TOL * fro(whole(K))
-    # the perturbed factor term of the bound is 2 ||U_o|| ||Yb|| for U (oe
-    # minus eo and the swap-odd parts are part of U_o) and 2 ||U_d|| ||Y_o||
-    # for Y, with
-    # ||Yb|| = ||Y|| and ||U_d|| = ||U|| to rounding
-    Vf, Vc = d4_basis(9)[0], d4_basis(5)[0]
-    if factor == "Y":
-        E = off_d4(5, 9, seed=2)
-        E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(U))
-        U_bad, Y_bad = U, Y + Vc.T @ E @ Vf
-    else:
-        E = off_d4(9, 5, seed=1) if factor == "U" else off_d4(9, 5, 3, SWAP_ONLY[factor])
-        E *= share / (2.0 * np.linalg.norm(E) * np.linalg.norm(Y))
-        U_bad, Y_bad = U + Vf.T @ E @ Vc, Y
-    ratios = []
-    record_gates(monkeypatch, ratios)
-    got = _form_blocks(Hs, U_bad.copy(), Y_bad, _mirror_factor(Y_bad.copy()))
-    ratio, = ratios
-    assert abs(ratio - scale * MIRROR_TOL) <= 0.1 * MIRROR_TOL
-    assert len(got) == (5 if blocks else 1)
-    if blocks:
-        assert fro([g - k for g, k in zip(got, K)]) <= 1e-14 * fro(K)
-    else:
-        UY = U_bad @ Y_bad
-        assert rel_fro(got[0], Hs.toarray() + UY + UY.conj().T) <= 1e-14
-
-
-@pytest.mark.parametrize("diag, off, symmetric", [
-    (0.0, 1.0, True),  # no D4-diagonal factor blocks: U_o Y_o is all
-    (1.0, 0.0, False),  # D4-diagonal factors: only G_o is dropped
-    (1.0, 1.0, False),
-])
-def test_factor_bound_covers_the_dropped_part(diag, off, symmetric):
-    # synthetic factors with D4 blocks scaled by diag (oe equal to eo) and
-    # the rest by off, and a sparse part that commutes with the square's
-    # symmetries or not.  The kept blocks are what they claim, and the
-    # gate ratio times ||K||_F bounds all they drop, the products U_o Y_o
-    # that land inside the blocks included
-    n, nc = 9, 5
-    rng = np.random.default_rng(9)
-    (Vf, fine), (Vc, coarse) = d4_basis(n), d4_basis(nc)
-
-    def factor(rows, cols):
-        # random, the D4 blocks scaled by diag and the rest by off; the oe
-        # block is the eo block plus off times a random one
-        same = rows[:, None] == cols[None, :]
-        X = (rng.standard_normal(same.shape) + 1j * rng.standard_normal(same.shape)) \
-            * np.where(same, diag, off)
-        eo, oe = np.ix_(rows == 4, cols == 4), np.ix_(rows == 5, cols == 5)
-        X[oe] = X[eo] + off * rng.standard_normal(X[eo].shape)
-        return X
-
-    Ub, Yb = factor(fine, coarse), factor(coarse, fine)
-    U, Y = Vf.T @ Ub @ Vc, Vc.T @ Yb @ Vf
-    Hs = make_cfg(n=n).A if symmetric else sp.random(n * n, n * n, density=0.05,
-                                                     random_state=rng, format="csr")
-    Hs = (Hs + Hs.conj().T).tocsr()
-    K, bound = _mirror_blocks(_mirror_sparse(Hs), U.copy(), _mirror_factor(Y.copy()))
-    Hs_b = dense_d4_blocks(Hs.toarray(), n)
-    for p in range(5):
-        i, c = fine == p, coarse == p
-        UY = Ub[np.ix_(i, c)] @ Yb[np.ix_(c, i)]
-        assert np.linalg.norm(K[p] - (Hs_b[p] + UY + UY.conj().T)) <= 1e-14 * fro(K)
-    H = Hs.toarray() + U @ Y + (U @ Y).conj().T
-    dropped = np.linalg.norm(Vf @ H @ Vf.T - sla.block_diag(*whole(K)))
-    assert dropped > 1e-3 * fro(K)
-    assert dropped <= bound * (1.0 + 1e-12)
+        assert fro([g - w for g, w in zip(got, want)]) <= 1e-13 * np.linalg.norm(form)
+    assert checks == [True]
 
 
 @pytest.fixture
@@ -933,37 +995,52 @@ def products(monkeypatch):
     return shapes
 
 
-def test_block_path_makes_no_full_product(products):
+def test_block_path_makes_no_full_product(products, monkeypatch):
     # k = 10, n = 17 (N = 289), n_c = 9 (N_c = 81): omega_sweep's four
     # low-rank coefficient forms (C_0 and those of E^0, E, E^2 at nu <= 2),
     # built once for its four cells, and table_entry's Gamma-tilde (for its
     # verdict) and Gamma (for ||T0||_2) multiply only the five D4 factor
-    # blocks.  certify takes sigma_max(DA), Gamma's residual, verdict and
-    # ||T0||_2, and Gamma-tilde's verdict and ratio from the blocks too;
-    # its one N x N_c x N product is the full Gamma-tilde of the quick
-    # screen, and no (DA)^H DA is formed
+    # blocks, and Y is solved block by block: no LU solve has an N-column
+    # right-hand side.  certify takes sigma_max(DA), Gamma's residual,
+    # verdict and ||T0||_2, and Gamma-tilde's verdict and ratio from the
+    # blocks too; its one N x N_c x N product is the full Gamma-tilde of the
+    # quick screen, from the one dense Y, and no (DA)^H DA is formed
+    rhs = []
+    lu_solve = sla.lu_solve
+
+    def record_lu_solve(lu, b, *args, **kw):
+        rhs.append(b.shape)
+        return lu_solve(lu, b, *args, **kw)
+
+    monkeypatch.setattr(sla, "lu_solve", record_lu_solve)
     blocks = [((45, 15), (15, 45)), ((36, 10), (10, 36)), ((36, 10), (10, 36)),
               ((28, 6), (6, 28)), ((72, 20), (20, 72))]
+    solves = [(15, 45), (10, 36), (10, 36), (6, 28), (20, 72)]
     full = [((289, 81), (81, 289))]
     omega_sweep(lambda w, nu: make_cfg(k=10.0, n=17, omega=w, nu=nu), (1.5, 4.5), (1, 2))
     assert products == blocks * 4
+    assert rhs == solves
     products.clear()
+    rhs.clear()
     table_entry(make_cfg(k=10.0, n=17))
     assert products == blocks * 2
+    assert rhs == solves
     products.clear()
+    rhs.clear()
     certify(make_cfg(k=10.0, n=17))
     assert products == blocks * 3 + full
+    assert rhs == solves + [(81, 289)]
 
 
 @pytest.mark.parametrize("case", ["variable-k", "even coarse side"])
 def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
-    # a smooth variable-k medium fails the gate: table_entry forms the full
-    # Gamma forms, and omega_sweep refuses it, naming the gate value.  On
+    # a smooth variable-k medium fails the symmetry check: table_entry forms
+    # the full Gamma forms, and omega_sweep refuses it, naming the cell.  On
     # n = 11 the coarse grid has n_c = 6 and no centre node, and the
-    # factors still split into the five D4 blocks.  Both match the dense
+    # operators still split into the five D4 blocks.  Both match the dense
     # references
-    ratios = []
-    record_gates(monkeypatch, ratios)
+    checks = []
+    record_checks(monkeypatch, checks)
     make = smooth_medium_cfg if case == "variable-k" else (
         lambda omega=4.5, nu=1: make_cfg(n=11, omega=omega, nu=nu))
     cfg = make()
@@ -971,20 +1048,20 @@ def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
     t0 = table_entry(cfg)[1]
     want = gram_norm(dense_T0(cfg))
     assert abs(t0 - want) <= 1e-13 * want
-    # table_entry's Gamma-tilde and Gamma, then the sweep's cell
+    # table_entry's check, then the sweep's
     if case == "variable-k":
-        with pytest.raises(ValueError, match=r"make_cfg\(4\.5, 1\) fails the D4 gate "
-                                             r"\([0-9.e+-]+ > MIRROR_TOL = 1e-13\)"):
+        with pytest.raises(ValueError, match=r"make_cfg\(4\.5, 1\) is not exactly invariant "
+                                             r"under the reflections and the swap of the square; "
+                                             r"the sweep takes constant-k configurations only"):
             omega_sweep(make, (4.5,), (1,))
-        assert len(ratios) == 3
+        assert checks == [False, False]
         assert products.count(((N, Nc), (Nc, N))) == 2
-        assert min(ratios) > 1e3 * MIRROR_TOL
     else:
         cell, = omega_sweep(make, (4.5,), (1,))
         assert abs(cell["ratio"] - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
-        assert len(ratios) == 3
+        assert checks == [True, True]
         assert products.count(((N, Nc), (Nc, N))) == 0
-        assert Nc == 36 and max(ratios) <= MIRROR_TOL
+        assert Nc == 36
 
 
 # --- HPD verdicts from the D4 blocks -----------------------------------------
@@ -992,10 +1069,8 @@ def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
 def verdict_pairs(cfg):
     """(blocks, block verdict, full-form verdict) of Gamma-tilde and of Gamma."""
     Y = _coarse_correction(cfg, cfg.A)
-    Ym = _mirror_factor(Y.copy())
     MA, P = _smoothed(cfg), cfg.pair.P
-    for W in (P, P - MA @ P):
-        blocks = _form_blocks(*_gamma_factors(MA, W, Y), Y, Ym)
+    for W, blocks in zip((P, P - MA @ P), gamma_blocks(cfg)):
         yield blocks, _hpd_verdict(blocks)[0], cholesky_hpd_test(_gamma_form(MA, W, Y))
 
 
@@ -1023,7 +1098,7 @@ def test_block_verdicts_match_full_verdicts():
 @pytest.mark.parametrize("scheme, coarsen, ok", [("bezier", "csl", True),
                                                  ("linear", "original", False)])
 def test_variable_k_verdict_is_the_full_verdict(scheme, coarsen, ok):
-    # the failed gate leaves one block, the full form: its verdict, the
+    # the failed check leaves one block, the full form: its verdict, the
     # reason with the pivot index of a node included, is the full form's
     # own, byte for byte
     for blocks, got, want in verdict_pairs(smooth_medium_cfg(3.5, 2, scheme, coarsen)):
@@ -1050,28 +1125,31 @@ def test_certify_factors_each_block_once(make, sizes, monkeypatch):
 
 @pytest.mark.parametrize("k, n", [(5, 9), (5, 11), (10, 17), (20, 33)])
 def test_mirror_basis_built_once_and_read_only(k, n, monkeypatch):
-    # the cached sparse D4 basis of side n is the numpy one and gives the
-    # blocks and dropped norm of a fresh build, bit for bit (n = 11 has an
-    # even coarse side), and cannot be written to
+    # the cached sparse D4 basis of side n is the numpy one, its row blocks
+    # and their transposes are its rows in block order, it gives the blocks
+    # of a fresh build bit for bit (n = 11 has an even coarse side), and
+    # cannot be written to
     MA = _smoothed(make_cfg(k=float(k), n=n))
     Hs = (MA + MA.conj().T).tocsr()
     cached = certificate._mirror_sparse(Hs)
-    V, sizes, _, label = certificate._mirror_basis(n)
+    V, rows, cols = certificate._mirror_basis(n)
     assert certificate._mirror_basis(n)[0] is V
     want, want_label = d4_basis(n)
     assert np.abs(V.toarray() - want).max() <= 1e-16
-    assert np.array_equal(label, want_label)
-    for a in (V.data, V.indices, V.indptr, label):
-        assert not a.flags.writeable
+    assert [B.shape[0] for B in rows] == np.bincount(want_label).tolist()
+    assert np.array_equal(sp.vstack(rows).toarray(), V.toarray())
+    assert all(np.array_equal(B.T.toarray(), Bt.toarray()) for B, Bt in zip(rows, cols))
+    for B in (V, *rows, *cols):
+        for a in (B.data, B.indices, B.indptr):
+            assert not a.flags.writeable
     with pytest.raises(ValueError):
-        label[0] = 1
+        V.data[0] = 1.0
     monkeypatch.setattr(certificate, "_mirror_basis", certificate._mirror_basis.__wrapped__)
     fresh = certificate._mirror_sparse(Hs)
-    assert len(cached[0]) == len(fresh[0]) == 5
-    for a, b in zip(cached[0], fresh[0]):
+    assert len(cached) == len(fresh) == 5
+    for a, b in zip(cached, fresh):
         assert np.array_equal(a.toarray(), b.toarray())
-    assert cached[1] == fresh[1]
-    assert list(sizes) == [B.shape[0] for B in fresh[0]] + [sizes[4]]
+    assert [B.shape[0] for B in fresh] == d4_block_sizes(n)
 
 
 def test_benchmark_entry_points_exist():
