@@ -692,12 +692,14 @@ def test_singular_coarse_block_names_the_d4_block(n):
         table_entry(laplacian_cfg(n, perturb=True))
 
 
-def test_mirror_sparse_is_the_mirror_basis_and_keeps_frobenius():
-    # sparse operators that commute with D4, square (A, n = 9) and from a
-    # coarse grid to a fine one and back (P and R, n_c = 5 and the even 6):
-    # their five blocks are the numpy D4 blocks, and with eo counted twice
-    # they keep the Frobenius norm.  An operator that does not commute
-    # (variable k) still gets the five numpy blocks
+def test_butterfly_is_the_mirror_basis_and_keeps_frobenius():
+    # _mirror_sparse, the sparse butterfly (x + y, x - y)/sqrt(2) of the
+    # mirror pairs and then of the swap pairs, on sparse operators that
+    # commute with D4, square (A, n = 9) and from a coarse grid to a fine
+    # one and back (P and R, n_c = 5 and the even 6): their five blocks are
+    # the numpy D4 blocks, and with eo counted twice they keep the Frobenius
+    # norm.  An operator that does not commute (variable k) still gets the
+    # five numpy blocks
     for n, nc in ((9, 9), (9, 5), (5, 9), (11, 6), (6, 11)):
         pair = make_cfg(k=5.0, n=max(n, nc)).pair
         X = make_cfg(k=5.0, n=n).A if n == nc else pair.P if n > nc else pair.R
@@ -710,6 +712,44 @@ def test_mirror_sparse_is_the_mirror_basis_and_keeps_frobenius():
     X = smooth_medium_cfg().A
     got, want = _mirror_sparse(X), dense_d4_blocks(X.toarray(), 17)
     assert fro([g.toarray() - w for g, w in zip(got, want)]) <= 1e-15 * fro(want)
+
+
+@pytest.mark.parametrize("diag, off, symmetric", [
+    (0.0, 1.0, True),  # no D4 blocks in the dense part: it is all dropped
+    (1.0, 0.0, False),  # D4 blocks only: only the sparse part's rest is dropped
+    (1.0, 1.0, False),
+])
+def test_factor_bound_covers_the_dropped_part(diag, off, symmetric):
+    # _mirror_sparse keeps the five D4 blocks of a factor and bounds nothing
+    # it drops: the exact symmetry check is what covers that part.  A
+    # synthetic prolongation (fine rows on n = 9, coarse columns on
+    # n_c = 5), dense with its D4 blocks scaled by diag (oe equal to eo) and
+    # the rest by off, plus a sparse part that commutes with the square's
+    # symmetries (P) or a random one.  The kept blocks are what they claim,
+    # the part of V_f X V_c^T outside them is not zero, and the check
+    # refuses X
+    n, nc = 9, 5
+    rng = np.random.default_rng(9)
+    (Vf, fine), (Vc, coarse) = d4_basis(n), d4_basis(nc)
+    same = fine[:, None] == coarse[None, :]
+    E = (rng.standard_normal(same.shape) + 1j * rng.standard_normal(same.shape)) \
+        * np.where(same, diag, off)
+    eo, oe = np.ix_(fine == 4, coarse == 4), np.ix_(fine == 5, coarse == 5)
+    E[oe] = E[eo] + off * rng.standard_normal(E[eo].shape)
+    cfg = make_cfg(n=n)
+    S = cfg.pair.P if symmetric else sp.random(n * n, nc * nc, density=0.05,
+                                               random_state=rng, format="csr")
+    X = sp.csr_matrix(Vf.T @ E @ Vc) + S
+    norm = sla.norm(X.toarray())
+    got = [B.toarray() for B in _mirror_sparse(X)]
+    S_b = dense_d4_blocks(S.toarray(), n, nc)
+    for p in range(5):
+        want = E[np.ix_(fine == p, coarse == p)] + S_b[p]
+        assert np.linalg.norm(got[p] - want) <= 1e-14 * norm
+    dropped = np.linalg.norm(Vf @ X.toarray() @ Vc.T - sla.block_diag(*whole(got)))
+    assert dropped > 1e-3 * norm
+    pair = TransferPair(P=X, R=X.conj().T.tocsr())
+    assert not _d4_invariant(replace(cfg, pair=pair))
 
 
 # --- ||.||_2 from the five D4 blocks ------------------------------------------
