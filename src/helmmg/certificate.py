@@ -40,12 +40,12 @@ matrices are one Gamma form of X = MA + W Y, in sparse-plus-rank-N_c form:
                                       U = (I - MA^H) W - 1/2 Y^H W^H W;
 
 W = P gives Gamma-tilde, W = S P gives Gamma, and T0^H T0 = I - Gamma.
-The full N x N form (``_gamma_form``) costs one N x N_c x N product, and
-D itself is formed only in ``assemble_D``.  The Gram matrix (DA)^H DA =
-DA + DA^H - Gamma is one more such form, of the sparse MA + MA^H - G_s and
-the thin S P - U.  Reported 2-norms are exact (LAPACK eigenvalues of these
-Gram matrices), and lambda_min(Gamma) = 1 - lambda_max(T0^H T0) comes from
-the same one eigenvalue as ||T0||_2.
+A full N x N form costs one N x N_c x N product, and D itself is formed
+only in ``assemble_D``.  The Gram matrix (DA)^H DA = DA + DA^H - Gamma is
+one more such form, of the sparse MA + MA^H - G_s and the thin S P - U.
+Reported 2-norms are exact (LAPACK eigenvalues of these Gram matrices),
+and lambda_min(Gamma) = 1 - lambda_max(T0^H T0) comes from the same one
+eigenvalue as ||T0||_2.
 
 MP 2-A has constant k and the same Sommerfeld rows on all four sides, so
 its two-grid operator commutes with the eight symmetries of the square:
@@ -91,12 +91,13 @@ product each), and all dense work is per block:
     K_b = (G_s)_b + U_b Y_b + (U_b Y_b)^H,
 
 five small LUs (2.2 M complex multiply-adds at n = 33 against 91 M for
-the dense Y; each block's pivot tolerance is relative to that block, as a
-verdict's is) and five thin products per form (8.1 M against 342.7 M for
-the full form).  No N x N_c factor and no N x N matrix is formed.  A
-configuration that fails the check (variable k, MP 2-B) takes the one full
-block of each operator instead (``_full``): the dense Y of one LU and the
-full forms, the same code.
+the dense Y; the pivot tolerance is relative to the largest entry over all
+of A_c's blocks, so a block that is all rounding fails) and five thin
+products per form (8.1 M against 342.7 M for the full form).  No N x N_c
+factor is formed, and the only N x N matrix is the quick screen's (below).
+A configuration that fails the check (variable k, MP 2-B) takes the one
+full block of each operator instead (``_full``): the dense Y of one LU and
+the full forms, the same code.
 
 ``certify``, ``table_entry`` and ``omega_sweep`` use the blocks: ||T0||_2
 is the root of the largest lambda_max(I - K_b), and sigma_max(DA) that of
@@ -108,10 +109,12 @@ kappa_1 = 1 / ||Gamma-tilde^-1||_1 (``_ratio``: ``zpotri`` on the factor
 of an HPD block, LU otherwise).  The 1-norm is not orthogonally invariant,
 but Gamma-tilde^-1 commutes with D4, so the columns of one eighth of the
 square give it (``_mirror_norm1``).  Gamma's Hermiticity residual is that
-of the whole blockdiag, eo counted twice.  Only the quick screen, whose
-conditions test entries in the node basis, forms the dense Y and the full
-N x N Gamma-tilde.  For variable k a verdict reports its node's pivot
-index.
+of the whole blockdiag, eo counted twice.  The quick screen's conditions
+test entries in the node basis, so ``certify`` hands it the one N x N
+matrix of constant k, V^T blockdiag(K_b) V rebuilt from Gamma-tilde's
+blocks one stripe of rows at a time (``_node_form``); Gamma-tilde is
+derived once, and no dense Y is formed.  For variable k a verdict reports
+its node's pivot index, and the screen reads the one full block.
 
 ``omega_sweep`` forms no Gamma form per cell.  With L = Lambda_A^-1 A and
 E = L - I, M_nu A = I - (I - L/omega)^nu = sum_j a_j E^j, the a_j of
@@ -127,8 +130,9 @@ at most 2 in absolute value, so a cell's sum does not cancel (in powers of
 L, whose spectrum reaches 2, it loses a digit at nu >= 3).  The five
 D4 blocks of each C_c are built once per sweep from the blocks of
 E^j + E^jH, -E^jH P and the C_ij (``_sweep_terms``), the blocks of the
-C_ij sparse, and a cell adds them up.  The sweep refuses a configuration
-that fails the symmetry check (variable k).
+C_ij sparse, and a cell adds them up.  A configuration that fails the
+symmetry check (variable k) takes the one full block of each C_c, as in
+``certify`` and ``table_entry``.
 """
 
 import math
@@ -144,6 +148,7 @@ from .linalg import (
     Verdict,
     _hermiticity_residual,
     _hpd_cholesky,
+    _tiles,
     add_adjoint,
     check_dense_limit,
     inverse,
@@ -241,37 +246,22 @@ def smoother_correction(A, omega, nu):
     return M
 
 
-def _coarse_correction(cfg, X):
-    """Dense A_c^{-1} R X for sparse X (Y at X = A), A_c = R B P."""
-    check_dense_limit(cfg.A.shape[0])
-    return _coarse_blocks(cfg, X, _full)[0]
-
-
 def _coarse_blocks(cfg, X, split):
     """The blocks (A_c)_b^-1 (R X)_b of A_c^{-1} R X for sparse X, A_c = R B P,
     under ``split`` (``_mirror_sparse`` or ``_full``): the blocks of Y at X = A.
 
-    Each block has its own LU (``lu_factor_checked``), whose pivot tolerance
-    is 1e-14 times the largest entry of that block: a smaller pivot raises
-    LinAlgError ("coarse operator A_c singular to tolerance at pivot index i
-    of D4 block ee+"; no block is named for the one full block).  An empty
-    block (n_c = 2 has no ee- or oo- node) gives an empty block.
+    Each block has its own LU, all from one ``lu_factor_checked`` whose pivot
+    tolerance is 1e-14 times the largest entry over all of A_c's blocks: a
+    smaller pivot raises LinAlgError ("coarse operator A_c singular to
+    tolerance at pivot index i of D4 block ee+"; no block is named for the
+    one full block).  An empty block (n_c = 2 has no ee- or oo- node) gives
+    an empty block.
     """
     Ac = split(galerkin_coarse(cfg.coarse_build_op, cfg.pair))
-    Y = []
-    for label, A_b, RX in zip(_D4_BLOCKS, Ac, split(cfg.pair.R @ X)):
-        RX = RX.toarray()
-        if RX.shape[0] == 0:
-            Y.append(RX)
-            continue
-        try:
-            lu = lu_factor_checked(A_b.toarray(), "coarse operator A_c")
-        except np.linalg.LinAlgError as err:
-            if len(Ac) == 1:
-                raise
-            raise np.linalg.LinAlgError(f"{err} of D4 block {label}") from None
-        Y.append(sla.lu_solve(lu, RX))
-    return Y
+    names = [""] if len(Ac) == 1 else [f"D4 block {label}" for label in _D4_BLOCKS]
+    lu = lu_factor_checked({name: A_b.toarray() for name, A_b in zip(names, Ac)},
+                           "coarse operator A_c")
+    return [sla.lu_solve(lu[name], RX.toarray()) for name, RX in zip(names, split(cfg.pair.R @ X))]
 
 
 def _smoothed(cfg):
@@ -321,14 +311,6 @@ def _form(Hs, U, Y):
     """The blocks Hs_b + U_b Y_b + (U_b Y_b)^H of a Gamma form from the
     blocks of its sparse part Hs (None for none), of U and of Y."""
     return [_hermitian_low_rank(*b) for b in zip(Hs, U, Y)]
-
-
-def _gamma_form(MA, W, Y):
-    """The full N x N Gamma form X^H + X - X^H X = G_s + U Y + (U Y)^H of
-    X = MA + W Y: the one full block of ``_sparse_gamma`` and
-    ``_thin_blocks``."""
-    MAh, Gs = _sparse_gamma(MA)
-    return _form([Gs], _thin_blocks(MAh, W, [Y], _full), [Y])[0]
 
 
 def _whole(blocks):
@@ -531,6 +513,23 @@ def _mirror_norm1(inv):
     return norm1(_mirror_basis(n)[0].T @ Z)
 
 
+def _node_form(blocks):
+    """The form H = V^T blockdiag(_whole(blocks)) V in the node basis from its
+    five D4 blocks K_b, V of ``_mirror_basis``, one stripe I of rows at a
+    time: H[I] = sum_b (V_b^T)[I] K_b V_b over the six blocks, so no other
+    N x N array is formed.  The one full block of variable k is H itself."""
+    if len(blocks) == 1:
+        return blocks[0]
+    blocks = _whole(blocks)
+    N = sum(B.shape[0] for B in blocks)
+    _, rows, cols = _mirror_basis(_grid_side(N))
+    H = np.zeros((N, N), dtype=complex)
+    for I in _tiles(N):
+        for K, Vb, VbT in zip(blocks, rows, cols):
+            H[I] += VbT[I] @ K @ Vb
+    return H
+
+
 def _ratio(blocks, factored):
     """||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1 from the blocks of
     Gamma-tilde and the factorizations of its verdict (``_hpd_verdict``):
@@ -548,9 +547,13 @@ def _ratio(blocks, factored):
 
 
 def assemble_D(cfg):
-    """Dense D = M_nu + CC - M_nu A CC with T0 = I - D A (the only place D is formed)."""
-    Y = _coarse_correction(cfg, sp.identity(cfg.A.shape[0], format="csr"))
-    CC = cfg.pair.P @ Y
+    """Dense D = M_nu + CC - M_nu A CC with T0 = I - D A (the only place D is
+    formed), CC = P A_c^-1 R from the one full block of ``_coarse_blocks``:
+    the dense N_c x N A_c^-1 R of one LU.  ``check_dense_limit`` comes
+    first."""
+    N = cfg.A.shape[0]
+    check_dense_limit(N)
+    CC = cfg.pair.P @ _coarse_blocks(cfg, sp.identity(N, format="csr"), _full)[0]
     M = smoother_correction(cfg.A, cfg.omega, cfg.nu)
     return np.asarray(M + CC) - M @ (cfg.A @ CC)
 
@@ -561,8 +564,10 @@ def certify(cfg):
     A configuration that passes the symmetry check (``_d4_invariant``:
     constant k) is certified from the five D4 blocks of its operators, one
     that fails it (variable k) from the one full block; the module
-    docstring has both.  Only the quick screen reads the dense Y and the
-    full N x N Gamma-tilde.
+    docstring has both.  Gamma-tilde is derived once: the quick screen
+    reads the N x N Gamma-tilde in the node basis rebuilt from its blocks
+    (``_node_form``), and runs after the ratio, once the blocks' factors
+    are freed.
 
     The theory-consistency implications (Gamma-tilde HPD => Gamma HPD,
     and the HPD => norm-bound assertions) are checked; violations are
@@ -592,14 +597,16 @@ def certify(cfg):
     lam_min = 1.0 - norm_T0**2  # lambda_max(T0^H T0) = 1 - lambda_min(Gamma)
     del G
     Gt = _form(Gs, _thin_blocks(MAh, P, Y, split), Y)
+    del Gs, Y
     hpd_gt, factored = _hpd_verdict(Gt)
+    # the quick screen tests entries in the node basis: Gamma-tilde rebuilt
+    # from its blocks before _ratio empties them, screened once the ratio's
+    # factors are freed
+    Gt_node = _node_form(Gt)
     ratio = _ratio(Gt, factored)
     bound = float(np.sqrt(abs(1.0 - ratio)))
-    del Gs, Gt, factored
-    # the quick screen tests entries in the node basis: the dense Y and the
-    # one N x N matrix of constant k
-    Y = Y[0] if split is _full else _coarse_correction(cfg, cfg.A)
-    screen = quick_pd_screen(_gamma_form(MA, P, Y))
+    del factored
+    screen = quick_pd_screen(Gt_node)
 
     warnings = []
     if hpd_gt.ok and not hpd_g.ok:
@@ -670,21 +677,12 @@ def _sweep_coefficients(omega, nu, degree):
     return [1.0, *a, *(a[i] * a[j] for i in range(degree + 1) for j in range(i, degree + 1))]
 
 
-def _sparse_blocks(X):
-    """``_mirror_sparse`` of X as COO blocks without duplicate entries."""
-    return [_coo(B) for B in _mirror_sparse(X)]
-
-
-def _scaled(blocks, c):
-    """c times the COO blocks of a form."""
-    return [c * B for B in blocks]
-
-
 def _sweep_terms(cfg, degree):
-    """The five D4 blocks of each form C_c of Gamma-tilde(omega, nu),
-    nu <= degree, in ``_sweep_coefficients`` order: C_0 (the Gamma form of
-    X = P Y at nu = 0), the C_j and the C_ij of the module docstring, for a
-    configuration that passes the symmetry check.
+    """The blocks of each form C_c of Gamma-tilde(omega, nu), nu <= degree,
+    in ``_sweep_coefficients`` order: C_0 (the Gamma form of X = P Y at
+    nu = 0), the C_j and the C_ij of the module docstring, under the
+    configuration's split (``_splitter``): the five D4 blocks, or the one
+    full block of variable k.
 
     Every block comes from the blocks of sparse operators: Y's from those of
     A_c and R A, U_0's from those of P and P^H P, C_j's from those of
@@ -692,24 +690,25 @@ def _sweep_terms(cfg, degree):
     too (C_00 = -I, half of -(I + I)): exact scalings.  The blocks of the
     C_ij stay sparse (COO), the others are dense.
     """
-    Y = _coarse_blocks(cfg, cfg.A, _mirror_sparse)
+    split = _splitter(cfg)
+    Y = _coarse_blocks(cfg, cfg.A, split)
     P, N = cfg.pair.P, cfg.A.shape[0]
-    U0 = _thin_blocks(sp.csr_matrix((N, N), dtype=complex), P, Y, _mirror_sparse)  # MA = 0
-    terms = [_form([None] * 5, U0, Y)]
+    U0 = _thin_blocks(sp.csr_matrix((N, N), dtype=complex), P, Y, split)  # MA = 0
+    terms = [_form([None] * len(Y), U0, Y)]
     del U0
     I = sp.identity(N, dtype=complex, format="csr")
     E = (sp.diags(reciprocal_diagonal(cfg.A)) @ cfg.A).tocsr() - I
     powers = [I]
     for _ in range(degree):
         powers.append(E @ powers[-1])
-    S = [_sparse_blocks(Ej + Ej.conj().T) for Ej in powers]
-    terms += [_form(Sj, [B.toarray() for B in _mirror_sparse(-(Ej.conj().T @ P))], Y)
+    S = [[_coo(B) for B in split(Ej + Ej.conj().T)] for Ej in powers]
+    terms += [_form(Sj, [B.toarray() for B in split(-(Ej.conj().T @ P))], Y)
               for Ej, Sj in zip(powers, S)]
-    terms += [_scaled(S[0], -0.5), *(_scaled(Sj, -1.0) for Sj in S[1:])]
+    terms += [[c * B for B in Sj] for c, Sj in zip([-0.5] + [-1.0] * degree, S)]
     for i, Ei in enumerate(powers[1:], 1):
         for Ej in powers[i:]:
             G = Ei.conj().T @ Ej
-            terms.append(_scaled(_sparse_blocks(G if Ej is Ei else G + G.conj().T), -1.0))
+            terms.append([-_coo(B) for B in split(G if Ej is Ei else G + G.conj().T)])
     return terms
 
 
@@ -749,24 +748,19 @@ def omega_sweep(make_cfg, omegas, nus):
 
     ``make_cfg(omega, nu)`` must return a TwoGridConfig with the A,
     coarse_build_op and pair of ``make_cfg(omegas[0], nus[0])``, equal by
-    value; otherwise ValueError names the first cell that differs.  That
-    first cell must pass the symmetry check (``_d4_invariant``); otherwise
-    (variable k) ValueError names it.  Each cell's Gamma-tilde is
-    sum_c coef_c(omega, nu) C_c over fixed Hermitian C_c (module
-    docstring), whose five D4 blocks are built once per sweep
-    (``_sweep_terms``); a cell adds up the blocks and hands them to
-    ``_ratio``.  nu = 0 rows are flagged; a singular Gamma-tilde reads 0.0,
-    flagged.
+    value; otherwise ValueError names the first cell that differs.  Each
+    cell's Gamma-tilde is sum_c coef_c(omega, nu) C_c over fixed Hermitian
+    C_c (module docstring), whose blocks are built once per sweep
+    (``_sweep_terms``): the five D4 blocks when the first cell passes the
+    symmetry check (``_d4_invariant``), the one full block otherwise
+    (variable k), as in ``certify`` and ``table_entry``.  A cell adds up the
+    blocks and hands them to ``_ratio``.  nu = 0 rows are flagged; a
+    singular Gamma-tilde reads 0.0, flagged.
     """
     grid = [(omega, nu) for omega in omegas for nu in nus]
     cfgs = [make_cfg(omega, nu) for omega, nu in grid]
     for (omega, nu), cfg in zip(grid, cfgs):
         _check_sweep_cell(cfgs[0], cfg, omega, nu)
-    if _splitter(cfgs[0]) is _full:
-        raise ValueError(
-            "omega_sweep: make_cfg({!r}, {!r}) is not exactly invariant under the reflections "
-            "and the swap of the square; the sweep takes constant-k configurations "
-            "only".format(*grid[0]))
     degree = max(cfg.nu for cfg in cfgs)
     terms = _sweep_terms(cfgs[0], degree)
     rows = []

@@ -52,27 +52,37 @@ def _tiles(n):
 
 def _abs_max(M):
     """max |m_ij| of a dense matrix, one stripe of rows at a time."""
-    return max(np.abs(M[I]).max() for I in _tiles(M.shape[0]))
+    return max((np.abs(M[I]).max() for I in _tiles(M.shape[0])), default=0.0)
 
 
 def lu_factor_checked(M, what):
     """Partially pivoted LU factors ``(lu, piv)`` of the dense square M.
 
+    M may also be a dict {name: block} of the diagonal blocks of a
+    block-diagonal M; then each block is factored, in order, and the dict
+    {name: (lu, piv)} is returned.
+
     Raises ``np.linalg.LinAlgError`` naming ``what`` and the first pivot
-    below 1e-14 times the largest entry of M.
+    below 1e-14 times the largest entry of M, over all of its blocks ("<what>
+    singular to tolerance at pivot index i", then " of <name>" for a block
+    with a nonempty name).
     """
-    # scipy warns on an exactly zero pivot; the check below raises for it
-    # instead, naming the factorization and the pivot
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(M)
-    tol = 1e-14 * max(_abs_max(M), 1e-300)
-    bad = np.nonzero(np.abs(np.diag(lu)) < tol)[0]
-    if bad.size:
-        raise np.linalg.LinAlgError(
-            f"{what} singular to tolerance at pivot index {bad[0]}"
-        )
-    return lu, piv
+    blocks = M if isinstance(M, dict) else {"": M}
+    tol = 1e-14 * max(max(_abs_max(B) for B in blocks.values()), 1e-300)
+    factors = {}
+    for name, B in blocks.items():
+        # scipy warns on an exactly zero pivot; the check below raises for it
+        # instead, naming the factorization and the pivot
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = factors[name] = sla.lu_factor(B)
+        bad = np.nonzero(np.abs(np.diag(lu)) < tol)[0]
+        if bad.size:
+            where = f" of {name}" if name else ""
+            raise np.linalg.LinAlgError(
+                f"{what} singular to tolerance at pivot index {bad[0]}{where}"
+            )
+    return factors if isinstance(M, dict) else factors[""]
 
 
 #: Largest Hermiticity residual ||M - M^H||_F / ||M||_F of a matrix that

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,9 @@ from helmmg import certificate, linalg
 from helmmg.certificate import (
     TwoGridConfig,
     _coarse_blocks,
-    _coarse_correction,
     _d4_invariant,
     _form,
-    _gamma_form,
+    _full,
     _hpd_verdict,
     _mirror_sparse,
     _smoothed,
@@ -29,6 +29,7 @@ from helmmg.linalg import (
     _hermiticity_residual,
     check_dense_limit,
     cholesky_hpd_test,
+    quick_pd_screen,
 )
 from helmmg.mg import CycleConfig, build_hierarchy, cycle
 from helmmg.problem import (
@@ -74,6 +75,18 @@ def dense_gamma_tilde(cfg):
     Snu, CA = dense_parts(cfg)
     DtA = np.eye(CA.shape[0]) - Snu + CA
     return DtA.conj().T + DtA - DtA.conj().T @ DtA
+
+
+def full_Y(cfg):
+    """The dense Y = A_c^-1 R A: the one full block of ``_coarse_blocks``."""
+    return _coarse_blocks(cfg, cfg.A, _full)[0]
+
+
+def full_form(MA, W, Y):
+    """The full N x N Gamma form G_s + U Y + (U Y)^H of X = MA + W Y: the one
+    full block of ``_form``."""
+    MAh, Gs = _sparse_gamma(MA)
+    return _form([Gs], _thin_blocks(MAh, W, [Y], _full), [Y])[0]
 
 
 def rel_fro(got, want):
@@ -144,16 +157,16 @@ def test_structured_forms_match_dense(scheme, coarsen, nu):
     # one Gamma form, against the dense products of independent numpy
     # D-tilde A and T0
     cfg = make_cfg(scheme=scheme, coarsen=coarsen, nu=nu)
-    Y = _coarse_correction(cfg, cfg.A)
+    Y = full_Y(cfg)
     MA = _smoothed(cfg)
     P = cfg.pair.P
-    Gt = _gamma_form(MA, P, Y)
+    Gt = full_form(MA, P, Y)
     assert rel_fro(Gt, dense_gamma_tilde(cfg)) <= 1e-13
     assert _hermiticity_residual(Gt) <= 1e-15
     T0 = dense_T0(cfg)
     I = np.eye(T0.shape[0])
     DA = I - T0
-    G = _gamma_form(MA, P - MA @ P, Y)
+    G = full_form(MA, P - MA @ P, Y)
     G_dense = DA.conj().T + DA - DA.conj().T @ DA
     assert rel_fro(G, G_dense) <= 1e-13
     assert rel_fro(I - G, T0.conj().T @ T0) <= 1e-13
@@ -363,12 +376,13 @@ def test_omega_sweep_builds_its_factors_once(monkeypatch):
         rows = omega_sweep(lambda w, nu: make_cfg(omega=w, nu=nu), omegas, (1, 2))
         assert len(rows) == 2 * len(omegas)
         seen.append(dict(counts))
-    # nu <= 2: Y from the five blocks of A_c and R A (one LU each); C_0 and
-    # the C_j of E^0 = I, E and E^2 with a thin factor (5 block products
-    # each); thirteen sparse splits: A_c, R A, P and P^H P for Y and U_0,
-    # E^j + E^jH (the sparse parts of the C_j, which also stand for the
-    # C_0j) and -E^jH P for j = 0, 1, 2, and the C_ij of E and E^2
-    assert seen[0] == seen[1] == {"lu_factor_checked": 5, "_hermitian_low_rank": 20,
+    # nu <= 2: Y from the five blocks of A_c and R A (one checked LU call for
+    # the five blocks); C_0 and the C_j of E^0 = I, E and E^2 with a thin
+    # factor (5 block products each); thirteen sparse splits: A_c, R A, P and
+    # P^H P for Y and U_0, E^j + E^jH (the sparse parts of the C_j, which
+    # also stand for the C_0j) and -E^jH P for j = 0, 1, 2, and the C_ij of
+    # E and E^2
+    assert seen[0] == seen[1] == {"lu_factor_checked": 1, "_hermitian_low_rank": 20,
                                   "_mirror_sparse": 13}
 
 
@@ -611,10 +625,9 @@ def swap_broken_cfg(op, omega=3.5, nu=1):
 
 @pytest.mark.parametrize("op", ["A", "B", "P"])
 def test_one_ulp_off_the_swap_takes_the_full_path(op, monkeypatch):
-    # one ulp that breaks only the swap fails the check: table_entry and
-    # certify take the one full block of every operator and still match
-    # the dense references, and omega_sweep refuses the configuration,
-    # naming the cell
+    # one ulp that breaks only the swap fails the check: table_entry,
+    # certify and omega_sweep take the one full block of every operator and
+    # still match the dense references
     cfg = swap_broken_cfg(op)
     assert broken_symmetries(cfg) == [(op, "swap")]
     assert not _d4_invariant(cfg)
@@ -634,11 +647,12 @@ def test_one_ulp_off_the_swap_takes_the_full_path(op, monkeypatch):
     assert rep.norm_T0 == t0
     want = gram_norm(np.eye(81) - T0)
     assert abs(rep.sigma_max_DA - want) <= 1e-13 * want
-    assert abs(rep.ratio_table_value - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
+    ratio = dense_ratio(cfg)
+    assert abs(rep.ratio_table_value - ratio) <= 1e-12 * ratio
     assert sizes == [81] * 3
-    with pytest.raises(ValueError, match=r"make_cfg\(3\.5, 1\) is not exactly invariant under "
-                                         r"the reflections and the swap"):
-        omega_sweep(lambda w, nu: swap_broken_cfg(op, w, nu), (3.5,), (1,))
+    cell, = omega_sweep(lambda w, nu: swap_broken_cfg(op, w, nu), (3.5,), (1,))
+    assert abs(cell["ratio"] - ratio) <= 1e-12 * ratio
+    assert abs(cell["ratio"] - rep.ratio_table_value) <= 1e-12 * ratio
 
 
 @pytest.mark.parametrize("k, n", [(5.0, 9), (6.0, 11), (10.0, 17)])
@@ -648,7 +662,9 @@ def test_coarse_blocks_are_the_d4_blocks_of_Y(k, n):
     # side)
     cfg = make_cfg(k=k, n=n)
     nc = (n + 1) // 2
-    Y = _coarse_correction(cfg, cfg.A)
+    R = cfg.pair.R.toarray()
+    Y = np.linalg.solve(R @ cfg.coarse_build_op.toarray() @ cfg.pair.P.toarray(),
+                        R @ cfg.A.toarray())
     want = dense_d4_blocks(Y, nc, n)
     got = _coarse_blocks(cfg, cfg.A, _mirror_sparse)
     assert [B.shape for B in got] == [B.shape for B in want]
@@ -675,21 +691,25 @@ def laplacian_cfg(n, perturb=False):
     return TwoGridConfig(A=L, coarse_build_op=L, pair=build_transfer_2d(n, "linear"))
 
 
-@pytest.mark.parametrize("n", [5, 9])
+@pytest.mark.parametrize("n", [3, 5, 9])
 def test_singular_coarse_block_names_the_d4_block(n):
-    # each coarse block has its own LU, whose pivot tolerance is relative to
-    # that block: the singular ee+ block of the Laplacian's A_c (3 x 3 and
-    # 15 x 15) is named; the same A_c through the one full LU (the check
-    # fails one ulp off) names no block
+    # the coarse blocks' pivot tolerance is relative to the largest entry
+    # over all of A_c's blocks: the singular ee+ block of the Laplacian's A_c
+    # (1 x 1, 3 x 3 and 15 x 15) is named, also at n = 3, where that block
+    # is all rounding (-3.1e-17); the same A_c through the one full LU (the
+    # check fails one ulp off) names no block
+    runs = (certify, table_entry, lambda c: omega_sweep(lambda w, nu: c, (4.5,), (1,)))
     cfg = laplacian_cfg(n)
     assert _d4_invariant(cfg)
     msg = r"^coarse operator A_c singular to tolerance at pivot index \d+ of D4 block ee\+$"
-    for run in (certify, table_entry, lambda c: omega_sweep(lambda w, nu: c, (4.5,), (1,))):
+    for run in runs:
         with pytest.raises(np.linalg.LinAlgError, match=msg):
             run(cfg)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"^coarse operator A_c singular to tolerance at pivot index \d+$"):
-        table_entry(laplacian_cfg(n, perturb=True))
+    cfg = laplacian_cfg(n, perturb=True)
+    for run in runs:
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^coarse operator A_c singular to tolerance at pivot index \d+$"):
+            run(cfg)
 
 
 def test_butterfly_is_the_mirror_basis_and_keeps_frobenius():
@@ -998,6 +1018,41 @@ def test_d4_blocks_match_dense(n):
     assert abs(certificate._ratio(blocks, factored) - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("k, n", [(5.0, 9), (6.0, 11), (10.0, 17)])
+def test_node_form_is_the_dense_gamma_tilde(k, n):
+    # the quick screen's Gamma-tilde, V^T blockdiag(K_b) V rebuilt stripe by
+    # stripe from the five D4 blocks with eo counted twice, is the dense
+    # numpy form (n = 11: an even coarse side); variable k's one full block
+    # is handed on as it is
+    cfg = make_cfg(k=k, n=n)
+    blocks, _ = gamma_blocks(cfg)
+    H = certificate._node_form(blocks)
+    assert rel_fro(H, dense_gamma_tilde(cfg)) <= 1e-13
+    assert _hermiticity_residual(H) <= 1e-15
+    full, _ = gamma_blocks(smooth_medium_cfg())
+    assert len(full) == 1 and certificate._node_form(full) is full[0]
+
+
+def test_quick_screen_matches_the_dense_screen():
+    # certify's quick screen reads the Gamma-tilde rebuilt from its blocks:
+    # its verdict and reason are those of the screen on the dense numpy
+    # Gamma-tilde, over k in {5, 10}, both schemes and coarsenings and
+    # nu = 0 .. 3 (32 configurations, which fail on each of conditions 1, 2
+    # and 4 and pass)
+    got, want = [], []
+    for k in (5, 10):
+        for scheme in ("linear", "bezier"):
+            for coarsen in ("csl", "original"):
+                for nu in range(4):
+                    cfg = make_cfg(k=float(k), n=nodes_for_wavenumber(k), scheme=scheme,
+                                   coarsen=coarsen, nu=nu)
+                    got.append(certify(cfg).quick_screen)
+                    want.append(quick_pd_screen(dense_gamma_tilde(cfg)))
+    assert got == want
+    assert {v.reason[:11] for v in want} == {"pass", "condition 1", "condition 2",
+                                             "condition 4"}
+
+
 # --- Gamma forms from the five D4 blocks of their thin factors --------------
 
 @pytest.mark.parametrize("nu", [1, 2])
@@ -1042,9 +1097,9 @@ def test_block_path_makes_no_full_product(products, monkeypatch):
     # verdict) and Gamma (for ||T0||_2) multiply only the five D4 factor
     # blocks, and Y is solved block by block: no LU solve has an N-column
     # right-hand side.  certify takes sigma_max(DA), Gamma's residual,
-    # verdict and ||T0||_2, and Gamma-tilde's verdict and ratio from the
-    # blocks too; its one N x N_c x N product is the full Gamma-tilde of the
-    # quick screen, from the one dense Y, and no (DA)^H DA is formed
+    # verdict and ||T0||_2, Gamma-tilde's verdict and ratio, and the quick
+    # screen's node-basis Gamma-tilde from the blocks too: no N x N_c x N
+    # product, no dense Y and no (DA)^H DA is formed
     rhs = []
     lu_solve = sla.lu_solve
 
@@ -1056,7 +1111,6 @@ def test_block_path_makes_no_full_product(products, monkeypatch):
     blocks = [((45, 15), (15, 45)), ((36, 10), (10, 36)), ((36, 10), (10, 36)),
               ((28, 6), (6, 28)), ((72, 20), (20, 72))]
     solves = [(15, 45), (10, 36), (10, 36), (6, 28), (20, 72)]
-    full = [((289, 81), (81, 289))]
     omega_sweep(lambda w, nu: make_cfg(k=10.0, n=17, omega=w, nu=nu), (1.5, 4.5), (1, 2))
     assert products == blocks * 4
     assert rhs == solves
@@ -1068,17 +1122,17 @@ def test_block_path_makes_no_full_product(products, monkeypatch):
     products.clear()
     rhs.clear()
     certify(make_cfg(k=10.0, n=17))
-    assert products == blocks * 3 + full
-    assert rhs == solves + [(81, 289)]
+    assert products == blocks * 3
+    assert rhs == solves
 
 
 @pytest.mark.parametrize("case", ["variable-k", "even coarse side"])
 def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
-    # a smooth variable-k medium fails the symmetry check: table_entry forms
-    # the full Gamma forms, and omega_sweep refuses it, naming the cell.  On
-    # n = 11 the coarse grid has n_c = 6 and no centre node, and the
-    # operators still split into the five D4 blocks.  Both match the dense
-    # references
+    # a smooth variable-k medium fails the symmetry check: table_entry,
+    # omega_sweep and certify form the full Gamma forms.  On n = 11 the
+    # coarse grid has n_c = 6 and no centre node, and the operators still
+    # split into the five D4 blocks.  Both match the dense references, and
+    # the sweep's ratio matches certify's
     checks = []
     record_checks(monkeypatch, checks)
     make = smooth_medium_cfg if case == "variable-k" else (
@@ -1088,18 +1142,18 @@ def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
     t0 = table_entry(cfg)[1]
     want = gram_norm(dense_T0(cfg))
     assert abs(t0 - want) <= 1e-13 * want
-    # table_entry's check, then the sweep's
+    cell, = omega_sweep(make, (4.5,), (1,))
+    ratio = dense_ratio(cfg)
+    assert abs(cell["ratio"] - ratio) <= 1e-12 * ratio
+    assert abs(cell["ratio"] - certify(cfg).ratio_table_value) <= 1e-12 * ratio
+    # table_entry's check, the sweep's, then certify's; the full products:
+    # table_entry's Gamma-tilde and Gamma, the sweep's C_0 and C_j (j = 0, 1),
+    # and certify's (DA)^H DA, Gamma and Gamma-tilde
     if case == "variable-k":
-        with pytest.raises(ValueError, match=r"make_cfg\(4\.5, 1\) is not exactly invariant "
-                                             r"under the reflections and the swap of the square; "
-                                             r"the sweep takes constant-k configurations only"):
-            omega_sweep(make, (4.5,), (1,))
-        assert checks == [False, False]
-        assert products.count(((N, Nc), (Nc, N))) == 2
+        assert checks == [False] * 3
+        assert products.count(((N, Nc), (Nc, N))) == 8
     else:
-        cell, = omega_sweep(make, (4.5,), (1,))
-        assert abs(cell["ratio"] - dense_ratio(cfg)) <= 1e-12 * dense_ratio(cfg)
-        assert checks == [True, True]
+        assert checks == [True] * 3
         assert products.count(((N, Nc), (Nc, N))) == 0
         assert Nc == 36
 
@@ -1108,10 +1162,10 @@ def test_full_form_when_the_factors_do_not_split(case, products, monkeypatch):
 
 def verdict_pairs(cfg):
     """(blocks, block verdict, full-form verdict) of Gamma-tilde and of Gamma."""
-    Y = _coarse_correction(cfg, cfg.A)
+    Y = full_Y(cfg)
     MA, P = _smoothed(cfg), cfg.pair.P
     for W, blocks in zip((P, P - MA @ P), gamma_blocks(cfg)):
-        yield blocks, _hpd_verdict(blocks)[0], cholesky_hpd_test(_gamma_form(MA, W, Y))
+        yield blocks, _hpd_verdict(blocks)[0], cholesky_hpd_test(full_form(MA, W, Y))
 
 
 def test_block_verdicts_match_full_verdicts():
@@ -1193,7 +1247,17 @@ def test_mirror_basis_built_once_and_read_only(k, n, monkeypatch):
 
 
 def test_benchmark_entry_points_exist():
-    # perfbench/harness.py calls or traces these names on helmmg.certificate
+    # perfbench/harness.py calls or traces these names on helmmg.certificate,
+    # and makes these calls into helmmg: each must still bind to the
+    # signature, with the same positional and keyword arguments
     for name in ("TwoGridConfig", "table_entry", "omega_sweep", "assemble_D",
                  "smoother_correction", "norm1"):
         assert callable(getattr(certificate, name, None)), name
+    calls = [(certificate.TwoGridConfig, (),
+              dict(A=None, coarse_build_op=None, pair=None, omega=None, nu=None)),
+             (certificate.table_entry, (None,), {}),
+             (certificate.omega_sweep, (None, None, None), {}),
+             (certificate.assemble_D, (None,), {}),
+             (build_hierarchy, (None,), dict(scheme=None, coarsen_on=None))]
+    for f, args, kwargs in calls:
+        inspect.signature(f).bind(*args, **kwargs)

@@ -74,6 +74,16 @@ def test_lu_factor_checked_singular_names_pivot():
     M[2, 2] = 1e-13
     lu, piv = lu_factor_checked(M, "test matrix")
     assert np.array_equal(lu, M) and np.array_equal(piv, np.arange(4))
+    # the blocks of a block-diagonal M share one tolerance, from the largest
+    # entry over all of them: a 1 x 1 block of 1e-15 passes alone, not next
+    # to M, and the failing block is named
+    tiny = np.full((1, 1), 1e-15, dtype=complex)
+    assert lu_factor_checked(tiny, "test matrix")[0] == tiny
+    factors = lu_factor_checked({"block a": M, "block b": 1e4 * tiny}, "test matrix")
+    assert list(factors) == ["block a", "block b"]
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^test matrix singular to tolerance at pivot index 0 of block b$"):
+        lu_factor_checked({"block a": M, "block b": tiny}, "test matrix")
 
 
 def test_cholesky_hpd_positive(small_spd):
