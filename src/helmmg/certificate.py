@@ -198,10 +198,18 @@ class CertificateReport:
     quick_screen: Verdict
     norm_T0: float
     sigma_max_DA: float
-    lambda_min_gamma: float
-    bound_value: float  # sqrt(|1 - ||Gt||_1 / kappa_1(Gt)|)
     ratio_table_value: float  # ||Gt||_1 / kappa_1(Gt) = 1 / ||Gt^-1||_1; NaN if singular
     consistency_warnings: list
+
+    @property
+    def lambda_min_gamma(self):
+        """lambda_min(Gamma) = 1 - ||T0||_2^2, by construction: T0^H T0 = I - Gamma."""
+        return 1.0 - self.norm_T0**2
+
+    @property
+    def bound_value(self):
+        """sqrt(|1 - ratio|), by construction from ``ratio_table_value``; NaN with it."""
+        return float(np.sqrt(abs(1.0 - self.ratio_table_value)))
 
     def to_text(self):
         lines = [
@@ -457,11 +465,14 @@ def _hpd_verdict(blocks):
     of H (``_form``).
 
     V is orthogonal, so H is HPD exactly when V H V^T, block diagonal with
-    oe = eo, is: when every block is.  Each block is factored once, and the
-    first failing block in block order decides; its reason names the D4
-    block and the row.  The one block [H] of variable k is H's own verdict.
+    oe = eo, is: when every block is.  Each block is factored once against
+    one pivot floor, 1e-12 times the largest diagonal entry over all blocks,
+    as ``lu_factor_checked`` holds A_c's blocks to one tolerance.  The first
+    failing block in block order decides; its reason names the D4 block and
+    the row.  The one block [H] of variable k is H's own verdict.
     """
-    factored = [_hpd_cholesky(B) for B in blocks]
+    diag_max = max(np.real(np.diag(B)).max(initial=0.0) for B in blocks)
+    factored = [_hpd_cholesky(B, diag_max) for B in blocks]
     for label, (verdict, _) in zip(_D4_BLOCKS, factored):
         if not verdict:
             where = f" of D4 block {label}" if len(blocks) > 1 else ""
@@ -594,7 +605,6 @@ def certify(cfg):
     herm = _hermiticity_residual(*_whole(G))
     hpd_g, _ = _hpd_verdict(G)
     norm_T0 = _norm_T0(G)
-    lam_min = 1.0 - norm_T0**2  # lambda_max(T0^H T0) = 1 - lambda_min(Gamma)
     del G
     Gt = _form(Gs, _thin_blocks(MAh, P, Y, split), Y)
     del Gs, Y
@@ -604,7 +614,6 @@ def certify(cfg):
     # factors are freed
     Gt_node = _node_form(Gt)
     ratio = _ratio(Gt, factored)
-    bound = float(np.sqrt(abs(1.0 - ratio)))
     del factored
     screen = quick_pd_screen(Gt_node)
 
@@ -629,8 +638,6 @@ def certify(cfg):
         quick_screen=screen,
         norm_T0=float(norm_T0),
         sigma_max_DA=float(sigma_DA),
-        lambda_min_gamma=float(lam_min),
-        bound_value=bound,
         ratio_table_value=float(ratio),
         consistency_warnings=warnings,
     )

@@ -44,16 +44,13 @@ def _add_problem_args(p):
                    help="spatial profile of the MP 2-B wavenumber field")
     p.add_argument("--seed", type=int, default=1,
                    help="seed for the reproducible MP 2-B wavenumber field")
-    p.add_argument("--ppw", type=float, default=PPW_RULE,
-                   help=f"resolution rule as max k*h (default {PPW_RULE}); it "
-                        f"can only refine the grid, since a grid with k*h above "
-                        f"{PPW_RULE} is refused as under-resolved")
     p.add_argument("--n", type=int, default=None,
-                   help="nodes per dimension (odd); overrides the ppw rule")
+                   help=f"nodes per dimension (odd); default the smallest "
+                        f"with k*h <= {PPW_RULE}")
     p.add_argument("--shift", default="0.7",
                    help="CSL shift beta2: a number, 'inv-k', or 'zero' "
-                        "(the coarse chain is built from the CSL; 'zero' "
-                        "builds it from the unshifted operator)")
+                        "(the coarse chain is built from the CSL; 'zero', "
+                        "the same as 0, builds it from the unshifted operator)")
     p.add_argument("--transfer", choices=["linear", "bezier"], default="bezier",
                    help="interpolation scheme for P")
 
@@ -69,14 +66,10 @@ def _shift_spec(text):
     text = text.strip()
     if text == "inv-k":
         return ShiftSpec(kind="inverse-k")
-    if text == "zero":
-        return ShiftSpec(kind="zero")
     try:
-        beta2 = float(text)
+        beta2 = 0.0 if text == "zero" else float(text)
     except ValueError:
         raise ValueError(f"--shift must be a number, 'inv-k' or 'zero', got {text!r}")
-    if beta2 == 0.0:
-        return ShiftSpec(kind="zero")
     return ShiftSpec(kind="fixed", beta2=beta2)
 
 
@@ -92,8 +85,6 @@ def _refuse_set(args, dests, reader):
 
 def _problem_spec(args):
     shift = _shift_spec(args.shift)
-    if args.n is not None:
-        _refuse_set(args, ("ppw",), "a grid set by --n")
     if args.k is not None:
         if args.k_min is not None or args.k_max is not None:
             raise ValueError("give either --k or --k-min/--k-max, not both")
@@ -105,7 +96,7 @@ def _problem_spec(args):
     else:
         raise ValueError("a problem needs --k or both --k-min and --k-max")
     k_top = args.k if args.k is not None else args.k_max
-    n = nodes_for_wavenumber(k_top, args.ppw) if args.n is None else args.n
+    n = nodes_for_wavenumber(k_top) if args.n is None else args.n
     return ProblemSpec(nodes_per_dim=n, shift=shift, **kwargs)
 
 

@@ -115,11 +115,13 @@ def _hermiticity_residual(*blocks):
     return float(np.sqrt(sq)) / nrm
 
 
-def _hpd_cholesky(M):
+def _hpd_cholesky(M, diag_max=None):
     """(verdict, c) under the rule of ``cholesky_hpd_test`` for complex M.
 
     c is None unless M is HPD; then it is the lower Cholesky factor of the
-    F-contiguous M.T = conj(M), which has M's pivots.
+    F-contiguous M.T = conj(M), which has M's pivots.  ``diag_max`` replaces
+    M's largest diagonal entry as the pivot floor's scale when M is one
+    diagonal block of a larger matrix, so every block meets one floor.
     """
     herm = _hermiticity_residual(M)
     if herm > HERMITIAN_TOL:
@@ -131,7 +133,9 @@ def _hpd_cholesky(M):
     if info < 0:
         raise ValueError(f"invalid argument {-info} passed to zpotrf")
     pivots = np.real(np.diag(c)) ** 2
-    floor = 1e-12 * max(np.real(np.diag(M)).max(initial=0.0), 1e-300)
+    if diag_max is None:
+        diag_max = np.real(np.diag(M)).max(initial=0.0)
+    floor = 1e-12 * max(diag_max, 1e-300)
     bad = np.nonzero(pivots < floor)[0]
     if bad.size:
         return Verdict(False, f"semidefinite to tolerance at pivot index {bad[0]}"), None

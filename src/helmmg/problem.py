@@ -29,13 +29,14 @@ PPW_RULE = 0.625  # kh <= 0.625 is ~10 grid points per wavelength
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Complex-shift specification: fixed beta2, inverse-k, or zero."""
+    """Complex-shift specification: a fixed beta2 (0 coarsens on A itself)
+    or beta2 = 1/k_max (inverse-k)."""
 
-    kind: str = "fixed"  # {"fixed" | "inverse-k" | "zero"}
+    kind: str = "fixed"  # {"fixed" | "inverse-k"}
     beta2: float = 0.7
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "inverse-k", "zero"):
+        if self.kind not in ("fixed", "inverse-k"):
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if self.kind == "fixed" and not (np.isfinite(self.beta2) and self.beta2 >= 0):
             raise ValueError(f"shift beta2 must be finite and >= 0, got {self.beta2}")
@@ -83,14 +84,12 @@ class ProblemSpec:
         return 1.0 / (self.nodes_per_dim - 1)
 
 
-def nodes_for_wavenumber(k, ppw_rule=PPW_RULE):
-    """Smallest odd node count n with k/(n-1) <= ppw_rule."""
+def nodes_for_wavenumber(k):
+    """Smallest odd node count n with k/(n-1) <= PPW_RULE."""
     if not (np.isfinite(k) and k > 0):
         raise ValueError(f"k must be finite and > 0, got {k}")
-    if not (np.isfinite(ppw_rule) and ppw_rule > 0):
-        raise ValueError(f"ppw rule (max k*h) must be finite and > 0, got {ppw_rule}")
-    n = int(np.ceil(k / ppw_rule)) + 1
-    if k / (n - 1) > ppw_rule:  # guard against ceil landing exactly short
+    n = int(np.ceil(k / PPW_RULE)) + 1
+    if k / (n - 1) > PPW_RULE:  # guard against ceil landing exactly short
         n += 1
     if n % 2 == 0:
         n += 1
@@ -149,9 +148,7 @@ def build_wavenumber_field(spec):
 
 
 def resolve_beta2(spec, fieldvals):
-    """Numeric beta2 for a spec: fixed value, 1/k_max of the field, or 0."""
-    if spec.shift.kind == "zero":
-        return 0.0
+    """Numeric beta2 for a spec: the fixed value or 1/k_max of the field."""
     if spec.shift.kind == "inverse-k":
         return 1.0 / float(np.max(fieldvals))
     return float(spec.shift.beta2)

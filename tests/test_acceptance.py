@@ -61,8 +61,6 @@ def report(name, ok, detail):
 def const_spec(k, beta2=0.7, n=None):
     if beta2 == "inv-k":
         shift = ShiftSpec(kind="inverse-k")
-    elif beta2 in (0, 0.0, "zero"):
-        shift = ShiftSpec(kind="zero")
     else:
         shift = ShiftSpec(kind="fixed", beta2=beta2)
     return ProblemSpec(kind="constant-k", k=float(k),
@@ -302,7 +300,7 @@ def test_criterion_08_gmres_invk():
     vals5 = list(w5.values())
     indep_ok = all(c > 0 for c in vals5) and max(vals5) / min(vals5) <= 2.5
     # beta2 = 0: coarsen on the original operator, GMRES(3) + Bezier converges
-    r0 = run_solve(const_spec(100.0, beta2="zero"), nu=3, gamma=2,
+    r0 = run_solve(const_spec(100.0, beta2=0.0), nu=3, gamma=2,
                    smoother="gmres", coarsen_on="original", max_cycles=40)
     zero_ok = r0.converged and r0.cycles <= 15
     ok = band_ok and indep_ok and zero_ok

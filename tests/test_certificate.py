@@ -1018,6 +1018,21 @@ def test_d4_blocks_match_dense(n):
     assert abs(certificate._ratio(blocks, factored) - want) <= 1e-12 * want
 
 
+def test_hpd_verdict_holds_every_block_to_one_floor():
+    # five HPD blocks, one of them pure rounding next to the others' unit
+    # diagonal: on its own scale it is HPD, against the shared floor (1e-12
+    # times the largest diagonal entry over all blocks) it is semidefinite
+    blocks = [np.eye(m, dtype=complex) for m in (4, 3, 3, 2)]
+    blocks.insert(2, 1e-20 * np.eye(3, dtype=complex))
+    assert all(linalg.cholesky_hpd_test(B) for B in blocks)
+    hpd, factored = _hpd_verdict(blocks)
+    assert not hpd.ok
+    assert hpd.reason == "semidefinite to tolerance at pivot index 0 of D4 block oo+"
+    assert [bool(v) for v, _ in factored] == [True, True, False, True, True]
+    blocks[2] = 1e-10 * np.eye(3, dtype=complex)  # above the floor: HPD
+    assert _hpd_verdict(blocks)[0].ok
+
+
 @pytest.mark.parametrize("k, n", [(5.0, 9), (6.0, 11), (10.0, 17)])
 def test_node_form_is_the_dense_gamma_tilde(k, n):
     # the quick screen's Gamma-tilde, V^T blockdiag(K_b) V rebuilt stripe by
@@ -1261,3 +1276,7 @@ def test_benchmark_entry_points_exist():
              (build_hierarchy, (None,), dict(scheme=None, coarsen_on=None))]
     for f, args, kwargs in calls:
         inspect.signature(f).bind(*args, **kwargs)
+    # the harness gates each opt1 cell on these keys of a sweep row
+    rows = certificate.omega_sweep(lambda omega, nu: make_cfg(omega=omega, nu=nu),
+                                   [3.5], [1])
+    assert {"omega", "nu", "ratio", "flag"} <= set(rows[0])

@@ -81,8 +81,9 @@ def test_coarsen_on_choices_differ():
 
 @pytest.mark.parametrize("spec", [
     ProblemSpec(kind="constant-k", k=10.0, nodes_per_dim=33,
-                shift=ShiftSpec(kind="zero")),
-    variable_spec(10.0, 20.0, "sharp", seed=1, shift=ShiftSpec(kind="zero")),
+                shift=ShiftSpec(kind="fixed", beta2=0.0)),
+    variable_spec(10.0, 20.0, "sharp", seed=1,
+                  shift=ShiftSpec(kind="fixed", beta2=0.0)),
 ], ids=["constant-k", "sharp"])
 def test_zero_shift_csl_is_original(spec):
     # with beta2 = 0 the CSL is A to the bit, so coarsening on it is
@@ -488,3 +489,19 @@ def test_benchmark_entry_points_exist():
     spec = ProblemSpec(kind="constant-k", k=5.0, nodes_per_dim=11)
     h = mg.build_hierarchy(spec, scheme="bezier", coarsen_on="csl")
     assert h.spec is spec and h.nlevels == len(h.levels) == 2
+    # the problem and solver calls it makes bind, with the same positional
+    # and keyword arguments, and it reads these fields of a solve
+    calls = [(nodes_for_wavenumber, (None,), {}),
+             (ShiftSpec, (), dict(kind=None, beta2=None)),
+             (ProblemSpec, (), dict(kind=None, k=None, k_min=None, k_max=None,
+                                    profile=None, seed=None, nodes_per_dim=None,
+                                    shift=None)),
+             (SmootherConfig, (), dict(kind=None, m=None, nu=None)),
+             (CycleConfig, (), dict(gamma=None, smoother=None, tol=None,
+                                    max_cycles=None)),
+             (mg.solve, (None, None, None), {})]
+    for f, args, kwargs in calls:
+        inspect.signature(f).bind(*args, **kwargs)
+    res = mg.solve(h, assemble_rhs(spec), CycleConfig(max_cycles=1))
+    assert res.status in ("converged", "max-cycles", "diverged")
+    assert res.cycles == 1 and res.u.shape == (121,)

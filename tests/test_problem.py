@@ -111,6 +111,8 @@ def test_spec_validation():
         ProblemSpec(kind="variable-k", k_min=5.0, k_max=2.0, nodes_per_dim=11)
     with pytest.raises(ValueError, match="shift kind"):
         ShiftSpec(kind="bogus")
+    with pytest.raises(ValueError, match="shift kind"):
+        ShiftSpec(kind="zero")  # spelled kind="fixed", beta2=0.0
 
 
 def test_splitmix64_reproducible_and_uniform():
@@ -160,7 +162,7 @@ def test_resolve_beta2():
                            shift=ShiftSpec(kind="inverse-k"))
     assert resolve_beta2(spec_inv, f) == 0.25
     spec_zero = ProblemSpec(kind="constant-k", k=1.0, nodes_per_dim=3,
-                            shift=ShiftSpec(kind="zero"))
+                            shift=ShiftSpec(kind="fixed", beta2=0.0))
     assert resolve_beta2(spec_zero, f) == 0.0
 
 
