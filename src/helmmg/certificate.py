@@ -149,7 +149,6 @@ from .linalg import (
     _hermiticity_residual,
     _hpd_cholesky,
     _tiles,
-    add_adjoint,
     check_dense_limit,
     inverse,
     lu_factor_checked,
@@ -286,7 +285,8 @@ def _sparse_gamma(MA):
 def _hermitian_low_rank(Hs, W, Y):
     """Hs + W Y + (W Y)^H for sparse Hermitian Hs (None: no sparse part),
     dense or sparse W and dense Y."""
-    X = add_adjoint(W @ Y)  # the one product of the factors
+    X = W @ Y  # the one product of the factors
+    X += X.conj().T
     if Hs is not None:
         Hs = _coo(Hs)
         X[Hs.row, Hs.col] += Hs.data  # the sparse part, entry by entry

@@ -40,19 +40,20 @@ class Verdict:
         return self.ok
 
 
-#: Edge of the square tiles (and height of the row stripes) the kernels
-#: below walk a dense matrix in, instead of building N x N temporaries.
-_ADJOINT_TILE = 96
+#: Height of the row stripes (and edge of the square tiles) in which
+#: ``_hermiticity_residual``, ``quick_pd_screen`` and the certificate's
+#: ``_node_form`` walk a dense N x N matrix.  Each would set a certificate's
+#: peak memory with N x N temporaries (``ru_maxrss``, one BLAS thread): the
+#: residual and the screen made one-shot take ``certify --k 30`` from 291 to
+#: 376 MiB and ``certify --k-min 10 --k-max 30 --nu 2`` from 348 to 374 MiB,
+#: and ``_node_form`` made one-shot takes ``certify --k 30`` to 323 MiB.  The
+#: one-shot temporaries of max |M| and X + X^H are freed before the peak.
+_TILE = 96
 
 
 def _tiles(n):
-    """Slices of at most _ADJOINT_TILE consecutive indices covering range(n)."""
-    return [slice(i, i + _ADJOINT_TILE) for i in range(0, n, _ADJOINT_TILE)]
-
-
-def _abs_max(M):
-    """max |m_ij| of a dense matrix, one stripe of rows at a time."""
-    return max((np.abs(M[I]).max() for I in _tiles(M.shape[0])), default=0.0)
+    """Slices of at most _TILE consecutive indices covering range(n)."""
+    return [slice(i, i + _TILE) for i in range(0, n, _TILE)]
 
 
 def lu_factor_checked(M, what):
@@ -68,7 +69,7 @@ def lu_factor_checked(M, what):
     with a nonempty name).
     """
     blocks = M if isinstance(M, dict) else {"": M}
-    tol = 1e-14 * max(max(_abs_max(B) for B in blocks.values()), 1e-300)
+    tol = 1e-14 * max(max(np.abs(B).max(initial=0.0) for B in blocks.values()), 1e-300)
     factors = {}
     for name, B in blocks.items():
         # scipy warns on an exactly zero pivot; the check below raises for it
@@ -86,7 +87,7 @@ def lu_factor_checked(M, what):
 
 
 #: Largest Hermiticity residual ||M - M^H||_F / ||M||_F of a matrix that
-#: counts as Hermitian: the HPD verdict, ``inverse`` and the quick screen share it.
+#: counts as Hermitian: ``cholesky_hpd_test`` and the quick screen share it.
 HERMITIAN_TOL = 1e-12
 
 
@@ -104,7 +105,7 @@ def _hermiticity_residual(*blocks):
     sq = 0.0
     for M in blocks:
         n = M.shape[0]
-        buf = np.empty(min(n, _ADJOINT_TILE) ** 2, dtype=M.dtype)
+        buf = np.empty(min(n, _TILE) ** 2, dtype=M.dtype)
         tiles = _tiles(n)
         for a, I in enumerate(tiles):
             for J in tiles[a:]:
@@ -116,16 +117,15 @@ def _hermiticity_residual(*blocks):
 
 
 def _hpd_cholesky(M, diag_max=None):
-    """(verdict, c) under the rule of ``cholesky_hpd_test`` for complex M.
+    """(verdict, c) of the Cholesky pivot rule of ``cholesky_hpd_test`` for a
+    complex M that is Hermitian by construction: M is not checked for it,
+    and ``zpotrf`` reads only one of its triangles.
 
     c is None unless M is HPD; then it is the lower Cholesky factor of the
     F-contiguous M.T = conj(M), which has M's pivots.  ``diag_max`` replaces
     M's largest diagonal entry as the pivot floor's scale when M is one
     diagonal block of a larger matrix, so every block meets one floor.
     """
-    herm = _hermiticity_residual(M)
-    if herm > HERMITIAN_TOL:
-        return Verdict(False, f"non-hermitian (residual {herm:.2e})"), None
     c, info = sla.lapack.zpotrf(M.T, lower=1, clean=1)
     if info > 0:
         reason = f"not positive definite: pivot failure at index {info - 1}"
@@ -145,12 +145,16 @@ def _hpd_cholesky(M, diag_max=None):
 def cholesky_hpd_test(M):
     """Hermitian-positive-definiteness verdict via complex Cholesky.
 
-    The one rule, which ``inverse`` also applies: M is non-Hermitian when
-    ||M - M^H||_F / ||M||_F exceeds HERMITIAN_TOL, and otherwise HPD iff
-    the factorization completes with every pivot at least 1e-12 times the
-    largest diagonal entry; the reason records the first failing pivot.
+    M is non-Hermitian when ||M - M^H||_F / ||M||_F exceeds HERMITIAN_TOL,
+    and otherwise HPD iff the factorization completes with every pivot at
+    least 1e-12 times the largest diagonal entry; the reason records the
+    first failing pivot.
     """
-    return _hpd_cholesky(np.asarray(M, dtype=complex))[0]
+    M = np.asarray(M, dtype=complex)
+    herm = _hermiticity_residual(M)
+    if herm > HERMITIAN_TOL:
+        return Verdict(False, f"non-hermitian (residual {herm:.2e})")
+    return _hpd_cholesky(M)[0]
 
 
 def quick_pd_screen(M):
@@ -217,46 +221,24 @@ def norm1(M):
     return float(np.abs(np.asarray(M)).sum(axis=0).max())
 
 
-def add_adjoint(X):
-    """X <- X + X^H in place for a square X, one pair of tiles at a time.
-
-    Each entry gets X_ij + conj(X_ji), the same sum as ``X + X.conj().T``
-    bit for bit, without that N x N temporary: the extra memory is two
-    tiles.  Returns X.
-    """
-    n = X.shape[0]
-    t = min(n, _ADJOINT_TILE)
-    buf = np.empty((t, t), dtype=X.dtype)
-    tiles = _tiles(n)
-    for a, I in enumerate(tiles):
-        for J in tiles[a:]:
-            upper, lower = X[I, J], X[J, I]
-            lower_h = np.conjugate(lower.T, out=buf[:upper.shape[0], :upper.shape[1]])
-            if J != I:
-                lower += upper.T.conj()
-            upper += lower_h
-    return X
-
-
-def inverse(M, what, cholesky=None):
+def inverse(M, what, cholesky):
     """Full M^-1 of the dense square M, as a C-contiguous complex array.
 
-    When M is HPD by the rule of ``cholesky_hpd_test``, M^-1 comes from
-    ``zpotri`` on that rule's Cholesky factor, with both triangles filled.
-    Otherwise it comes from partially pivoted LU (``lu_factor_checked``)
-    and an identity solve, which raises ``np.linalg.LinAlgError`` ("<what>
-    singular to tolerance at pivot index i") at the first |u_ii| below
-    1e-14 max|M|.  An HPD verdict leaves no such pivot: c_ii^2 >= 1e-12
-    max diag(M).  ``cholesky`` is ``_hpd_cholesky(M)`` when the caller
-    has taken it already (a verdict hands its factor on); else it is taken
-    here.  An empty M is its own inverse.
+    ``cholesky`` is the ``(verdict, c)`` that ``_hpd_cholesky(M)`` returned
+    (a verdict hands its factor on).  When the verdict is HPD, M^-1 comes
+    from ``zpotri`` on c, with both triangles filled.  Otherwise it comes
+    from partially pivoted LU (``lu_factor_checked``) and an identity
+    solve, which raises ``np.linalg.LinAlgError`` ("<what> singular to
+    tolerance at pivot index i") at the first |u_ii| below 1e-14 max|M|.
+    An HPD verdict leaves no such pivot: c_ii^2 >= 1e-12 max diag(M).  An
+    empty M is its own inverse.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
     if M.size == 0:
         return M.copy()
-    verdict, c = _hpd_cholesky(M) if cholesky is None else cholesky
+    verdict, c = cholesky
     if verdict:
         c, _ = sla.lapack.zpotri(c, lower=1, overwrite_c=1)
         # c factors conj(M) = M^T, so it now holds the lower triangle of
@@ -265,9 +247,8 @@ def inverse(M, what, cholesky=None):
         # add doubles the diagonal, so it is halved first)
         inv = c.T
         inv[np.diag_indices_from(inv)] *= 0.5
-        add_adjoint(inv)
+        inv += inv.conj().T
     else:
         inv = sla.lu_solve(lu_factor_checked(M, what),
                            np.eye(M.shape[0], dtype=complex, order="F"), overwrite_b=True)
     return np.ascontiguousarray(inv)
-

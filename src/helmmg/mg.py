@@ -2,7 +2,7 @@
 
 Level 0 smooths and computes residuals with the unshifted Helmholtz
 operator A.  The coarse chain is built by Galerkin coarsening starting
-from the CSL C (or from A when ``coarsen_on='original'``):
+from the CSL C (with beta2 = 0, C is A to the bit):
 
     L_1 = R C P,   L_{j+1} = R L_j P,
 
@@ -109,22 +109,19 @@ def build_hierarchy(spec, scheme="bezier", coarsen_on="csl"):
     """Build the multilevel hierarchy for a problem spec.
 
     Level 0 always stores the unshifted A; the coarsening chain descends
-    from the CSL (``coarsen_on='csl'``) or from A (``'original'``).
+    from the CSL of ``spec.shift``, so a beta2 = 0 shift coarsens on A.
+    ``coarsen_on`` takes only ``'csl'``, the value the benchmark harness
+    names; any other value raises ValueError.
     """
-    if coarsen_on not in ("csl", "original"):
+    if coarsen_on != "csl":
         raise ValueError(f"unknown coarsen_on mode {coarsen_on!r}")
     n = spec.nodes_per_dim
     if n < 11:
         raise ValueError("hierarchy needs nodes_per_dim >= 11 (at least two levels)")
     fieldvals = build_wavenumber_field(spec)
     A = assemble_helmholtz(spec, fieldvals, shift_on=False)
-    chain_op = (
-        assemble_helmholtz(spec, fieldvals, shift_on=True)
-        if coarsen_on == "csl"
-        else A
-    )
     levels = [Level(op=A, n=n, inv_diag=reciprocal_diagonal(A))]
-    op = chain_op
+    op = assemble_helmholtz(spec, fieldvals, shift_on=True)
     # stop on an even node count too: node-coincident coarsening needs odd n
     while n >= COARSEST_NODES and n % 2 == 1:
         pair = build_transfer_2d(n, scheme)

@@ -68,9 +68,9 @@ def const_spec(k, beta2=0.7, n=None):
 
 
 def run_solve(spec, nu, gamma, smoother="jacobi", omega=4.5, scheme="bezier",
-              coarsen_on="csl", max_cycles=700):
+              max_cycles=700):
     """Solve from the seeded reference start the published counts are compared from."""
-    h = build_hierarchy(spec, scheme=scheme, coarsen_on=coarsen_on)
+    h = build_hierarchy(spec, scheme=scheme)
     sm = SmootherConfig(kind=smoother, omega=omega, nu=nu)
     cfg = CycleConfig(gamma=gamma, smoother=sm, max_cycles=max_cycles)
     b = assemble_rhs(spec)
@@ -299,9 +299,9 @@ def test_criterion_08_gmres_invk():
                   for k in refs)
     vals5 = list(w5.values())
     indep_ok = all(c > 0 for c in vals5) and max(vals5) / min(vals5) <= 2.5
-    # beta2 = 0: coarsen on the original operator, GMRES(3) + Bezier converges
+    # beta2 = 0 (the CSL is the original operator), GMRES(3) + Bezier converges
     r0 = run_solve(const_spec(100.0, beta2=0.0), nu=3, gamma=2,
-                   smoother="gmres", coarsen_on="original", max_cycles=40)
+                   smoother="gmres", max_cycles=40)
     zero_ok = r0.converged and r0.cycles <= 15
     ok = band_ok and indep_ok and zero_ok
     report("8 GMRES beta2=1/k", ok,

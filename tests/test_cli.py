@@ -137,13 +137,63 @@ def test_divergence_exit_code(capsys):
     assert rc == EXIT_DIVERGED
 
 
+CERTIFY_TEXT = {
+    # D4 blocks, all verdicts HPD
+    "--k 5 --n 9 --omega 3.5": [
+        "Gamma HPD                  : True (HPD)",
+        "Gamma-tilde HPD            : True (HPD)",
+        "quick PD screen            : True (pass)",
+        "lambda_min(Gamma)          : 0.206891",
+        "||T0||_2                   : 0.890567",
+        "sigma_max(DA)              : 0.998942",
+        "||Gt||_1 / kappa_1(Gt)     : 0.102579",
+        "bound sqrt|1 - ratio|      : 0.947323",
+    ],
+    # D4 blocks, both verdicts and the screen fail
+    "--k 10 --transfer linear --shift 0 --omega 3.5": [
+        "Gamma HPD                  : False (not positive definite: "
+        "pivot failure at index 11 of D4 block ee+)",
+        "Gamma-tilde HPD            : False (not positive definite: "
+        "pivot failure at index 11 of D4 block ee+)",
+        "quick PD screen            : False (condition 2: off-diagonal real part too large)",
+        "lambda_min(Gamma)          : -7.09817",
+        "||T0||_2                   : 2.84573",
+        "sigma_max(DA)              : 2.92036",
+        "||Gt||_1 / kappa_1(Gt)     : 0.00879688",
+        "bound sqrt|1 - ratio|      : 0.995592",
+    ],
+    # variable k: the one full block of each form
+    "--k-min 5 --k-max 10 --nu 2": [
+        "Gamma HPD                  : True (HPD)",
+        "Gamma-tilde HPD            : True (HPD)",
+        "quick PD screen            : True (pass)",
+        "lambda_min(Gamma)          : 0.222742",
+        "||T0||_2                   : 0.881623",
+        "sigma_max(DA)              : 1.04003",
+        "||Gt||_1 / kappa_1(Gt)     : 0.105634",
+        "bound sqrt|1 - ratio|      : 0.945709",
+    ],
+}
+
+
+@pytest.mark.parametrize("args", list(CERTIFY_TEXT), ids=["d4-hpd", "d4-not-hpd", "full-block"])
+def test_certify_report_text(capsys, args):
+    # the whole report, pinned but for the digits of Gamma's rounding-level
+    # Hermiticity residual
+    assert main(["certify"] + args.split()) == EXIT_OK
+    first, *rest = capsys.readouterr().out.splitlines()
+    label, value = first.split(" : ")
+    assert label == "Gamma hermiticity residual"
+    assert float(value) < 1e-15
+    assert rest == CERTIFY_TEXT[args]
+
+
 def test_certify_single(capsys, tmp_path):
+    # the CSV report; the printed one is test_certify_report_text's d4-hpd case
     out = tmp_path / "report.csv"
     rc = main(["certify", "--k", "5", "--n", "9", "--omega", "3.5",
                "--out", str(out)])
     assert rc == EXIT_OK
-    text = capsys.readouterr().out
-    assert "Gamma HPD                  : True" in text
     header, row = out.read_text().strip().splitlines()
     assert header.startswith("herm_residual")
     assert len(row.split(",")) == len(header.split(","))

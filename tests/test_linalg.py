@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,7 +9,6 @@ from helmmg import linalg
 from helmmg.linalg import (
     DenseLimitError,
     Verdict,
-    add_adjoint,
     cholesky_hpd_test,
     inverse,
     lu_factor_checked,
@@ -178,9 +179,16 @@ def lu_calls(monkeypatch):
     return calls
 
 
+def factored(M):
+    """The (verdict, c) a verdict hands ``inverse``: the Hermitian rule of
+    ``cholesky_hpd_test``, then ``_hpd_cholesky``'s factor."""
+    verdict = cholesky_hpd_test(M)
+    return linalg._hpd_cholesky(M) if verdict else (verdict, None)
+
+
 def kappa1(M, what):
     """kappa_1(M) = ||M||_1 ||M^-1||_1 with M^-1 from ``inverse``."""
-    return norm1(M) * norm1(inverse(M, what))
+    return norm1(M) * norm1(inverse(M, what, factored(M)))
 
 
 def test_condition_hpd_through_cholesky(small_spd, lu_calls):
@@ -214,8 +222,9 @@ def test_condition_singular_raises(lu_calls):
 
 
 def test_one_hermitian_tolerance(small_spd, lu_calls):
-    # a residual between 1e-12 and 1e-10 is non-Hermitian to the verdict,
-    # to ``inverse`` and to the quick screen alike
+    # a residual between 1e-12 and 1e-10 is non-Hermitian to the verdict
+    # and to the quick screen alike, and ``inverse`` handed that verdict
+    # takes LU
     M = small_spd.copy()
     M[0, 1] += 1e-10 * np.abs(M).max()
     assert 1e-12 < linalg._hermiticity_residual(M) < 1e-10
@@ -228,20 +237,7 @@ def test_one_hermitian_tolerance(small_spd, lu_calls):
         quick_pd_screen(M)
 
 
-@pytest.mark.parametrize("tiles, extra", [(0, 1), (0, 7), (1, 0), (1, 1), (3, 17)])
-def test_add_adjoint_is_the_full_sum_bit_for_bit(tiles, extra):
-    # part of a tile, exactly one, one plus a sliver, and a ragged last
-    # tile pair; every entry must be the sum X + X^H gives
-    n = tiles * linalg._ADJOINT_TILE + extra
-    rng = np.random.default_rng(n)
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    want = X + X.conj().T
-    got = X.copy()
-    assert add_adjoint(got) is got
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("n", [5, linalg._ADJOINT_TILE, 2 * linalg._ADJOINT_TILE + 17])
+@pytest.mark.parametrize("n", [5, linalg._TILE, 2 * linalg._TILE + 17])
 def test_hermiticity_residual_by_tiles(n):
     # within a tile, exactly one, and a ragged last tile pair: the tile sum
     # is the full-matrix residual, and an exactly Hermitian matrix reads 0.0
@@ -249,27 +245,28 @@ def test_hermiticity_residual_by_tiles(n):
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     want = np.linalg.norm(X - X.conj().T) / np.linalg.norm(X)
     assert np.isclose(linalg._hermiticity_residual(X), want, rtol=1e-13, atol=0.0)
-    assert linalg._hermiticity_residual(add_adjoint(X)) == 0.0
+    assert linalg._hermiticity_residual(X + X.conj().T) == 0.0
 
 
 def test_hermiticity_residual_of_blocks():
     # the residual of blockdiag(blocks) from the blocks, ragged tiles
     # included, is that of the assembled matrix
     rng = np.random.default_rng(4)
-    sizes = (3, linalg._ADJOINT_TILE + 5, 7)
+    sizes = (3, linalg._TILE + 5, 7)
     blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in sizes]
     M = sla.block_diag(*blocks)
     want = np.linalg.norm(M - M.conj().T) / np.linalg.norm(M)
     assert np.isclose(linalg._hermiticity_residual(*blocks), want, rtol=1e-13, atol=0.0)
-    assert linalg._hermiticity_residual(*[add_adjoint(B) for B in blocks]) == 0.0
+    assert linalg._hermiticity_residual(*[B + B.conj().T for B in blocks]) == 0.0
 
 
 def test_quick_screen_walks_every_stripe():
     # conditions 2 and 3 read in the last, ragged stripe of rows
-    n = 2 * linalg._ADJOINT_TILE + 5
+    n = 2 * linalg._TILE + 5
     rng = np.random.default_rng(2)
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    M = add_adjoint(B @ B.conj().T / (2 * n)) + np.eye(n)
+    G = B @ B.conj().T / (2 * n)
+    M = G + G.conj().T + np.eye(n)
     assert quick_pd_screen(M) == Verdict(True, "pass")
     i, j = n - 1, 3
     M2 = M.copy()
@@ -280,8 +277,33 @@ def test_quick_screen_walks_every_stripe():
     assert quick_pd_screen(M3).reason == "condition 3: largest modulus off the diagonal"
 
 
+def traced_peak(f, *args):
+    """Peak bytes numpy allocates (``tracemalloc`` sees its buffers) while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_tiled_kernels_peak_memory():
+    # the residual walks M in tile pairs and the screen in row stripes, so
+    # their peaks are one tile (0.19 M.nbytes at n = 305) and the screen's
+    # LU copy (1.04 M.nbytes); taken in one shot, both would allocate
+    # 2.09 M.nbytes, and at k = 30 the certificate's peak would rise
+    n = 305
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    G = B @ B.conj().T / (2 * n)
+    M = G + G.conj().T + np.eye(n)
+    assert traced_peak(linalg._hermiticity_residual, M) < 0.5 * M.nbytes
+    assert traced_peak(quick_pd_screen, M) < 1.25 * M.nbytes
+
+
 def test_inverse_hpd_through_cholesky(small_spd, lu_calls):
-    got = inverse(small_spd, "spd")
+    got = inverse(small_spd, "spd", factored(small_spd))
     want = np.linalg.inv(small_spd)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert got.flags.c_contiguous
@@ -290,7 +312,7 @@ def test_inverse_hpd_through_cholesky(small_spd, lu_calls):
 
 def test_inverse_indefinite_through_lu(small_spd, lu_calls):
     M = small_spd - 30 * np.eye(12)
-    got = inverse(M, "indefinite")
+    got = inverse(M, "indefinite", factored(M))
     want = np.linalg.inv(M)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert got.flags.c_contiguous
@@ -298,9 +320,10 @@ def test_inverse_indefinite_through_lu(small_spd, lu_calls):
 
 
 def test_inverse_singular_names_the_input(lu_calls):
+    M = np.diag([1.0, 2.0, 0.0, 3.0]).astype(complex)
     with pytest.raises(np.linalg.LinAlgError,
                        match="rank-3 input singular to tolerance at pivot index 2"):
-        inverse(np.diag([1.0, 2.0, 0.0, 3.0]).astype(complex), "rank-3 input")
+        inverse(M, "rank-3 input", factored(M))
     assert lu_calls == ["rank-3 input"]
 
 

@@ -19,12 +19,13 @@ from helmmg.problem import (
     variable_spec,
 )
 from helmmg.smoothing import SmootherConfig
+from helmmg.transfer import build_transfer_2d, galerkin_coarse
 
 
-def two_level(k=5.0, n=11, scheme="bezier", coarsen_on="csl"):
+def two_level(k=5.0, n=11, scheme="bezier", beta2=0.7):
     spec = ProblemSpec(kind="constant-k", k=k, nodes_per_dim=n,
-                       shift=ShiftSpec(kind="fixed", beta2=0.7))
-    return build_hierarchy(spec, scheme=scheme, coarsen_on=coarsen_on)
+                       shift=ShiftSpec(kind="fixed", beta2=beta2))
+    return build_hierarchy(spec, scheme=scheme)
 
 
 def test_hierarchy_shapes_and_chain():
@@ -44,7 +45,7 @@ def test_hierarchy_deep_chain():
 
 
 def test_level0_is_unshifted():
-    h = two_level(coarsen_on="csl")
+    h = two_level()
     # the fine diagonal must be the plain Helmholtz one (real except
     # Sommerfeld boundary terms): interior node diagonal purely real
     d = h.fine_operator.diagonal()
@@ -74,8 +75,10 @@ def test_zero_diagonal_refused_at_build(monkeypatch):
 
 
 def test_coarsen_on_choices_differ():
-    a = two_level(coarsen_on="csl").levels[1].op.toarray()
-    b = two_level(coarsen_on="original").levels[1].op.toarray()
+    # coarsening on the beta2 = 0.7 CSL and on the beta2 = 0 one (that is,
+    # on A) give different coarse operators
+    a = two_level(beta2=0.7).levels[1].op.toarray()
+    b = two_level(beta2=0.0).levels[1].op.toarray()
     assert not np.allclose(a, b)
 
 
@@ -86,14 +89,17 @@ def test_coarsen_on_choices_differ():
                   shift=ShiftSpec(kind="fixed", beta2=0.0)),
 ], ids=["constant-k", "sharp"])
 def test_zero_shift_csl_is_original(spec):
-    # with beta2 = 0 the CSL is A to the bit, so coarsening on it is
-    # coarsening on A: the CLI spells that case --shift zero
+    # with beta2 = 0 the CSL is A to the bit, so the hierarchy's chain is
+    # the Galerkin chain of A: the CLI spells that case --shift zero
     f = build_wavenumber_field(spec)
-    pairs = [(assemble_helmholtz(spec, f, shift_on=True),
-              assemble_helmholtz(spec, f, shift_on=False))]
-    csl, orig = (build_hierarchy(spec, coarsen_on=c) for c in ("csl", "original"))
-    assert csl.nlevels == orig.nlevels > 2
-    pairs += [(a.op, b.op) for a, b in zip(csl.levels, orig.levels)]
+    A = assemble_helmholtz(spec, f, shift_on=False)
+    h = build_hierarchy(spec)
+    assert h.nlevels > 2
+    chain = [A]
+    for L in h.levels[:-1]:
+        chain.append(galerkin_coarse(chain[-1], build_transfer_2d(L.n, "bezier")))
+    pairs = [(assemble_helmholtz(spec, f, shift_on=True), A)]
+    pairs += [(L.op, B) for L, B in zip(h.levels, chain)]
     for a, b in pairs:
         for part in ("indptr", "indices", "data"):
             assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
@@ -103,9 +109,10 @@ def test_hierarchy_rejects_small_grid():
     spec = ProblemSpec(kind="constant-k", k=1.0, nodes_per_dim=9)
     with pytest.raises(ValueError, match="nodes_per_dim"):
         build_hierarchy(spec)
-    with pytest.raises(ValueError, match="coarsen_on"):
-        build_hierarchy(ProblemSpec(kind="constant-k", k=1.0, nodes_per_dim=11),
-                        coarsen_on="bogus")
+    for mode in ("original", "bogus"):
+        with pytest.raises(ValueError, match="coarsen_on"):
+            build_hierarchy(ProblemSpec(kind="constant-k", k=1.0, nodes_per_dim=11),
+                            coarsen_on=mode)
 
 
 def dense_two_grid_operator(h, nu, omega):
