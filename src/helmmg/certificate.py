@@ -148,6 +148,7 @@ from .linalg import (
     Verdict,
     _hermiticity_residual,
     _hpd_cholesky,
+    _read_only,
     _tiles,
     check_dense_limit,
     inverse,
@@ -332,12 +333,6 @@ def _grid_side(N):
     """n with n^2 = N for an n >= 2, else None."""
     n = int(round(np.sqrt(N)))
     return n if n * n == N and n >= 2 else None
-
-
-def _read_only(*arrays):
-    """Make the arrays read-only (the caches below hand them out)."""
-    for a in arrays:
-        a.flags.writeable = False
 
 
 @cache

@@ -40,6 +40,12 @@ class Verdict:
         return self.ok
 
 
+def _read_only(*arrays):
+    """Make the arrays read-only (a cache or a shared value hands them out)."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 #: Height of the row stripes (and edge of the square tiles) in which
 #: ``_hermiticity_residual``, ``quick_pd_screen`` and the certificate's
 #: ``_node_form`` walk a dense N x N matrix.  Each would set a certificate's

@@ -23,7 +23,10 @@ on the same right-hand side returns the same vector.
 A hierarchy is not changed after ``build_hierarchy`` returns, and a
 cycle keeps no state outside its arguments, so solves may share one
 hierarchy, from several threads too; their coarsest-level solves take
-turns (``_COARSE_SOLVE``).
+turns (``_COARSE_SOLVE``).  That covers its transfer pairs, which every
+hierarchy on the same grid and scheme shares while any holds them
+(``transfer.build_transfer_2d``): they are read-only, and the last
+hierarchy to hold a pair frees it.
 """
 
 import threading

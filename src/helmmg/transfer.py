@@ -15,12 +15,22 @@ nodes are the columns of P.  Two schemes are supported:
 
 2D operators are Kronecker products of the 1D stencil consistent with
 lexicographic (x fastest) ordering; restriction is R = (1/4) P^T.
+
+A 2D pair depends only on the grid side and the scheme, so
+``build_transfer_2d`` hands out one pair per (n, scheme) to every caller
+that holds one at the same time (hierarchies on one grid, certificate
+rows).  Its P and R are read-only, and the pair is freed with its last
+holder: the table of pairs keeps only weak references.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .linalg import _read_only
 
 SCHEMES = ("linear", "bezier")
 
@@ -54,14 +64,38 @@ def build_prolongation_1d(n_fine, scheme):
     return P
 
 
-def build_transfer_2d(n_fine_per_dim, scheme):
-    """Tensor-product 2D transfer pair with R = (1/4) P^T."""
+#: the pairs some caller still holds, by (n, scheme); an entry goes with
+#: the last reference to its pair.  The lock makes look-up-or-build one
+#: step, so threads that build on one grid at once get one pair.
+_PAIRS = weakref.WeakValueDictionary()
+_PAIRS_LOCK = threading.Lock()
+
+
+def _tensor_pair(n_fine_per_dim, scheme):
+    """A new 2D pair P = P1 (x) P1, R = (1/4) P^T, its arrays read-only."""
     P1 = build_prolongation_1d(n_fine_per_dim, scheme)
     P = sp.kron(P1, P1, format="csr").astype(complex)
     R = (0.25 * P.T).tocsr()
     P.sort_indices()
     R.sort_indices()
+    _read_only(P.data, P.indices, P.indptr, R.data, R.indices, R.indptr)
     return TransferPair(P=P, R=R)
+
+
+def build_transfer_2d(n_fine_per_dim, scheme):
+    """Tensor-product 2D transfer pair with R = (1/4) P^T.
+
+    While any caller holds the pair of (n, scheme), every call returns that
+    same object, from any thread; otherwise a new one is built.  Its P and
+    R are read-only (``data``, ``indices`` and ``indptr``), since other
+    holders share them.
+    """
+    key = (n_fine_per_dim, scheme)
+    with _PAIRS_LOCK:
+        pair = _PAIRS.get(key)
+        if pair is None:
+            pair = _PAIRS[key] = _tensor_pair(n_fine_per_dim, scheme)
+    return pair
 
 
 def galerkin_coarse(A_level, pair):

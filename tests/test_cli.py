@@ -1,5 +1,6 @@
 import argparse
 import pathlib
+import shlex
 
 import numpy as np
 import pytest
@@ -277,6 +278,29 @@ def test_every_option_is_read():
             if action.dest != "help":
                 assert f"args.{action.dest}" in source, \
                     f"{name} {action.option_strings or action.dest} is never read"
+
+
+def readme_commands():
+    """Every README line that starts with ``helmmg ``, its ``\\``-continued
+    lines joined on."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("helmmg ")]
+
+
+def test_readme_cli_examples_parse(capsys):
+    commands = readme_commands()
+    assert len(commands) == 7
+    for line in commands:
+        try:
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}\n"
+                        f"{capsys.readouterr().err}")
+        assert callable(args.func), line
+    # the quick one runs, in under a second
+    assert "helmmg certify --k 5 --omega 3.5" in commands
+    assert main(["certify", "--k", "5", "--omega", "3.5"]) == EXIT_OK
 
 
 def test_certify_dense_limit(capsys):

@@ -1,7 +1,15 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helmmg import transfer
+from helmmg.mg import CycleConfig, Hierarchy, build_hierarchy, solve
+from helmmg.problem import ProblemSpec, ShiftSpec, assemble_rhs
 from helmmg.transfer import (
     TransferPair,
     build_prolongation_1d,
@@ -122,3 +130,119 @@ def test_galerkin_sparse_equals_dense(n):
     want = pair.R.toarray() @ A.toarray() @ pair.P.toarray()
     err = np.abs(got - want).max() / np.abs(want).max()
     assert err <= 1e-12
+
+
+def hierarchy_spec(n=33):
+    return ProblemSpec(kind="constant-k", k=10.0, nodes_per_dim=n,
+                       shift=ShiftSpec(kind="fixed", beta2=0.7))
+
+
+def csr_arrays(M):
+    return (M.data, M.indices, M.indptr)
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for x, y in zip(csr_arrays(a), csr_arrays(b)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_hierarchies_share_one_pair_per_level():
+    h1 = build_hierarchy(hierarchy_spec(), "bezier")
+    h2 = build_hierarchy(hierarchy_spec(), "bezier")
+    assert [L.n for L in h1.levels] == [33, 17, 9]
+    for L1, L2 in zip(h1.levels[:-1], h2.levels[:-1]):
+        assert L1.pair is L2.pair
+        assert L1.pair is build_transfer_2d(L1.n, "bezier")
+    # a scheme and a grid side are each part of what a pair is shared by
+    assert build_transfer_2d(33, "linear") is not h1.levels[0].pair
+    assert build_transfer_2d(17, "bezier") is not h1.levels[0].pair
+
+
+@pytest.mark.parametrize("scheme", ["linear", "bezier"])
+def test_shared_pair_is_read_only(scheme):
+    pair = build_transfer_2d(17, scheme)
+    for M in (pair.P, pair.R):
+        for a in csr_arrays(M):
+            assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        pair.P.data[0] = 2.0
+    with pytest.raises(ValueError):
+        pair.R.indices[0] = 1
+
+
+@pytest.mark.parametrize("scheme", ["linear", "bezier"])
+def test_shared_pair_equals_a_fresh_build_bit_for_bit(scheme):
+    # a pair that two hierarchies hold, after a solve on one of them, is
+    # the pair a fresh build gives, array for array
+    spec = hierarchy_spec()
+    h = build_hierarchy(spec, scheme)
+    also = build_hierarchy(spec, scheme)
+    solve(h, assemble_rhs(spec), CycleConfig(max_cycles=3))
+    for L, L_also in zip(h.levels[:-1], also.levels[:-1]):
+        assert L.pair is L_also.pair
+        fresh = transfer._tensor_pair(L.n, scheme)
+        assert_same_csr(L.pair.P, fresh.P)
+        assert_same_csr(L.pair.R, fresh.R)
+
+
+def test_pair_is_freed_with_its_last_holder():
+    # the side 45 is built by no other test in this module
+    h1 = build_hierarchy(hierarchy_spec(45), "bezier")
+    h2 = build_hierarchy(hierarchy_spec(45), "bezier")
+    refs = [weakref.ref(L.pair) for L in h1.levels[:-1]]
+    assert [r() for r in refs] == [L.pair for L in h2.levels[:-1]]
+    del h1
+    gc.collect()
+    assert all(r() is not None for r in refs)  # h2 still holds them
+    del h2
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert (45, "bezier") not in transfer._PAIRS
+
+
+def level_arrays(h):
+    """Copies of every level operator's and pair's CSR arrays, fine to coarse."""
+    mats = [L.op for L in h.levels]
+    mats += [M for L in h.levels[:-1] for M in (L.pair.P, L.pair.R)]
+    return [[a.copy() for a in csr_arrays(M)] for M in mats]
+
+
+def test_concurrent_builds_share_bit_identical_pairs():
+    # four threads, more than the cores, build hierarchies on one grid at
+    # once, with no pair built beforehand and thread switches forced
+    # often: every level operator and pair equals the one-thread build bit
+    # for bit, and the threads hold one pair per level.  Results are
+    # collected and checked here, since an exception raised in a thread
+    # does not fail the test.
+    spec = ProblemSpec(kind="constant-k", k=20.0, nodes_per_dim=81,
+                       shift=ShiftSpec(kind="fixed", beta2=0.7))
+    want = level_arrays(build_hierarchy(spec, "bezier"))
+    gc.collect()
+    assert (81, "bezier") not in transfer._PAIRS
+    got = [None] * 4
+    start = threading.Barrier(len(got))
+
+    def run(i):
+        try:
+            start.wait()
+            got[i] = build_hierarchy(spec, "bezier")
+        except Exception as exc:  # reported below, in the test's own thread
+            got[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(isinstance(h, Hierarchy) for h in got), got
+    for h in got:
+        assert all(L.pair is L0.pair for L, L0 in zip(h.levels, got[0].levels))
+        for have, ref in zip(level_arrays(h), want):
+            assert all(np.array_equal(a, b) for a, b in zip(have, ref))
