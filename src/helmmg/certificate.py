@@ -1,7 +1,7 @@
 """Two-grid convergence certificates: D, Gamma, Gamma-tilde, T0 and bounds.
 
 Also builds the rows of the two published certificate tables (conv1_row,
-opt1_row).
+opt1_row), which the CLI and the acceptance suite share.
 
 For a two-grid configuration (fine operator A, coarse-build operator B,
 transfer pair (P, R), nu-step omega-Jacobi smoother X = omega*Lambda_A)
@@ -53,7 +53,8 @@ the reflections x -> 1-x and y -> 1-y and the swap x <-> y, the dihedral
 group D4 (Faessler & Stiefel, Group Theoretical Methods and Their
 Applications, Birkhauser 1992; Bossavit, CMAME 56, 1986).  They commute
 with A, the CSL, M_nu and P = P1 (x) P1 of both transfer schemes, fine
-node 2i being coarse node i on either parity of n_c = (n+1)/2.  The D4
+node 2i being coarse node i on either parity of n_c = (n+1)/2 (an even
+side has no centre node and splits the same way).  The D4
 basis V of an n x n grid (``_mirror_basis``) is orthogonal and comes in
 two steps, each mapping a pair of nodes (x, y) to (x + y, x - y)/sqrt(2):
 
@@ -82,9 +83,17 @@ operator built from its inputs commute with D4 in exact arithmetic: M_nu,
 A_c = R B P, R A, Y = A_c^-1 R A, the thin factors and every Gamma form.
 Their five blocks are then all they hold, and the blocks differ from the
 full form only by rounding, as two orders of the same sums do; there is
-no dropped part to bound.  Each sparse operator is split once
-(``_mirror_sparse``: its five diagonal blocks of V_r X V_c^T, one sparse
-product each), and all dense work is per block:
+no dropped part to bound.  So the check reads the inputs, not A_c: the
+floating-point Galerkin product R B P that ``_splitter`` forms once per
+configuration, and that the coarse LUs factor, is the solver's level-1
+operator bit for bit, but its rounding is not D4-symmetric on every grid
+(at k h = 0.625 on the fine grids n = 11, 15, 21, 41, 81 and 161 an entry
+and its image differ in the last bits, with either scheme and shift), so
+an exact check of A_c would refuse configurations whose A, B, P and R
+commute with D4.  Each sparse operator is split once
+(``_mirror_sparse``: its five diagonal blocks of V_r X V_c^T, each the
+chain of two sparse products V_b X V_cb^T), and all dense work is per
+block:
 
     Y_b = (A_c)_b^-1 (R A)_b,
     U_b = (W - MA^H W)_b - 1/2 ((W^H W)_b Y_b)^H,
@@ -136,7 +145,7 @@ symmetry check (variable k) takes the one full block of each C_c, as in
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -172,20 +181,40 @@ from .transfer import build_transfer_2d, galerkin_coarse
 class TwoGridConfig:
     """Dense two-grid certificate inputs.
 
-    ``A`` is the fine operator, ``coarse_build_op`` the operator fed to
-    Galerkin coarsening (A itself or the CSL), ``pair`` the transfer
-    pair, and (omega, nu) the Jacobi smoother spec.
+    ``A`` is the fine operator, ``coarse_build_op`` the operator B whose
+    Galerkin product A_c = R B P is the coarse operator (A itself or the
+    CSL), ``pair`` the transfer pair, and (omega, nu) the Jacobi smoother
+    spec.  The certificate forms A_c once per configuration (``_splitter``)
+    and factors that A_c; the symmetry check reads B (module docstring).
+    ``from_spec`` builds the solver's own A, B and pair from a problem spec.
     """
 
     A: object
     coarse_build_op: object
     pair: object
-    omega: float = 4.5
+    omega: float = SmootherConfig.omega
     nu: int = 1
 
     def __post_init__(self):
         # the smoother's own omega and nu checks and messages
         SmootherConfig(kind="jacobi", omega=self.omega, nu=self.nu)
+
+    @classmethod
+    def from_spec(cls, spec, scheme, omega, nu):
+        """The configuration of ``spec`` under the transfer ``scheme``: A and
+        the CSL B from the calls ``mg.build_hierarchy`` makes, and the shared
+        pair of ``build_transfer_2d``.  So A, the pair and A_c = R B P are a
+        hierarchy's level-0 operator, level-0 pair and level-1 operator, bit
+        for bit; a beta2 = 0 shift gives B = A to the bit (coarsening on the
+        original operator).  Grids too small for a hierarchy (n = 3, 5, 9)
+        are built the same way.  ``check_dense_limit`` comes before any
+        assembly."""
+        n = spec.nodes_per_dim
+        check_dense_limit(n * n)
+        fieldvals = build_wavenumber_field(spec)
+        return cls(A=assemble_helmholtz(spec, fieldvals, shift_on=False),
+                   coarse_build_op=assemble_helmholtz(spec, fieldvals, shift_on=True),
+                   pair=build_transfer_2d(n, scheme), omega=omega, nu=nu)
 
 
 @dataclass
@@ -254,9 +283,11 @@ def smoother_correction(A, omega, nu):
     return M
 
 
-def _coarse_blocks(cfg, X, split):
-    """The blocks (A_c)_b^-1 (R X)_b of A_c^{-1} R X for sparse X, A_c = R B P,
-    under ``split`` (``_mirror_sparse`` or ``_full``): the blocks of Y at X = A.
+def _coarse_blocks(Ac, RX, split):
+    """The blocks (A_c)_b^-1 (R X)_b of A_c^{-1} R X from the sparse A_c and
+    R X under ``split`` (``_mirror_sparse`` or ``_full``): the blocks of Y at
+    X = A.  A_c is the one handed in (``_splitter``'s; ``assemble_D`` forms
+    its own), and no Galerkin product is formed here.
 
     Each block has its own LU, all from one ``lu_factor_checked`` whose pivot
     tolerance is 1e-14 times the largest entry over all of A_c's blocks: a
@@ -265,11 +296,11 @@ def _coarse_blocks(cfg, X, split):
     one full block).  An empty block (n_c = 2 has no ee- or oo- node) gives
     an empty block.
     """
-    Ac = split(galerkin_coarse(cfg.coarse_build_op, cfg.pair))
+    Ac = split(Ac)
     names = [""] if len(Ac) == 1 else [f"D4 block {label}" for label in _D4_BLOCKS]
     lu = lu_factor_checked({name: A_b.toarray() for name, A_b in zip(names, Ac)},
                            "coarse operator A_c")
-    return [sla.lu_solve(lu[name], RX.toarray()) for name, RX in zip(names, split(cfg.pair.R @ X))]
+    return [sla.lu_solve(lu[name], RX_b.toarray()) for name, RX_b in zip(names, split(RX))]
 
 
 def _smoothed(cfg):
@@ -366,19 +397,17 @@ def _invariant(X, g_r, g_c):
 
 
 def _d4_invariant(cfg):
-    """Whether A, coarse_build_op and the pair (P, R) are exactly invariant
+    """Whether A, coarse_build_op B and the pair (P, R) are exactly invariant
     under the x-reflection and the swap of the square (``_invariant``, the
     node maps of a transfer's fine and coarse grid in its rows and
     columns).  These two generate D4 (the y-reflection is the swap, the
     x-reflection and the swap again), so the configuration then commutes
-    with D4 in exact arithmetic (module docstring)."""
+    with D4 in exact arithmetic, A_c = R B P included (module docstring)."""
     n, nc = _grid_side(cfg.A.shape[0]), _grid_side(cfg.pair.P.shape[1])
     if n is None or nc is None:
         return False
     f, c = _symmetries(n), _symmetries(nc)
-    ops = [(cfg.A, f, f), (cfg.pair.P, f, c), (cfg.pair.R, c, f)]
-    if cfg.coarse_build_op is not cfg.A:
-        ops.append((cfg.coarse_build_op, f, f))
+    ops = [(cfg.A, f, f), (cfg.coarse_build_op, f, f), (cfg.pair.P, f, c), (cfg.pair.R, c, f)]
     return all(_invariant(X, *g) for X, rows, cols in ops for g in zip(rows, cols))
 
 
@@ -389,11 +418,13 @@ def _full(X):
 
 
 def _splitter(cfg):
-    """The split of the configuration's operators into blocks:
-    ``_mirror_sparse`` when ``_d4_invariant`` holds, else ``_full``.
-    ``check_dense_limit`` comes first."""
+    """(split, A_c): the split of the configuration's operators into blocks,
+    ``_mirror_sparse`` when ``_d4_invariant`` holds, else ``_full``, and
+    A_c = R B P, formed once per configuration as ``mg.build_hierarchy``
+    forms level 1.  ``check_dense_limit`` comes first."""
     check_dense_limit(cfg.A.shape[0])
-    return _mirror_sparse if _d4_invariant(cfg) else _full
+    split = _mirror_sparse if _d4_invariant(cfg) else _full
+    return split, galerkin_coarse(cfg.coarse_build_op, cfg.pair)
 
 
 @cache
@@ -554,12 +585,12 @@ def _ratio(blocks, factored):
 
 def assemble_D(cfg):
     """Dense D = M_nu + CC - M_nu A CC with T0 = I - D A (the only place D is
-    formed), CC = P A_c^-1 R from the one full block of ``_coarse_blocks``:
-    the dense N_c x N A_c^-1 R of one LU.  ``check_dense_limit`` comes
-    first."""
-    N = cfg.A.shape[0]
-    check_dense_limit(N)
-    CC = cfg.pair.P @ _coarse_blocks(cfg, sp.identity(N, format="csr"), _full)[0]
+    formed), CC = P A_c^-1 R from the one full block of ``_coarse_blocks``
+    on its own A_c = R B P: the dense N_c x N A_c^-1 R of one LU.
+    ``check_dense_limit`` comes first."""
+    check_dense_limit(cfg.A.shape[0])
+    Ac = galerkin_coarse(cfg.coarse_build_op, cfg.pair)
+    CC = cfg.pair.P @ _coarse_blocks(Ac, cfg.pair.R, _full)[0]
     M = smoother_correction(cfg.A, cfg.omega, cfg.nu)
     return np.asarray(M + CC) - M @ (cfg.A @ CC)
 
@@ -580,8 +611,8 @@ def certify(cfg):
     reportable findings recorded in ``consistency_warnings``, which
     ``to_text`` prints as WARNING lines, never silent and never fatal.
     """
-    split = _splitter(cfg)
-    Y = _coarse_blocks(cfg, cfg.A, split)
+    split, Ac = _splitter(cfg)
+    Y = _coarse_blocks(Ac, cfg.pair.R @ cfg.A, split)
     MA = _smoothed(cfg)
     MAh, Gs = _sparse_gamma(MA)
     P = cfg.pair.P
@@ -652,8 +683,8 @@ def table_entry(cfg):
     blocks, and ||T0||_2 the root of lambda_max(I - Gamma) from Gamma's, as
     in ``certify``.
     """
-    split = _splitter(cfg)
-    Y = _coarse_blocks(cfg, cfg.A, split)
+    split, Ac = _splitter(cfg)
+    Y = _coarse_blocks(Ac, cfg.pair.R @ cfg.A, split)
     MA = _smoothed(cfg)
     MAh, Gs = _sparse_gamma(MA)
     Gs = split(Gs)  # Gamma-tilde's G_s is Gamma's
@@ -692,8 +723,8 @@ def _sweep_terms(cfg, degree):
     too (C_00 = -I, half of -(I + I)): exact scalings.  The blocks of the
     C_ij stay sparse (COO), the others are dense.
     """
-    split = _splitter(cfg)
-    Y = _coarse_blocks(cfg, cfg.A, split)
+    split, Ac = _splitter(cfg)
+    Y = _coarse_blocks(Ac, cfg.pair.R @ cfg.A, split)
     P, N = cfg.pair.P, cfg.A.shape[0]
     U0 = _thin_blocks(sp.csr_matrix((N, N), dtype=complex), P, Y, split)  # MA = 0
     terms = [_form([None] * len(Y), U0, Y)]
@@ -778,29 +809,25 @@ def omega_sweep(make_cfg, omegas, nus):
 
 # --- rows of the published certificate tables --------------------------------
 
-def _table_inputs(k):
-    """(n, A, C) of one table row: MP 2-A at k*h <= 0.625, beta2 = 0.7 CSL."""
-    spec = ProblemSpec(kind="constant-k", k=float(k),
-                       nodes_per_dim=nodes_for_wavenumber(k),
-                       shift=ShiftSpec(kind="fixed", beta2=0.7))
-    fieldvals = build_wavenumber_field(spec)
-    return (spec.nodes_per_dim, assemble_helmholtz(spec, fieldvals, shift_on=False),
-            assemble_helmholtz(spec, fieldvals, shift_on=True))
+def _table_spec(k, beta2):
+    """A table row's problem: MP 2-A at k*h <= 0.625 with the CSL shift beta2."""
+    return ProblemSpec(kind="constant-k", k=float(k), nodes_per_dim=nodes_for_wavenumber(k),
+                       shift=ShiftSpec(kind="fixed", beta2=beta2))
 
 
 def conv1_row(k, omega):
     """One row of the verdict table, nu = 1.
 
     Returns {(scheme, coarsen): (Gamma-tilde HPD, ||T0||_2)} with scheme in
-    (linear, bezier) and coarsen in (original, csl), in that order.
+    (linear, bezier) and coarsen in (original, csl), in that order:
+    coarsening on the beta2 = 0 CSL, which is A to the bit, and on the
+    beta2 = 0.7 CSL.
     """
-    n, A, C = _table_inputs(k)
     row = {}
     for scheme in ("linear", "bezier"):
-        pair = build_transfer_2d(n, scheme)
-        for coarsen, B in (("original", A), ("csl", C)):
-            hpd, t0 = table_entry(TwoGridConfig(A=A, coarse_build_op=B, pair=pair,
-                                                omega=omega, nu=1))
+        for coarsen, beta2 in (("original", 0.0), ("csl", 0.7)):
+            cfg = TwoGridConfig.from_spec(_table_spec(k, beta2), scheme, omega, 1)
+            hpd, t0 = table_entry(cfg)
             row[(scheme, coarsen)] = (hpd.ok, t0)
     return row
 
@@ -812,9 +839,8 @@ def opt1_row(k):
     ``presets.OPT1_OMEGAS`` x ``presets.OPT1_NUS``; a cell the sweep flags
     reads NaN, never a ratio.
     """
-    n, A, C = _table_inputs(k)
-    pair = build_transfer_2d(n, "bezier")
-    cells = omega_sweep(lambda omega, nu: TwoGridConfig(A=A, coarse_build_op=C,
-                                                        pair=pair, omega=omega, nu=nu),
+    cfg = TwoGridConfig.from_spec(_table_spec(k, 0.7), "bezier",
+                                  presets.OPT1_OMEGAS[0], presets.OPT1_NUS[0])
+    cells = omega_sweep(lambda omega, nu: replace(cfg, omega=omega, nu=nu),
                         presets.OPT1_OMEGAS, presets.OPT1_NUS)
     return {(c["omega"], c["nu"]): np.nan if c["flag"] else c["ratio"] for c in cells}

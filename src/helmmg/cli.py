@@ -14,20 +14,17 @@ import numpy as np
 
 from . import presets
 from .certificate import TwoGridConfig, certify, conv1_row, opt1_row
-from .linalg import DenseLimitError, check_dense_limit
+from .linalg import DenseLimitError
 from .mg import CycleConfig, build_hierarchy, history_csv, solve
 from .problem import (
     PPW_RULE,
     ProblemSpec,
     ShiftSpec,
-    assemble_helmholtz,
     assemble_rhs,
-    build_wavenumber_field,
     nodes_for_wavenumber,
     spec_to_config,
 )
 from .smoothing import SmootherConfig
-from .transfer import build_transfer_2d
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +54,7 @@ def _add_problem_args(p):
 
 def _add_smoother_args(p):
     p.add_argument("--smoother", choices=["jacobi", "gmres3"], default="jacobi")
-    p.add_argument("--omega", type=float, default=4.5,
+    p.add_argument("--omega", type=float, default=SmootherConfig.omega,
                    help="Jacobi damping: X = omega * diag(A)")
     p.add_argument("--nu", type=int, default=1, help="post-smoothing steps")
 
@@ -154,10 +151,6 @@ def cmd_solve(args):
 # certify
 # ---------------------------------------------------------------------------
 
-#: Jacobi damping of a single certified configuration when --omega is not given
-CERTIFY_OMEGA = 4.5
-
-
 def cmd_certify(args):
     if args.table:
         reads = {"conv1": ("omega", "regress"), "opt1": ("regress",)}[args.table]
@@ -166,15 +159,10 @@ def cmd_certify(args):
                     f"{', '.join('--' + dest for dest in reads)}; it")
         return _certify_conv1(args) if args.table == "conv1" else _certify_opt1(args)
     _refuse_set(args, ("regress",), "certify without --table")
-    spec = _problem_spec(args)
-    check_dense_limit(spec.nodes_per_dim ** 2)  # before any assembly
-    fieldvals = build_wavenumber_field(spec)
-    cfg = TwoGridConfig(
-        A=assemble_helmholtz(spec, fieldvals, shift_on=False),
-        coarse_build_op=assemble_helmholtz(spec, fieldvals, shift_on=True),
-        pair=build_transfer_2d(spec.nodes_per_dim, args.transfer),
-        omega=CERTIFY_OMEGA if args.omega is None else args.omega, nu=args.nu)
-    report = certify(cfg)
+    # a single configuration defaults to the solver's Jacobi damping
+    omega = SmootherConfig.omega if args.omega is None else args.omega
+    report = certify(TwoGridConfig.from_spec(_problem_spec(args), args.transfer,
+                                             omega, args.nu))
     print(report.to_text())
     if args.out:
         with open(args.out, "w") as f:
@@ -300,7 +288,7 @@ def build_parser():
     _add_problem_args(pc)
     pc.add_argument("--omega", type=float, default=None,
                     help=f"Jacobi damping: X = omega * diag(A) (default "
-                         f"{CERTIFY_OMEGA}; {presets.CONV1_OMEGA} with --table conv1)")
+                         f"{SmootherConfig.omega}; {presets.CONV1_OMEGA} with --table conv1)")
     pc.add_argument("--nu", type=int, default=1)
     pc.add_argument("--table", choices=["conv1", "opt1"],
                     help="reproduce a published certificate table instead of "

@@ -78,12 +78,9 @@ def run_solve(spec, nu, gamma, smoother="jacobi", omega=4.5, scheme="bezier",
 
 
 def two_grid_cfg(k, n, scheme, coarsen, omega, nu):
-    spec = const_spec(k, n=n)
-    f = build_wavenumber_field(spec)
-    A = assemble_helmholtz(spec, f, shift_on=False)
-    B = assemble_helmholtz(spec, f, shift_on=True) if coarsen == "csl" else A
-    return TwoGridConfig(A=A, coarse_build_op=B,
-                         pair=build_transfer_2d(n, scheme), omega=omega, nu=nu)
+    """Coarsened on the beta2 = 0.7 CSL, or on A (the beta2 = 0 CSL)."""
+    spec = const_spec(k, beta2=0.7 if coarsen == "csl" else 0.0, n=n)
+    return TwoGridConfig.from_spec(spec, scheme, omega, nu)
 
 
 # --------------------------------------------------------------------------

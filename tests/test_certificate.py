@@ -35,8 +35,6 @@ from helmmg.mg import CycleConfig, build_hierarchy, cycle
 from helmmg.problem import (
     ProblemSpec,
     ShiftSpec,
-    assemble_helmholtz,
-    build_wavenumber_field,
     nodes_for_wavenumber,
 )
 from helmmg.smoothing import SmootherConfig
@@ -45,13 +43,11 @@ from helmmg.transfer import TransferPair, build_transfer_2d
 
 def make_cfg(k=5.0, n=9, scheme="bezier", coarsen="csl", omega=4.5, nu=1,
              beta2=0.7):
+    """MP 2-A coarsened on the beta2 CSL, or on A (coarsen="original": the
+    beta2 = 0 CSL, A to the bit)."""
     spec = ProblemSpec(kind="constant-k", k=k, nodes_per_dim=n,
-                       shift=ShiftSpec(kind="fixed", beta2=beta2))
-    f = build_wavenumber_field(spec)
-    A = assemble_helmholtz(spec, f, shift_on=False)
-    B = assemble_helmholtz(spec, f, shift_on=True) if coarsen == "csl" else A
-    pair = build_transfer_2d(n, scheme)
-    return TwoGridConfig(A=A, coarse_build_op=B, pair=pair, omega=omega, nu=nu)
+                       shift=ShiftSpec(kind="fixed", beta2=beta2 if coarsen == "csl" else 0.0))
+    return TwoGridConfig.from_spec(spec, scheme, omega, nu)
 
 
 def dense_parts(cfg):
@@ -79,7 +75,7 @@ def dense_gamma_tilde(cfg):
 
 def full_Y(cfg):
     """The dense Y = A_c^-1 R A: the one full block of ``_coarse_blocks``."""
-    return _coarse_blocks(cfg, cfg.A, _full)[0]
+    return _coarse_blocks(certificate._splitter(cfg)[1], cfg.pair.R @ cfg.A, _full)[0]
 
 
 def full_form(MA, W, Y):
@@ -126,9 +122,7 @@ def test_I_minus_DA_equals_dense_T0(nu):
                        shift=ShiftSpec(kind="fixed", beta2=0.7))
     h = build_hierarchy(spec, "bezier", "csl")
     assert h.nlevels == 2
-    C = assemble_helmholtz(spec, build_wavenumber_field(spec), shift_on=True)
-    cfg = TwoGridConfig(A=h.levels[0].op, coarse_build_op=C,
-                        pair=h.levels[0].pair, omega=4.5, nu=nu)
+    cfg = TwoGridConfig.from_spec(spec, "bezier", 4.5, nu)
     A = cfg.A.toarray()
     N = A.shape[0]
     T0 = dense_T0(cfg)
@@ -449,6 +443,26 @@ class FakeBig:
     shape = (3000, 3000)
 
 
+@pytest.mark.parametrize("beta2", [0.7, 0.0])
+@pytest.mark.parametrize("scheme", ["linear", "bezier"])
+@pytest.mark.parametrize("k", [10, 20, 30])
+def test_from_spec_holds_the_solvers_operators(k, scheme, beta2):
+    # the certificate certifies what the solver runs: from_spec's A is the
+    # hierarchy's level-0 operator, its pair the level-0 pair (one shared
+    # object), and the A_c that _splitter forms, and the coarse LUs factor,
+    # is the level-1 operator, bit for bit; beta2 = 0 coarsens on A
+    spec = ProblemSpec(kind="constant-k", k=float(k), nodes_per_dim=nodes_for_wavenumber(k),
+                       shift=ShiftSpec(kind="fixed", beta2=beta2))
+    h = build_hierarchy(spec, scheme)
+    cfg = TwoGridConfig.from_spec(spec, scheme, 4.5, 1)
+    assert cfg.pair is h.levels[0].pair
+    _, Ac = certificate._splitter(cfg)
+    for got, want in ((cfg.A, h.levels[0].op), (Ac, h.levels[1].op)):
+        assert got.dtype == want.dtype
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
 # --- the D4 basis, built by numpy -------------------------------------------
 
 def mirror_Q1(n):
@@ -564,11 +578,9 @@ def test_table_inputs_pass_the_symmetry_check(k):
     # every conv1/opt1 table input, both transfer schemes coarsened on A and
     # on the CSL: no entry of A, the CSL, P or R differs from its image under
     # the two reflections or the swap
-    n, A, C = certificate._table_inputs(k)
     for scheme in ("linear", "bezier"):
-        pair = build_transfer_2d(n, scheme)
-        for B in (A, C):
-            cfg = TwoGridConfig(A=A, coarse_build_op=B, pair=pair)
+        for beta2 in (0.0, 0.7):
+            cfg = TwoGridConfig.from_spec(certificate._table_spec(k, beta2), scheme, 4.5, 1)
             assert broken_symmetries(cfg) == []
             assert _d4_invariant(cfg)
 
@@ -666,7 +678,7 @@ def test_coarse_blocks_are_the_d4_blocks_of_Y(k, n):
     Y = np.linalg.solve(R @ cfg.coarse_build_op.toarray() @ cfg.pair.P.toarray(),
                         R @ cfg.A.toarray())
     want = dense_d4_blocks(Y, nc, n)
-    got = _coarse_blocks(cfg, cfg.A, _mirror_sparse)
+    got = _coarse_blocks(certificate._splitter(cfg)[1], cfg.pair.R @ cfg.A, _mirror_sparse)
     assert [B.shape for B in got] == [B.shape for B in want]
     for g, w in zip(got, want):
         assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
@@ -835,12 +847,8 @@ def smooth_medium_cfg(omega=4.5, nu=1, scheme="bezier", coarsen="csl"):
     """MP 2-B, smooth medium with k from 5 to 10 on n = 17, Bezier/CSL by default."""
     spec = ProblemSpec(kind="variable-k", k_min=5.0, k_max=10.0, profile="smooth",
                        seed=1, nodes_per_dim=17,
-                       shift=ShiftSpec(kind="fixed", beta2=0.7))
-    f = build_wavenumber_field(spec)
-    A = assemble_helmholtz(spec, f, shift_on=False)
-    B = assemble_helmholtz(spec, f, shift_on=True) if coarsen == "csl" else A
-    return TwoGridConfig(A=A, coarse_build_op=B, pair=build_transfer_2d(17, scheme),
-                         omega=omega, nu=nu)
+                       shift=ShiftSpec(kind="fixed", beta2=0.7 if coarsen == "csl" else 0.0))
+    return TwoGridConfig.from_spec(spec, scheme, omega, nu)
 
 
 def test_grid_norm2_variable_k_takes_full_path(norm_calls):
@@ -988,8 +996,8 @@ def test_ratio_non_hpd_block_goes_through_lu(inverse_calls):
 def gamma_blocks(cfg):
     """The blocks of Gamma-tilde (W = P) and of Gamma (W = S P) under the
     split the symmetry check picks."""
-    split = certificate._splitter(cfg)
-    Y = _coarse_blocks(cfg, cfg.A, split)
+    split, Ac = certificate._splitter(cfg)
+    Y = _coarse_blocks(Ac, cfg.pair.R @ cfg.A, split)
     MA = _smoothed(cfg)
     MAh, Gs = _sparse_gamma(MA)
     P = cfg.pair.P

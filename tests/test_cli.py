@@ -311,12 +311,13 @@ def test_certify_dense_limit(capsys):
 
 def test_certify_dense_limit_before_assembly(capsys, monkeypatch):
     # the limit is checked from the grid size alone: k = 2000 (n = 3201)
-    # never assembles its 10^7-unknown operator
+    # never assembles its 10^7-unknown operator (TwoGridConfig.from_spec
+    # checks it before its assembly calls)
     def refuse(*args, **kwargs):
         raise AssertionError("assembled before the dense-limit check")
 
-    monkeypatch.setattr(cli, "assemble_helmholtz", refuse)
-    monkeypatch.setattr(cli, "build_wavenumber_field", refuse)
+    monkeypatch.setattr(certificate, "assemble_helmholtz", refuse)
+    monkeypatch.setattr(certificate, "build_wavenumber_field", refuse)
     assert main(["certify", "--k", "2000"]) == EXIT_DENSE_LIMIT
     assert "dense" in capsys.readouterr().err
 
